@@ -9,18 +9,11 @@ from .geometry import (
     PolytopeN,
     RadiusProfile,
     central_section,
-    chord_length,
     cube,
     icosphere,
     interval,
-    is_centrally_symmetric,
-    lebesgue_volume,
-    polar_radius,
     polygon_as_polytope,
-    polytope_polar,
-    radius,
     regular_polygon,
-    support,
 )
 from .perimeter2 import (
     Perimeter2Result,
@@ -37,7 +30,6 @@ from .selfvolume import (
     affine_image,
     cartesian_product,
     hypercube_self_volume,
-    product_self_volume,
     self_volume_recursive,
     simplex_self_volume,
 )
@@ -59,7 +51,6 @@ from .alexandrov import (
     SurfaceMeasure,
     circle_grid,
     forward_measure,
-    general_n_forward,
     leading_order,
     quarter_shift_difference,
     reconstruct,

@@ -27,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .geometry import (DegenerateSectionError, GeometryError, NotInteriorError,
-                       PolytopeN, RadiusProfile, central_section, fourier_eval,
-                       lebesgue_volume)
+# central_section and self_volume_recursive are not called here: they stay
+# as module bindings because perfbench/tracing.py patches them in this module
+from .geometry import (GeometryError, NotInteriorError, PolytopeN, RadiusProfile,  # noqa: F401
+                       _conjugate_symmetric, _mirrored_pairs, central_section, fourier_eval)
 from .perimeter2 import smooth_density
-from .selfvolume import self_volume_recursive
+from .selfvolume import section_self_volume, self_volume_recursive  # noqa: F401
 
 GRID_NODES = 4096        # default circle resolution; divisible by 4
 CUSP_GUARD = 2           # grid nodes dropped on each side of a slope-field cusp
@@ -44,7 +45,7 @@ __all__ = [
     "SurfaceMeasure", "FourierDensityError", "ClosureError", "circle_grid", "split_harmonics",
     "sqrt_imbalance", "solve_phi0", "leading_order", "second_order",
     "shift_eigenvalue", "quarter_shift_difference", "forward_measure",
-    "reconstruct", "general_n_forward",
+    "reconstruct",
 ]
 
 
@@ -85,33 +86,14 @@ class FourierDensity:
         epsilon = float(epsilon)
         if not np.isfinite(epsilon) or epsilon < 0.0:
             raise FourierDensityError(f"epsilon must be a finite nonnegative number, got {epsilon}")
-        order = np.argsort(ks)
-        ks, coeffs = ks[order], coeffs[order]
-        cmax = float(np.max(np.abs(coeffs))) if len(coeffs) else 0.0
-        lookup = dict(zip(ks.tolist(), coeffs))
-        for k, c in lookup.items():
-            mate = lookup.get(-k)
-            if mate is None or abs(np.conj(c) - mate) > 1e-12 * max(1.0, cmax):
-                raise FourierDensityError(f"coefficients are not conjugate-symmetric at k={k}")
-        self.ks = ks
-        self.coeffs = coeffs
+        self.ks, self.coeffs = _conjugate_symmetric(ks, coeffs, FourierDensityError,
+                                                    scale_floor=1.0)
         self.epsilon = epsilon
 
     @classmethod
     def from_pairs(cls, pairs, epsilon):
         """Build from [(k, re, im), ...]; missing negative harmonics are mirrored."""
-        lookup = {}
-        for k, re, im in pairs:
-            k = int(k)
-            c = complex(re, im)
-            if k in lookup and abs(lookup[k] - c) > 1e-12 * max(1.0, abs(c)):
-                raise FourierDensityError(f"conflicting duplicate coefficient at k={k}")
-            lookup[k] = c
-        for k in list(lookup):
-            if -k not in lookup:
-                lookup[-k] = np.conj(lookup[k])
-        ks = np.array(sorted(lookup), dtype=int)
-        return cls(ks, np.array([lookup[k] for k in ks]), epsilon)
+        return cls(*_mirrored_pairs(pairs, FourierDensityError), epsilon)
 
     def evaluate(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -376,13 +358,14 @@ class SurfaceMeasure:
             raise GeometryError("surface measure needs dimension at least 2")
         if not poly.origin_interior():
             raise NotInteriorError("surface measure needs the origin strictly inside")
+        if poly.dim - 1 > max_dim:
+            raise GeometryError(f"section dimension {poly.dim - 1} exceeds max_dim={max_dim}; "
+                                "pass max_dim explicitly to override")
+        # one section per facet, no +-normal memo: on ill-conditioned bodies the
+        # two sections of a +-pair differ by rounding, which the mass carries
         rows = []
         for i, facet in enumerate(poly.facets):
-            section = central_section(poly, facet.normal)
-            sec_measure = lebesgue_volume(section)
-            if sec_measure <= 0.0:
-                raise DegenerateSectionError(f"degenerate central section at facet {i}")
-            sec_volume = self_volume_recursive(section, max_dim=max_dim).value
+            sec_measure, sec_volume = section_self_volume(poly, facet.normal, (i,))
             density = sec_volume / sec_measure
             rows.append(FacetDensityRow(i, facet.normal.copy(), facet.measure,
                                         sec_measure, density, density * facet.measure))
@@ -407,8 +390,3 @@ class SurfaceMeasure:
         idx = np.arange(len(dirs))
         r = t[idx, hit]
         return self._densities[hit] * r ** (self.dim - 1) / den[idx, hit]
-
-
-def general_n_forward(poly, max_dim=5):
-    """Self-surface measure of a polytope in any supported dimension."""
-    return SurfaceMeasure(poly, max_dim=max_dim)

@@ -4,33 +4,28 @@ Subcommands: perimeter, volume, center, kgon-table, alexandrov,
 invariance-check, conjecture-search. Outputs are CSV or JSON files (stdout
 when no --out is given); failures print one machine-readable JSON object to
 stderr and exit nonzero. All randomness flows from the --seed flag, so
-identical invocations produce byte-identical outputs. SELFMETRIC_THREADS
-sets the worker-pool width for the batch commands; results are collected in
-submission order, so the pool size never changes the output.
+identical invocations produce byte-identical outputs.
 """
 
 import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .alexandrov import ClosureError, FourierDensityError, general_n_forward, reconstruct
+from .alexandrov import ClosureError, FourierDensityError, SurfaceMeasure, reconstruct
 from .centers import ConvergenceError, optimal_center_2d
 from .geometry import (GeometryError, Polygon2, PolytopeN, RadiusProfile,
                        regular_polygon)
-from .perimeter2 import (busemann_perimeter_polygon, kgon_self_perimeter,
+from .perimeter2 import (MIN_NODES, busemann_perimeter_polygon, kgon_self_perimeter,
                          self_perimeter_polygon, self_perimeter_smooth)
 from .selfvolume import affine_image, self_volume_recursive
 from .shapeio import ShapeFormatError, load_density, load_shape
 
-MIN_NODES = 64
 MAX_TOLERANCE = 1e-2
 
 
@@ -69,29 +64,6 @@ class RunConfig:
             raise ValueError("conjecture search supports dimensions 2 to 4")
         if self.trials < 1 or self.steps < 0:
             raise ValueError("trials must be positive and steps nonnegative")
-
-
-def _pool_width():
-    raw = os.environ.get("SELFMETRIC_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        width = int(raw)
-    except ValueError:
-        raise ValueError(f"SELFMETRIC_THREADS must be a positive integer, got {raw!r}")
-    if width < 1:
-        raise ValueError(f"SELFMETRIC_THREADS must be a positive integer, got {raw!r}")
-    return width
-
-
-def _pool_map(fn, items):
-    # order-preserving map; pool width never affects results, only wall time
-    items = list(items)
-    width = _pool_width()
-    if width == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(x):
@@ -149,7 +121,7 @@ def _cmd_perimeter(cfg):
         res = self_perimeter_smooth(body, nodes=cfg.nodes)
         rows.append([body_id, "directed", res.method, res.value, res.node_count])
     else:
-        measure = general_n_forward(body, max_dim=cfg.max_dim)
+        measure = SurfaceMeasure(body, max_dim=cfg.max_dim)
         rows.append([body_id, "directed", "surface-measure", measure.total_mass, None])
     _write_csv(cfg.out, ["body_id", "variant", "method", "value", "nodes"], rows)
     return 0
@@ -206,7 +178,7 @@ def _cmd_center(cfg):
         return [run_seed, float(res.optimum[0]), float(res.optimum[1]),
                 res.value, res.iterations]
 
-    rows = _pool_map(solve, range(cfg.restarts))
+    rows = [solve(i) for i in range(cfg.restarts)]
     _write_csv(cfg.out, ["seed", "optimum_x", "optimum_y", "value", "iterations"], rows)
     if cfg.out is not None:
         best = min(rows, key=lambda r: r[3])
@@ -220,7 +192,7 @@ def _cmd_kgon_table(cfg):
         exact = self_perimeter_polygon(regular_polygon(k), np.zeros(2)).value
         return [k, closed, exact, abs(closed - exact)]
 
-    rows = _pool_map(row, range(3, cfg.k_max + 1))
+    rows = [row(k) for k in range(3, cfg.k_max + 1)]
     _write_csv(cfg.out, ["k", "closed_form", "polygon_exact", "abs_diff"], rows)
     return 0
 
@@ -263,7 +235,7 @@ def _cmd_invariance_check(cfg):
         value = self_volume_recursive(affine_image(body, mat), max_dim=cfg.max_dim).value
         return [t, value, abs(value - base) / abs(base)]
 
-    rows = _pool_map(trial, range(cfg.trials))
+    rows = [trial(t) for t in range(cfg.trials)]
     _write_csv(cfg.out, ["trial", "value", "rel_deviation"], rows)
     worst = max(r[2] for r in rows)
     if worst > cfg.tolerance:
@@ -321,7 +293,7 @@ def _cmd_conjecture_search(cfg):
         lo, rej_lo = _climb(pts, rng, cfg.steps, -1, cfg.max_dim)
         return hi, lo, rej_hi + rej_lo
 
-    results = _pool_map(trial, range(cfg.trials))
+    results = [trial(t) for t in range(cfg.trials)]
     max_found = max(r[0] for r in results)
     min_found = min(r[1] for r in results)
     doc = {

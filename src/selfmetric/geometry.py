@@ -1,8 +1,8 @@
 """Convex-body primitives: polygons, Fourier radius profiles, V-represented polytopes.
 
 Everything downstream (perimeters, self-volumes, center optimization, the inverse
-problem) is built on the handful of operations defined here: gauge radius along a
-direction, chords, support values, central hyperplane sections and facet data.
+problem) is built on the handful of operations defined here: edge frames, facet
+data, central hyperplane sections and Fourier evaluation.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 from scipy.spatial import ConvexHull, QhullError
 
 REL_TOL = 1e-9        # relative tolerance for collinearity / degeneracy decisions
@@ -46,6 +45,47 @@ class NotInteriorError(GeometryError):
 
 class DegenerateSectionError(GeometryError):
     """A central section collapsed below full dimension."""
+
+
+# ---------------------------------------------------------------------------
+# conjugate-symmetric coefficients, shared by RadiusProfile and FourierDensity
+
+
+def _conjugate_symmetric(ks, coeffs, error, scale_floor):
+    """Sort harmonics ascending and check c_{-k} = conj(c_k).
+
+    The tolerance is 1e-12 * max(scale_floor, max |c_k|); a violation raises
+    `error`. Returns the sorted (ks, coeffs).
+    """
+    order = np.argsort(ks)
+    ks, coeffs = ks[order], coeffs[order]
+    cmax = float(np.max(np.abs(coeffs))) if len(coeffs) else 0.0
+    tol = 1e-12 * max(scale_floor, cmax)
+    lookup = dict(zip(ks.tolist(), coeffs))
+    for k, c in lookup.items():
+        mate = lookup.get(-k)
+        if mate is None or abs(np.conj(c) - mate) > tol:
+            raise error(f"coefficients are not conjugate-symmetric at k={k}")
+    return ks, coeffs
+
+
+def _mirrored_pairs(pairs, error):
+    """(ks, coeffs) from [(k, re, im), ...], mirroring each missing negative harmonic.
+
+    A repeated k must repeat its coefficient; a conflicting repeat raises `error`.
+    """
+    lookup = {}
+    for k, re, im in pairs:
+        k = int(k)
+        c = complex(re, im)
+        if k in lookup and abs(lookup[k] - c) > 1e-12 * max(1.0, abs(c)):
+            raise error(f"conflicting duplicate coefficient at k={k}")
+        lookup[k] = c
+    for k in list(lookup):
+        if -k not in lookup:
+            lookup[-k] = np.conj(lookup[k])
+    ks = np.array(sorted(lookup), dtype=int)
+    return ks, np.array([lookup[k] for k in ks])
 
 
 # ---------------------------------------------------------------------------
@@ -138,18 +178,9 @@ class RadiusProfile:
             raise GeometryError("ks and coeffs must be 1d arrays of equal length")
         if len(np.unique(ks)) != len(ks):
             raise GeometryError("duplicate harmonic index in radius profile")
-        order = np.argsort(ks)
-        ks, coeffs = ks[order], coeffs[order]
-        cmax = float(np.max(np.abs(coeffs))) if len(coeffs) else 0.0
-        if cmax == 0.0:
+        if not np.any(coeffs):
             raise GeometryError("radius profile has no nonzero coefficient")
-        lookup = dict(zip(ks.tolist(), coeffs))
-        for k, c in lookup.items():
-            mate = lookup.get(-k)
-            if mate is None or abs(np.conj(c) - mate) > 1e-12 * cmax:
-                raise GeometryError(f"coefficients are not conjugate-symmetric at k={k}")
-        self.ks = ks
-        self.coeffs = coeffs
+        self.ks, self.coeffs = _conjugate_symmetric(ks, coeffs, GeometryError, scale_floor=0.0)
         if check:
             theta = np.linspace(0.0, 2.0 * np.pi, PROFILE_GRID, endpoint=False)
             r = self(theta)
@@ -164,18 +195,7 @@ class RadiusProfile:
     @classmethod
     def from_coeff_pairs(cls, pairs, **kwargs):
         """Build from [(k, re, im), ...]; missing negative harmonics are mirrored."""
-        lookup = {}
-        for k, re, im in pairs:
-            k = int(k)
-            c = complex(re, im)
-            if k in lookup and abs(lookup[k] - c) > 1e-12 * max(1.0, abs(c)):
-                raise GeometryError(f"conflicting duplicate coefficient at k={k}")
-            lookup[k] = c
-        for k in list(lookup):
-            if -k not in lookup:
-                lookup[-k] = np.conj(lookup[k])
-        ks = np.array(sorted(lookup))
-        return cls(ks, np.array([lookup[k] for k in ks]), **kwargs)
+        return cls(*_mirrored_pairs(pairs, GeometryError), **kwargs)
 
     @classmethod
     def from_samples(cls, values, k_max, **kwargs):
@@ -209,10 +229,6 @@ class RadiusProfile:
         dr = self.derivative(theta)
         ddr = self.second_derivative(theta)
         return float(np.min(r * r + 2.0 * dr * dr - r * ddr))
-
-    def max_radius(self, n=PROFILE_GRID):
-        theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        return float(np.max(self(theta)))
 
 
 class Facet:
@@ -365,7 +381,7 @@ class BarycentricPoint:
 
 
 # ---------------------------------------------------------------------------
-# radial and support operations
+# sections
 
 
 def _unit(direction):
@@ -374,98 +390,6 @@ def _unit(direction):
     if n == 0.0 or not np.isfinite(n):
         raise GeometryError("direction must be a nonzero finite vector")
     return v / n
-
-
-def _halfspace_ray(normals, offsets, center, unit_dir):
-    num = offsets - normals @ center
-    if np.min(num) <= 0.0:
-        raise NotInteriorError("center is not strictly inside the body")
-    den = normals @ unit_dir
-    mask = den > 0.0
-    if not np.any(mask):
-        raise GeometryError("ray never exits the body; input is unbounded or invalid")
-    return float(np.min(num[mask] / den[mask]))
-
-
-def radius(body, center, direction):
-    """Euclidean distance from center to the boundary of body along direction.
-
-    This is the gauge radius r_{B,p}(v) = sup{t > 0 : p + t v in B} for the
-    unit vector v parallel to direction. The center must be strictly interior.
-    """
-    u = _unit(direction)
-    p = np.asarray(center, dtype=float)
-    if isinstance(body, Polygon2):
-        return _halfspace_ray(body.normals, body.offsets, p, u)
-    if isinstance(body, PolytopeN):
-        return _halfspace_ray(body.facet_normals, body.facet_offsets, p, u)
-    if isinstance(body, RadiusProfile):
-        return _profile_radius(body, p, u)
-    raise TypeError(f"unsupported body type {type(body).__name__}")
-
-
-def _profile_radius(profile, center, unit_dir):
-    pnorm = float(np.linalg.norm(center))
-    if pnorm == 0.0:
-        return profile(float(np.arctan2(unit_dir[1], unit_dir[0])))
-    if pnorm >= profile(float(np.arctan2(center[1], center[0]))):
-        raise NotInteriorError("center is not strictly inside the profile body")
-
-    def gap(t):
-        q = center + t * unit_dir
-        return float(np.hypot(q[0], q[1])) - profile(float(np.arctan2(q[1], q[0])))
-
-    hi = pnorm + 1.1 * profile.max_radius()
-    while gap(hi) <= 0.0:
-        hi *= 2.0
-    return float(brentq(gap, 0.0, hi, xtol=1e-14))
-
-
-def chord_length(body, center, direction):
-    """Length of the full chord through center parallel to direction."""
-    u = _unit(direction)
-    return radius(body, center, u) + radius(body, center, -u)
-
-
-def support(body, direction):
-    """Support value h_B(x) = max over the body of <x, z>; 1-homogeneous in x."""
-    x = np.asarray(direction, dtype=float)
-    if isinstance(body, (Polygon2, PolytopeN)):
-        return float(np.max(body.vertices @ x))
-    if isinstance(body, RadiusProfile):
-        theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-        vals = body(theta) * (np.cos(theta) * x[0] + np.sin(theta) * x[1])
-        i = int(np.argmax(vals))
-        h = theta[1] - theta[0]
-
-        def neg(t):
-            return -(body(t) * (np.cos(t) * x[0] + np.sin(t) * x[1]))
-
-        res = minimize_scalar(neg, bounds=(theta[i] - h, theta[i] + h),
-                              method="bounded", options={"xatol": 1e-13})
-        return float(max(vals[i], -res.fun))
-    raise TypeError(f"unsupported body type {type(body).__name__}")
-
-
-def polar_radius(body, direction):
-    """Gauge radius of the polar body along direction: 1 / h_B(u) for unit u."""
-    u = _unit(direction)
-    h = support(body, u)
-    if h <= 0.0:
-        raise NotInteriorError("origin is not interior, polar radius undefined")
-    return 1.0 / h
-
-
-def polytope_polar(poly):
-    """Polar dual of a polytope with the origin strictly interior."""
-    if not poly.origin_interior():
-        raise NotInteriorError("polar dual needs the origin strictly inside")
-    verts = np.array([f.normal / f.offset for f in poly.facets])
-    return PolytopeN(verts)
-
-
-# ---------------------------------------------------------------------------
-# sections and volumes
 
 
 def _pivoted_basis(normal):
@@ -520,38 +444,6 @@ def central_section(poly, normal):
         return PolytopeN(coords)
     except GeometryError as exc:
         raise DegenerateSectionError(f"section is not full-dimensional: {exc}") from exc
-
-
-def lebesgue_volume(poly_or_points):
-    """Lebesgue volume of a polytope (exact up to floating point).
-
-    Accepts a PolytopeN or a raw vertex array. Degenerate vertex sets return
-    0.0 with a warning instead of raising, so sweeps over random data survive.
-    """
-    if isinstance(poly_or_points, PolytopeN):
-        return poly_or_points._volume
-    pts = np.asarray(poly_or_points, dtype=float)
-    if pts.ndim != 2:
-        raise GeometryError("expected an (m, d) vertex array")
-    if pts.shape[1] == 1:
-        return float(np.max(pts) - np.min(pts))
-    try:
-        return float(ConvexHull(pts).volume)
-    except QhullError:
-        warnings.warn("degenerate vertex set, volume 0", stacklevel=2)
-        return 0.0
-
-
-def is_centrally_symmetric(body, tol=1e-9):
-    """True if the body equals its reflection through the origin (within tol)."""
-    if isinstance(body, RadiusProfile):
-        odd = np.abs(body.coeffs[body.ks % 2 == 1]).sum()
-        return bool(odd <= tol * np.abs(body.coeffs).sum())
-    if isinstance(body, (Polygon2, PolytopeN)):
-        v = body.vertices
-        gaps = np.linalg.norm(v[:, None, :] + v[None, :, :], axis=2)
-        return bool(np.max(np.min(gaps, axis=1)) <= tol * max(body.scale, 1e-30))
-    raise TypeError(f"unsupported body type {type(body).__name__}")
 
 
 # ---------------------------------------------------------------------------

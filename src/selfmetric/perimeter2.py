@@ -35,11 +35,12 @@ class Perimeter2Result:
 def _polygon_ray_lengths(poly, center, directions):
     """Exit distances from center along each unit direction (vectorized halfplane min)."""
     p = np.asarray(center, dtype=float)
-    num = poly.offsets - poly.normals @ p
-    if np.min(num) <= 0.0:
-        raise NotInteriorError("center is not strictly inside the polygon")
-    den = directions @ poly.normals.T          # (ndir, nedges)
-    with np.errstate(divide="ignore"):
+    # an infinite center makes 0 * inf = NaN slacks; "not > 0" rejects those too
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = poly.offsets - poly.normals @ p
+        if not np.min(num) > 0.0:
+            raise NotInteriorError("center is not strictly inside the polygon")
+        den = directions @ poly.normals.T          # (ndir, nedges)
         t = np.where(den > 0.0, num[None, :] / den, np.inf)
     return np.min(t, axis=1)
 
@@ -127,6 +128,4 @@ def triangle_perimeters(bary):
         raise GeometryError("triangle_perimeters needs exactly 3 barycentric weights")
     directed = float(np.sum(1.0 / lam))
     busemann = float(2.0 * np.sum(1.0 / (1.0 - lam)))
-    assert busemann >= 9.0 - 1e-9, busemann
-    assert directed >= busemann - 1e-9 * busemann, (directed, busemann)
     return directed, busemann

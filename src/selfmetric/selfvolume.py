@@ -63,6 +63,19 @@ def _memo_key(normal):
     return tuple(np.round(canon / NORMAL_QUANTUM).astype(np.int64).tolist())
 
 
+def section_self_volume(poly, normal, chain=()):
+    """(measure, self-volume) of the central section of poly orthogonal to normal.
+
+    chain names the facet indices that led to this section, for error reporting.
+    """
+    try:
+        section = central_section(poly, normal)
+    except DegenerateSectionError as exc:
+        raise DegenerateSectionError(
+            f"degenerate section at facet chain {chain}: {exc}") from exc
+    return section._volume, _omega(section, chain)[0]
+
+
 def _omega(poly, chain):
     """Self-volume of a polytope with the origin strictly inside.
 
@@ -78,13 +91,7 @@ def _omega(poly, chain):
     for idx, f in enumerate(poly.facets):
         key = _memo_key(f.normal)
         if key not in memo:
-            try:
-                section = central_section(poly, f.normal)
-            except DegenerateSectionError as exc:
-                raise DegenerateSectionError(
-                    f"degenerate section at facet chain {chain + (idx,)}: {exc}") from exc
-            sub, _ = _omega(section, chain + (idx,))
-            memo[key] = (section._volume, sub)
+            memo[key] = section_self_volume(poly, f.normal, chain + (idx,))
         sec_measure, sec_omega = memo[key]
         contribution = f.measure * sec_omega / sec_measure
         rows.append(FacetContribution(idx, f.measure, sec_measure, sec_omega, contribution))
@@ -149,11 +156,6 @@ def simplex_self_volume(n, bary):
             term /= 1.0 - partial
         total += term
     return 2.0 / math.factorial(n) * total
-
-
-def product_self_volume(a, b):
-    """Self-volume of a Cartesian product from the factors' results."""
-    return a.value * b.value
 
 
 def cartesian_product(p, q):

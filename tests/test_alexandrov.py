@@ -4,7 +4,7 @@ import pytest
 from common import random_ccs_polygon
 from selfmetric.alexandrov import (ClosureError, FourierDensity, FourierDensityError,
                                    SurfaceMeasure, circle_grid, cusp_exclusion_mask,
-                                   forward_measure, general_n_forward, leading_order,
+                                   forward_measure, leading_order,
                                    quarter_shift_difference, reconstruct, second_order,
                                    shift_eigenvalue, solve_phi0, split_harmonics,
                                    sqrt_imbalance)
@@ -264,7 +264,7 @@ def test_surface_measure_total_is_dim_times_self_volume():
     rng = np.random.default_rng(31)
     pts = rng.normal(size=(14, 3))
     body = PolytopeN(np.vstack([pts, -pts]))
-    sm = general_n_forward(body)
+    sm = SurfaceMeasure(body)
     want = 3.0 * self_volume_recursive(body).value
     assert sm.total_mass == pytest.approx(want, rel=1e-12)
 
@@ -300,3 +300,9 @@ def test_surface_measure_guards():
     sm = SurfaceMeasure(cube(2))
     with pytest.raises(GeometryError):
         sm.evaluate([[0.0, 0.0]])
+
+
+def test_surface_measure_max_dim_bounds_the_section_dimension():
+    assert SurfaceMeasure(cube(4), max_dim=3).total_mass == pytest.approx(4.0 * 16.0, rel=1e-12)
+    with pytest.raises(GeometryError):
+        SurfaceMeasure(cube(4), max_dim=2)

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -11,13 +10,8 @@ from selfmetric.cli import RunConfig, build_parser, run
 MODULE_CMD = [sys.executable, "-m", "selfmetric"]
 
 
-def invoke(args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    env.pop("SELFMETRIC_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(MODULE_CMD + args, capture_output=True, text=True,
-                          env=env, cwd=cwd)
+def invoke(args, cwd=None):
+    return subprocess.run(MODULE_CMD + args, capture_output=True, text=True, cwd=cwd)
 
 
 @pytest.fixture(scope="module")
@@ -169,20 +163,6 @@ def test_conjecture_search_dim2_bounds():
     assert doc["conjectured_max"] == 4.0 and doc["conjectured_min"] == 3.0
 
 
-def test_outputs_identical_across_thread_counts(shapes):
-    args = ["invariance-check", "--shape", str(shapes / "cube3.json"), "--trials", "8"]
-    single = invoke(args, env_extra={"SELFMETRIC_THREADS": "1"})
-    pooled = invoke(args, env_extra={"SELFMETRIC_THREADS": "4"})
-    assert single.returncode == pooled.returncode == 0
-    assert single.stdout == pooled.stdout
-
-
-def test_bad_thread_env_is_reported():
-    out = invoke(["kgon-table", "--k-max", "4"], env_extra={"SELFMETRIC_THREADS": "zero"})
-    assert out.returncode == 1
-    assert json.loads(out.stderr)["error"]["type"] == "config"
-
-
 def test_shape_format_error_carries_field(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"type": "polygon2", "vertices": [[0, 0], [1, 0]]}))
@@ -190,6 +170,15 @@ def test_shape_format_error_carries_field(tmp_path):
     assert out.returncode == 1
     err = json.loads(out.stderr)["error"]
     assert err["type"] == "shape-format" and err["field"] == "vertices"
+
+
+@pytest.mark.parametrize("center", ["nan,0.2", "inf,0.2"])
+def test_non_finite_polygon_center_is_geometry_error(shapes, center):
+    out = invoke(["perimeter", "--shape", str(shapes / "tri.json"), "--center", center,
+                  "--variant", "both"])
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert json.loads(out.stderr)["error"]["type"] == "geometry"
 
 
 def test_missing_file_is_io_error(tmp_path):

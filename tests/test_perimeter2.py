@@ -52,6 +52,25 @@ def test_center_outside_raises():
         busemann_perimeter_polygon(TRI, [0.5, 0.5])   # on the hypotenuse
 
 
+@pytest.mark.parametrize("center", [[np.nan, 0.2], [np.inf, 0.2], [0.2, -np.inf]])
+@pytest.mark.parametrize("fn", [self_perimeter_polygon, busemann_perimeter_polygon])
+def test_non_finite_center_raises(fn, center):
+    with pytest.raises(NotInteriorError):
+        fn(TRI, center)
+
+
+def test_triangle_perimeter_inequalities():
+    # 9 <= busemann <= directed over the whole open triangle, near the vertices too
+    rng = np.random.default_rng(17)
+    weights = list(rng.dirichlet([1.0, 1.0, 1.0], size=200))
+    for tiny in (1e-3, 1e-6, 1e-9):
+        weights += [[1.0 - 2.0 * tiny, tiny, tiny], [tiny, 1.0 - 1.5 * tiny, 0.5 * tiny]]
+    for lam in weights:
+        directed, busemann = triangle_perimeters(lam)
+        assert busemann >= 9.0 - 1e-9
+        assert directed >= busemann - 1e-9 * busemann
+
+
 def test_kgon_closed_forms():
     assert kgon_self_perimeter(4) == pytest.approx(8.0, abs=1e-12)
     assert kgon_self_perimeter(6) == pytest.approx(6.0, abs=1e-12)
