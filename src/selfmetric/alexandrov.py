@@ -32,7 +32,7 @@ from scipy.integrate import cumulative_trapezoid
 from .geometry import (GeometryError, NotInteriorError, PolytopeN, RadiusProfile,  # noqa: F401
                        _conjugate_symmetric, _mirrored_pairs, central_section, fourier_eval)
 from .perimeter2 import smooth_density
-from .selfvolume import section_self_volume, self_volume_recursive  # noqa: F401
+from .selfvolume import MAX_DIM_DEFAULT, section_self_volume, self_volume_recursive  # noqa: F401
 
 GRID_NODES = 4096        # default circle resolution; divisible by 4
 CUSP_GUARD = 2           # grid nodes dropped on each side of a slope-field cusp
@@ -351,7 +351,7 @@ class SurfaceMeasure:
     Total mass equals dim times the self-volume of the polytope.
     """
 
-    def __init__(self, poly, max_dim=5):
+    def __init__(self, poly, max_dim=MAX_DIM_DEFAULT):
         if not isinstance(poly, PolytopeN):
             raise TypeError("SurfaceMeasure expects a PolytopeN")
         if poly.dim < 2:
@@ -372,8 +372,8 @@ class SurfaceMeasure:
         self.dim = poly.dim
         self.rows = tuple(rows)
         self.total_mass = float(sum(r.cell_mass for r in rows))
-        self._normals = np.array([f.normal for f in poly.facets])
-        self._offsets = np.array([f.offset for f in poly.facets])
+        self._normals = poly.facet_normals
+        self._offsets = poly.facet_offsets
         self._densities = np.array([r.density for r in rows])
 
     def evaluate(self, directions):

@@ -96,7 +96,9 @@ def optimal_center_2d(poly, variant="directed", start=None, step_tol=STEP_TOL,
         raise TypeError("optimal_center_2d expects a Polygon2")
     f = _objective(poly, variant)
     p = np.asarray(start, dtype=float) if start is not None else poly.centroid
-    if poly.interior_distance(p) <= 0.0:
+    with np.errstate(invalid="ignore"):   # a NaN/inf start gives NaN slacks: "not > 0"
+        inside = poly.interior_distance(p) > 0.0
+    if not inside:
         raise NotInteriorError("start point is not strictly inside the polygon")
     fp = f(p)
     step = 0.1 * poly.interior_distance(p)   # 0.1 x inradius estimate

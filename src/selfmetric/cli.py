@@ -12,18 +12,18 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .alexandrov import ClosureError, FourierDensityError, SurfaceMeasure, reconstruct
+from .alexandrov import GRID_NODES, ClosureError, FourierDensityError, SurfaceMeasure, reconstruct
 from .centers import ConvergenceError, optimal_center_2d
 from .geometry import (GeometryError, Polygon2, PolytopeN, RadiusProfile,
                        regular_polygon)
 from .perimeter2 import (MIN_NODES, busemann_perimeter_polygon, kgon_self_perimeter,
                          self_perimeter_polygon, self_perimeter_smooth)
-from .selfvolume import affine_image, self_volume_recursive
+from .selfvolume import MAX_DIM_DEFAULT, affine_image, self_volume_recursive
 from .shapeio import ShapeFormatError, load_density, load_shape
 
 MAX_TOLERANCE = 1e-2
@@ -31,7 +31,7 @@ MAX_TOLERANCE = 1e-2
 
 @dataclass
 class RunConfig:
-    """One parsed invocation; validate() enforces the shared invariants."""
+    """One invocation, with the command line's defaults; validate() checks invariants."""
     command: str
     shape: str = None
     phi: str = None
@@ -39,17 +39,23 @@ class RunConfig:
     facet_csv: str = None
     center: str = None
     variant: str = "directed"
-    nodes: int = 512
+    nodes: int = None        # GRID_NODES for alexandrov, else 512
     tolerance: float = 1e-6
     seed: int = 0
-    max_dim: int = 5
+    max_dim: int = MAX_DIM_DEFAULT
     restarts: int = 5
     k_max: int = 16
     epsilon: float = None
     sign: str = "plus"
-    trials: int = 20
+    trials: int = None       # 10 for conjecture-search, else 20
     steps: int = 40
     dim: int = 2
+
+    def __post_init__(self):
+        if self.nodes is None:
+            self.nodes = GRID_NODES if self.command == "alexandrov" else 512
+        if self.trials is None:
+            self.trials = 10 if self.command == "conjecture-search" else 20
 
     def validate(self):
         if self.nodes < MIN_NODES:
@@ -359,48 +365,49 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+        # options left out stay out of the namespace, so RunConfig supplies the defaults
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--out", help="output file (stdout when omitted)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=float, default=1e-6)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--tolerance", type=float)
         return p
 
     p = add("perimeter", "self-perimeter of a body, optionally off-center")
     p.add_argument("--shape", required=True)
     p.add_argument("--center", help="x,y base point (polygons; default centroid)")
-    p.add_argument("--variant", choices=["directed", "busemann", "both"], default="directed")
-    p.add_argument("--nodes", type=int, default=512)
-    p.add_argument("--max-dim", dest="max_dim", type=int, default=5)
+    p.add_argument("--variant", choices=["directed", "busemann", "both"])
+    p.add_argument("--nodes", type=int)
+    p.add_argument("--max-dim", dest="max_dim", type=int)
 
     p = add("volume", "recursive self-volume of a polytope")
     p.add_argument("--shape", required=True)
-    p.add_argument("--max-dim", dest="max_dim", type=int, default=5)
+    p.add_argument("--max-dim", dest="max_dim", type=int)
     p.add_argument("--csv", dest="facet_csv", help="also write the facet breakdown CSV")
 
     p = add("center", "perimeter-minimizing interior point of a polygon")
     p.add_argument("--shape", required=True)
-    p.add_argument("--variant", choices=["directed", "busemann"], default="directed")
-    p.add_argument("--restarts", type=int, default=5)
+    p.add_argument("--variant", choices=["directed", "busemann"])
+    p.add_argument("--restarts", type=int)
 
     p = add("kgon-table", "closed forms vs exact sums for regular k-gons")
-    p.add_argument("--k-max", dest="k_max", type=int, default=16)
+    p.add_argument("--k-max", dest="k_max", type=int)
 
     p = add("alexandrov", "perturbative inverse problem for a target density")
     p.add_argument("--phi", required=True, help="density JSON file")
     p.add_argument("--epsilon", type=float, help="overrides the epsilon stored in the file")
-    p.add_argument("--sign", choices=["plus", "minus"], default="plus")
-    p.add_argument("--nodes", type=int, default=4096)
+    p.add_argument("--sign", choices=["plus", "minus"])
+    p.add_argument("--nodes", type=int)
 
     p = add("invariance-check", "self-volume under random linear maps")
     p.add_argument("--shape", required=True)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--max-dim", dest="max_dim", type=int, default=5)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--max-dim", dest="max_dim", type=int)
 
     p = add("conjecture-search", "random search for extremal CCS self-volumes")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--steps", type=int, default=40)
-    p.add_argument("--max-dim", dest="max_dim", type=int, default=5)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--max-dim", dest="max_dim", type=int)
 
     return parser
 

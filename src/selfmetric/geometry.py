@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -54,9 +55,11 @@ class DegenerateSectionError(GeometryError):
 def _conjugate_symmetric(ks, coeffs, error, scale_floor):
     """Sort harmonics ascending and check c_{-k} = conj(c_k).
 
-    The tolerance is 1e-12 * max(scale_floor, max |c_k|); a violation raises
-    `error`. Returns the sorted (ks, coeffs).
+    The tolerance is 1e-12 * max(scale_floor, max |c_k|); a violation, or a
+    non-finite coefficient, raises `error`. Returns the sorted (ks, coeffs).
     """
+    if not np.all(np.isfinite(coeffs)):
+        raise error("coefficients must be finite")
     order = np.argsort(ks)
     ks, coeffs = ks[order], coeffs[order]
     cmax = float(np.max(np.abs(coeffs))) if len(coeffs) else 0.0
@@ -231,29 +234,12 @@ class RadiusProfile:
         return float(np.min(r * r + 2.0 * dr * dr - r * ddr))
 
 
-class Facet:
-    """One facet of a PolytopeN: unit outward normal, offset, measure, vertex ids."""
+class Facet(NamedTuple):
+    """One facet of a PolytopeN: unit outward normal, offset and (d-1)-measure."""
 
-    __slots__ = ("normal", "offset", "measure", "vertex_ids")
-
-    def __init__(self, normal, offset, measure, vertex_ids):
-        self.normal = normal
-        self.offset = float(offset)
-        self.measure = float(measure)
-        self.vertex_ids = vertex_ids
-
-    def __repr__(self):
-        return f"Facet(normal={np.round(self.normal, 6)}, offset={self.offset:.6g}, measure={self.measure:.6g})"
-
-
-def _simplex_facet_measure(pts):
-    # (d-1)-measure of a simplex embedded in R^d via the Gram determinant
-    m = pts[1:] - pts[0]
-    g = m @ m.T
-    det = np.linalg.det(g)
-    if det < 0.0:
-        det = 0.0
-    return np.sqrt(det) / math.factorial(len(pts) - 1)
+    normal: np.ndarray
+    offset: float
+    measure: float
 
 
 class PolytopeN:
@@ -262,7 +248,8 @@ class PolytopeN:
     The vertex array is the single source of truth. Construction prunes
     non-extreme points, merges coplanar hull simplices into true facets and
     records a segment graph (hull simplex edges, a superset of the 1-skeleton)
-    used for hyperplane crossing enumeration.
+    used for hyperplane crossing enumeration. facet_normals (m, d), facet_offsets
+    and facet_measures are row-aligned arrays; facets lists the rows as Facets.
     """
 
     def __init__(self, vertices):
@@ -278,10 +265,11 @@ class PolytopeN:
                 raise GeometryError("1d polytope is degenerate")
             self.vertices = np.array([[lo], [hi]])
             # facet of a segment is a point; its 0-measure is 1 by convention
-            self.facets = [Facet(np.array([-1.0]), -lo, 1.0, np.array([0])),
-                           Facet(np.array([1.0]), hi, 1.0, np.array([1]))]
+            self.facet_normals = np.array([[-1.0], [1.0]])
+            self.facet_offsets = np.array([-lo, hi])
+            self.facet_measures = np.ones(2)
             self.edges = np.array([[0, 1]])
-            self._volume = hi - lo
+            self.volume = hi - lo
         else:
             if len(v) < self.dim + 1:
                 raise GeometryError(f"need at least {self.dim + 1} vertices in dimension {self.dim}")
@@ -289,71 +277,64 @@ class PolytopeN:
                 hull = ConvexHull(v)
             except QhullError as exc:
                 raise GeometryError(f"degenerate polytope (no full-dimensional hull): {exc}") from exc
-            keep = np.array(sorted(hull.vertices))
+            keep = np.sort(hull.vertices)
             remap = -np.ones(len(v), dtype=int)
             remap[keep] = np.arange(len(keep))
             self.vertices = v[keep]
             simplices = remap[hull.simplices]
-            self._volume = float(hull.volume)
-            self.facets = self._merge_facets(hull, simplices)
-            pairs = set()
-            for s in simplices:
-                for a, b in itertools.combinations(sorted(s.tolist()), 2):
-                    pairs.add((a, b))
-            self.edges = np.array(sorted(pairs))
+            self.volume = float(hull.volume)
+            self.facet_normals, self.facet_offsets, self.facet_measures = \
+                self._merge_facets(hull, simplices)
+            # every vertex pair of every simplex, each once, in lexicographic order
+            n = len(keep)
+            ends = np.sort(simplices, axis=1)
+            a, b = np.array(list(itertools.combinations(range(self.dim), 2))).T
+            codes = np.unique(ends[:, a] * n + ends[:, b])
+            self.edges = np.column_stack([codes // n, codes % n])
+        self.facets = list(map(Facet, self.facet_normals, self.facet_offsets.tolist(),
+                               self.facet_measures.tolist()))
         self.scale = float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
     def _merge_facets(self, hull, simplices):
+        """(normals, offsets, measures) of the facets, sorted by rounded normal.
+
+        Neighbouring hull simplices whose plane equations agree to 1e-8 form one
+        facet, with the plane of its lowest simplex and the sum of their measures.
+        """
         eqs = hull.equations
         nf = len(simplices)
-        # union-find over hull simplices: neighbors sharing a hyperplane are one facet
-        parent = list(range(nf))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(nf):
-            for j in hull.neighbors[i]:
-                if j < 0 or j <= i:
-                    continue
-                diff = np.abs(eqs[i] - eqs[j])
-                if np.max(diff[:-1]) < 1e-8 and diff[-1] < 1e-8 * max(1.0, abs(eqs[i, -1])):
-                    parent[find(int(j))] = find(i)
-        groups = {}
-        for i in range(nf):
-            groups.setdefault(find(i), []).append(i)
-        facets = []
-        for members in groups.values():
-            rep = members[0]
-            normal = eqs[rep, :-1].copy()
-            normal /= np.linalg.norm(normal)
-            offset = -eqs[rep, -1]
-            measure = sum(_simplex_facet_measure(self.vertices[simplices[i]]) for i in members)
-            ids = np.unique(np.concatenate([simplices[i] for i in members]))
-            facets.append(Facet(normal, offset, measure, ids))
-        facets.sort(key=lambda f: tuple(np.round(f.normal, 12)))
-        return facets
+        i = np.repeat(np.arange(nf), hull.neighbors.shape[1])
+        j = hull.neighbors.ravel()
+        i, j = i[j > i], j[j > i]
+        diff = np.abs(eqs[i] - eqs[j])
+        same = ((np.max(diff[:, :-1], axis=1) < 1e-8)
+                & (diff[:, -1] < 1e-8 * np.maximum(1.0, np.abs(eqs[i, -1]))))
+        i, j = i[same], j[same]
+        # label every simplex with the lowest simplex index of its coplanar group
+        label = np.arange(nf)
+        while not np.array_equal(label[i], label[j]):
+            np.minimum.at(label, i, label[j])
+            np.minimum.at(label, j, label[i])
+        rep = label == np.arange(nf)
+        group = (np.cumsum(rep) - 1)[label]
+        normals = eqs[rep, :-1]
+        # 1-d norms: a row-wise norm(axis=1) rounds differently in the last bit
+        normals = normals / np.array([np.linalg.norm(u) for u in normals])[:, None]
+        offsets = -eqs[rep, -1]
+        # (d-1)-measure of each simplex from the Gram determinant of its edge vectors
+        span = self.vertices[simplices[:, 1:]] - self.vertices[simplices[:, :1]]
+        det = np.linalg.det(span @ span.transpose(0, 2, 1))
+        simplex_measures = np.sqrt(np.maximum(det, 0.0)) / math.factorial(self.dim - 1)
+        measures = np.zeros(len(offsets))
+        np.add.at(measures, group, simplex_measures)
+        order = np.lexsort(np.round(normals, 12).T[::-1])
+        return normals[order], offsets[order], measures[order]
 
     def __len__(self):
         return len(self.vertices)
 
-    @property
-    def facet_normals(self):
-        return np.array([f.normal for f in self.facets])
-
-    @property
-    def facet_offsets(self):
-        return np.array([f.offset for f in self.facets])
-
-    def min_offset(self):
-        """Distance from the origin to the nearest facet plane (signed)."""
-        return float(np.min(self.facet_offsets))
-
     def origin_interior(self, tol=REL_TOL):
-        return self.min_offset() > tol * self.scale
+        return float(np.min(self.facet_offsets)) > tol * self.scale
 
     def interior_distance(self, point):
         p = np.asarray(point, dtype=float)
@@ -367,6 +348,8 @@ class BarycentricPoint:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or len(w) < 2:
             raise GeometryError("barycentric weights must be a 1d array of length >= 2")
+        if not np.all(np.isfinite(w)):
+            raise GeometryError("barycentric weights must be finite")
         if abs(float(np.sum(w)) - 1.0) > 1e-12:
             raise GeometryError(f"barycentric weights sum to {np.sum(w)!r}, expected 1")
         if np.any(w <= 0.0):

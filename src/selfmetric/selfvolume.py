@@ -73,7 +73,7 @@ def section_self_volume(poly, normal, chain=()):
     except DegenerateSectionError as exc:
         raise DegenerateSectionError(
             f"degenerate section at facet chain {chain}: {exc}") from exc
-    return section._volume, _omega(section, chain)[0]
+    return section.volume, _omega(section, chain)[0]
 
 
 def _omega(poly, chain):

@@ -205,15 +205,31 @@ def test_run_config_validation_direct():
         cfg.validate()
 
 
+# the required options of each subcommand
+REQUIRED = {"perimeter": {"shape": "x.json"}, "volume": {"shape": "x.json"},
+            "center": {"shape": "x.json"}, "kgon-table": {}, "alexandrov": {"phi": "x.json"},
+            "invariance-check": {"shape": "x.json"}, "conjecture-search": {}}
+
+
+def _argv(name):
+    return [name] + [a for key, value in REQUIRED[name].items() for a in (f"--{key}", value)]
+
+
 def test_parser_covers_all_subcommands():
     parser = build_parser()
-    for name in ("perimeter", "volume", "center", "kgon-table", "alexandrov",
-                 "invariance-check", "conjecture-search"):
-        args = parser.parse_args([name] + (
-            ["--shape", "x.json"] if name in ("perimeter", "volume", "center",
-                                              "invariance-check") else
-            ["--phi", "x.json"] if name == "alexandrov" else []))
-        assert args.command == name
+    for name in REQUIRED:
+        assert parser.parse_args(_argv(name)).command == name
+
+
+def test_parser_defaults_match_run_config():
+    parser = build_parser()
+    for name, required in REQUIRED.items():
+        parsed = RunConfig(**vars(parser.parse_args(_argv(name))))
+        assert parsed == RunConfig(command=name, **required), name
+    assert RunConfig(command="alexandrov").nodes == 4096
+    assert RunConfig(command="perimeter").nodes == 512
+    assert RunConfig(command="conjecture-search").trials == 10
+    assert RunConfig(command="invariance-check").trials == 20
 
 
 def test_run_returns_exit_code_not_raises(tmp_path):
