@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 # central_section and self_volume_recursive are not called here: they stay
 # as module bindings because perfbench/tracing.py patches them in this module
@@ -36,7 +35,7 @@ from .selfvolume import MAX_DIM_DEFAULT, section_self_volume, self_volume_recurs
 
 GRID_NODES = 4096        # default circle resolution; divisible by 4
 CUSP_GUARD = 2           # grid nodes dropped on each side of a slope-field cusp
-K_MAX_DEFAULT = 64       # harmonic cutoff of the returned radius profile
+K_MAX = 64               # harmonic cutoff of the returned radius profile
 BALANCE_TOL = 1e-12      # bisection target for the signed square-root balance
 CLOSURE_TOL = 1e-6       # allowed periodicity gap of the integrated slope field
 
@@ -214,7 +213,8 @@ def leading_order(phi, sign=1, nodes=GRID_NODES, phi0=None):
     if gap > CLOSURE_TOL:
         raise ClosureError(
             f"slope field does not close (gap {gap:.3e}); the shift is inconsistent")
-    z1 = cumulative_trapezoid(slope, theta, initial=0.0)
+    # cumulative trapezoid rule, started at 0
+    z1 = np.concatenate(([0.0], np.cumsum(np.diff(theta) * (slope[1:] + slope[:-1]) / 2.0)))
     return z1 - float(np.mean(z1))
 
 
@@ -266,7 +266,7 @@ class ReconstructionResult:
     """Perturbative solution of the inverse problem.
 
     zeta1, zeta2 sample the two log-radius corrections on `theta`; radius is
-    exp(sqrt(eps) zeta1 + eps zeta2) projected to harmonics |k| <= k_max.
+    exp(sqrt(eps) zeta1 + eps zeta2) projected to harmonics |k| <= K_MAX.
     residual is the sup of |log forward density - eps (phi + phi0)| over the
     grid minus cusp neighborhoods, evaluated on the unprojected
     reconstruction; residual_classical restricts the sup to the set where the
@@ -285,7 +285,7 @@ class ReconstructionResult:
     notes: tuple
 
 
-def reconstruct(phi, sign=1, nodes=GRID_NODES, k_max=K_MAX_DEFAULT):
+def reconstruct(phi, sign=1, nodes=GRID_NODES):
     """Solve the inverse problem to two perturbative orders.
 
     eps = 0 returns the unit disk with zero residual. Otherwise the aligned
@@ -310,7 +310,7 @@ def reconstruct(phi, sign=1, nodes=GRID_NODES, k_max=K_MAX_DEFAULT):
     notes = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        k_ret = min(int(k_max), nodes // 2 - 1)
+        k_ret = min(K_MAX, nodes // 2 - 1)
         try:
             radius = RadiusProfile.from_samples(samples, k_max=k_ret)
         except GeometryError:
@@ -363,18 +363,18 @@ class SurfaceMeasure:
                                 "pass max_dim explicitly to override")
         # one section per facet, no +-normal memo: on ill-conditioned bodies the
         # two sections of a +-pair differ by rounding, which the mass carries
-        rows = []
-        for i, facet in enumerate(poly.facets):
-            sec_measure, sec_volume = section_self_volume(poly, facet.normal, (i,))
-            density = sec_volume / sec_measure
-            rows.append(FacetDensityRow(i, facet.normal.copy(), facet.measure,
-                                        sec_measure, density, density * facet.measure))
+        normals = poly.facet_normals
+        sec_measure, sec_volume = np.array([section_self_volume(poly, u, (i,))
+                                            for i, u in enumerate(normals)]).T
+        self._densities = sec_volume / sec_measure
+        masses = (self._densities * poly.facet_measures).tolist()
         self.dim = poly.dim
-        self.rows = tuple(rows)
-        self.total_mass = float(sum(r.cell_mass for r in rows))
-        self._normals = poly.facet_normals
+        self.rows = tuple(map(FacetDensityRow, range(len(normals)), normals.copy(),
+                              poly.facet_measures.tolist(), sec_measure.tolist(),
+                              self._densities.tolist(), masses))
+        self.total_mass = float(sum(masses))
+        self._normals = normals
         self._offsets = poly.facet_offsets
-        self._densities = np.array([r.density for r in rows])
 
     def evaluate(self, directions):
         """Density at unit directions (m x dim array); rays must leave through a facet."""

@@ -65,9 +65,9 @@ def _objective(poly, variant):
     return f
 
 
-def _backtrack(f, p, fp, d, step, step_tol):
-    # first decreasing point along d, halving from step; None if none above step_tol
-    while step >= step_tol:
+def _backtrack(f, p, fp, d, step):
+    # first decreasing point along d, halving from step; None if none above STEP_TOL
+    while step >= STEP_TOL:
         q = p + step * d
         fq = f(q)
         if fq < fp:
@@ -76,8 +76,7 @@ def _backtrack(f, p, fp, d, step, step_tol):
     return None, fp, step
 
 
-def optimal_center_2d(poly, variant="directed", start=None, step_tol=STEP_TOL,
-                      max_iter=MAX_ITER):
+def optimal_center_2d(poly, variant="directed", start=None):
     """Minimize the self-perimeter of a polygon over its interior base point.
 
     Adaptive-step descent: normalized central-difference gradient, backtracking
@@ -87,7 +86,7 @@ def optimal_center_2d(poly, variant="directed", start=None, step_tol=STEP_TOL,
     when differencing straddles a crease the computed direction stops
     decreasing; the loop then retries with a fresh step and, if the point is
     still not certifiably stationary, hands over to a Nelder-Mead simplex,
-    which handles the creases. Hitting max_iter raises ConvergenceError
+    which handles the creases. Hitting MAX_ITER raises ConvergenceError
     carrying the best iterate.
 
     Returns a CenterResult; convergence_norm is the final descent step size.
@@ -96,16 +95,14 @@ def optimal_center_2d(poly, variant="directed", start=None, step_tol=STEP_TOL,
         raise TypeError("optimal_center_2d expects a Polygon2")
     f = _objective(poly, variant)
     p = np.asarray(start, dtype=float) if start is not None else poly.centroid
-    with np.errstate(invalid="ignore"):   # a NaN/inf start gives NaN slacks: "not > 0"
-        inside = poly.interior_distance(p) > 0.0
-    if not inside:
+    if not poly.interior_distance(p) > 0.0:   # NaN for a NaN/inf start
         raise NotInteriorError("start point is not strictly inside the polygon")
     fp = f(p)
     step = 0.1 * poly.interior_distance(p)   # 0.1 x inradius estimate
     h0 = 1e-6 * poly.scale
     iterations = 0
     gnorm = np.inf
-    while iterations < max_iter:
+    while iterations < MAX_ITER:
         iterations += 1
         h = min(h0, 0.25 * poly.interior_distance(p))
         g = np.array([(f(p + [h, 0.0]) - f(p - [h, 0.0])) / (2.0 * h),
@@ -117,17 +114,17 @@ def optimal_center_2d(poly, variant="directed", start=None, step_tol=STEP_TOL,
             step = 0.0
             break
         d = -g / gnorm
-        q, fq, step = _backtrack(f, p, fp, d, step, step_tol)
+        q, fq, step = _backtrack(f, p, fp, d, step)
         if q is None:
             # retry once from a fresh step before concluding anything
-            q, fq, step = _backtrack(f, p, fp, d, 0.1 * poly.interior_distance(p), step_tol)
+            q, fq, step = _backtrack(f, p, fp, d, 0.1 * poly.interior_distance(p))
         if q is None:
             break
         p, fp = q, fq
         step = min(2.0 * step, 0.25 * poly.scale)
     else:
         best = CenterResult(p, fp, iterations, variant, step)
-        raise ConvergenceError(f"no convergence in {max_iter} iterations (step {step:.3e})", best)
+        raise ConvergenceError(f"no convergence in {MAX_ITER} iterations (step {step:.3e})", best)
     if gnorm * poly.scale > 1e-7 * max(1.0, fp):
         # stalled on a crease rather than at a smooth stationary point
         return _simplex_finish(poly, f, p, fp, variant, iterations)

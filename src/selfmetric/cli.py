@@ -263,11 +263,10 @@ def _ccs_hull(points):
     return PolytopeN(np.vstack([points, -points]))
 
 
-def _climb(points, rng, steps, sign, max_dim):
-    # local hill climb on the self-volume over CCS vertex perturbations;
-    # sign +1 maximizes, -1 minimizes
-    best_pts = points
-    best = self_volume_recursive(_ccs_hull(points), max_dim=max_dim).value
+def _climb(points, value, rng, steps, sign, max_dim):
+    # local hill climb on the self-volume over CCS vertex perturbations from
+    # points, whose self-volume is value; sign +1 maximizes, -1 minimizes
+    best_pts, best = points, value
     rejected = 0
     for _ in range(steps):
         j = rng.integers(0, len(best_pts))
@@ -291,12 +290,14 @@ def _cmd_conjecture_search(cfg):
         for _ in range(50):
             pts = rng.normal(size=(n + 1 + int(rng.integers(0, 3)), n))
             try:
-                self_volume_recursive(_ccs_hull(pts), max_dim=cfg.max_dim)
+                start = self_volume_recursive(_ccs_hull(pts), max_dim=cfg.max_dim).value
                 break
-            except (GeometryError, ValueError):
-                continue
-        hi, rej_hi = _climb(pts, rng, cfg.steps, +1, cfg.max_dim)
-        lo, rej_lo = _climb(pts, rng, cfg.steps, -1, cfg.max_dim)
+            except (GeometryError, ValueError) as exc:
+                failure = exc
+        else:
+            raise failure
+        hi, rej_hi = _climb(pts, start, rng, cfg.steps, +1, cfg.max_dim)
+        lo, rej_lo = _climb(pts, start, rng, cfg.steps, -1, cfg.max_dim)
         return hi, lo, rej_hi + rej_lo
 
     results = [trial(t) for t in range(cfg.trials)]

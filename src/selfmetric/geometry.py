@@ -156,12 +156,14 @@ class Polygon2:
         return (v + w).T @ c / (6.0 * self.area)
 
     def interior_distance(self, point):
-        """Smallest slack over the edge halfplanes; positive iff strictly interior."""
+        """Smallest slack over the edge halfplanes; positive iff strictly interior, NaN if
+        the point is not finite."""
         p = np.asarray(point, dtype=float)
-        return float(np.min(self.offsets - self.normals @ p))
+        with np.errstate(invalid="ignore"):
+            return float(np.min(self.offsets - self.normals @ p))
 
-    def contains(self, point, margin=0.0):
-        return self.interior_distance(point) > margin
+    def contains(self, point):
+        return self.interior_distance(point) > 0.0
 
 
 class RadiusProfile:
@@ -220,14 +222,10 @@ class RadiusProfile:
     def second_derivative(self, theta):
         return fourier_eval(theta, self.ks, -(self.ks ** 2) * self.coeffs)
 
-    @property
-    def k_max(self):
-        return int(np.max(np.abs(self.ks)))
-
-    def convexity_margin(self, n=PROFILE_GRID, theta=None):
-        """Minimum of r^2 + 2 r'^2 - r r'' on a grid; nonnegative for convex bodies."""
+    def convexity_margin(self, theta=None):
+        """Min of r^2 + 2 r'^2 - r r'' on theta (default: PROFILE_GRID nodes); >= 0 if convex."""
         if theta is None:
-            theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+            theta = np.linspace(0.0, 2.0 * np.pi, PROFILE_GRID, endpoint=False)
         r = self(theta)
         dr = self.derivative(theta)
         ddr = self.second_derivative(theta)
@@ -261,7 +259,7 @@ class PolytopeN:
         self.dim = int(v.shape[1])
         if self.dim == 1:
             lo, hi = float(np.min(v)), float(np.max(v))
-            if hi - lo <= REL_TOL * max(abs(lo), abs(hi), 1.0):
+            if hi - lo <= REL_TOL * max(abs(lo), abs(hi)):   # relative: scale-invariant
                 raise GeometryError("1d polytope is degenerate")
             self.vertices = np.array([[lo], [hi]])
             # facet of a segment is a point; its 0-measure is 1 by convention
@@ -291,8 +289,6 @@ class PolytopeN:
             a, b = np.array(list(itertools.combinations(range(self.dim), 2))).T
             codes = np.unique(ends[:, a] * n + ends[:, b])
             self.edges = np.column_stack([codes // n, codes % n])
-        self.facets = list(map(Facet, self.facet_normals, self.facet_offsets.tolist(),
-                               self.facet_measures.tolist()))
         self.scale = float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
     def _merge_facets(self, hull, simplices):
@@ -333,12 +329,20 @@ class PolytopeN:
     def __len__(self):
         return len(self.vertices)
 
-    def origin_interior(self, tol=REL_TOL):
-        return float(np.min(self.facet_offsets)) > tol * self.scale
+    @property
+    def facets(self):
+        """The facet rows as a list of Facets, built on each access."""
+        return list(map(Facet, self.facet_normals, self.facet_offsets.tolist(),
+                        self.facet_measures.tolist()))
+
+    def origin_interior(self):
+        return float(np.min(self.facet_offsets)) > REL_TOL * self.scale
 
     def interior_distance(self, point):
+        """Smallest slack over the facet halfspaces; NaN for a non-finite point."""
         p = np.asarray(point, dtype=float)
-        return float(np.min(self.facet_offsets - self.facet_normals @ p))
+        with np.errstate(invalid="ignore"):
+            return float(np.min(self.facet_offsets - self.facet_normals @ p))
 
 
 class BarycentricPoint:
@@ -417,14 +421,8 @@ def central_section(poly, normal):
     pts = np.vstack(pts)
     if len(pts) < poly.dim:
         raise DegenerateSectionError("hyperplane misses the polytope interior")
-    coords = pts @ _pivoted_basis(nu)
-    if poly.dim == 2:
-        lo, hi_ = float(np.min(coords)), float(np.max(coords))
-        if hi_ - lo <= tol:
-            raise DegenerateSectionError("1d section degenerated to a point")
-        return PolytopeN(np.array([[lo], [hi_]]))
     try:
-        return PolytopeN(coords)
+        return PolytopeN(pts @ _pivoted_basis(nu))
     except GeometryError as exc:
         raise DegenerateSectionError(f"section is not full-dimensional: {exc}") from exc
 
@@ -456,7 +454,7 @@ def interval(lo=-1.0, hi=1.0):
 def polygon_as_polytope(poly, center=(0.0, 0.0)):
     """Re-root a Polygon2 at center and return it as a 2d PolytopeN."""
     c = np.asarray(center, dtype=float)
-    if poly.interior_distance(c) <= 0.0:
+    if not poly.interior_distance(c) > 0.0:   # NaN for a non-finite center
         raise NotInteriorError("center must be strictly inside the polygon")
     return PolytopeN(poly.vertices - c)
 

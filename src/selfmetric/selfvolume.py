@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -51,18 +53,6 @@ class SelfVolumeResult:
     facet_contributions: list[FacetContribution] = field(default_factory=list)
 
 
-def _memo_key(normal):
-    # sections through the origin satisfy section(nu) == section(-nu), so the
-    # key uses a canonical sign: first significant component positive
-    canon = normal
-    for x in normal:
-        if abs(x) > 1e-9:
-            if x < 0.0:
-                canon = -normal
-            break
-    return tuple(np.round(canon / NORMAL_QUANTUM).astype(np.int64).tolist())
-
-
 def section_self_volume(poly, normal, chain=()):
     """(measure, self-volume) of the central section of poly orthogonal to normal.
 
@@ -73,30 +63,34 @@ def section_self_volume(poly, normal, chain=()):
     except DegenerateSectionError as exc:
         raise DegenerateSectionError(
             f"degenerate section at facet chain {chain}: {exc}") from exc
-    return section.volume, _omega(section, chain)[0]
+    return section.volume, _omega(section, chain)
+
+
+def _facet_terms(poly, chain):
+    """Per-facet (section measure, section self-volume, contribution) arrays.
+
+    One section is built per +-normal class, in first-facet order; chain
+    carries the facet indices descended so far, for error reporting.
+    """
+    u = poly.facet_normals
+    # section(nu) == section(-nu) through the origin, so the class key is the
+    # normal with its first significant component made positive, in quanta
+    first = np.argmax(np.abs(u) > 1e-9, axis=1)
+    canon = np.where(u[np.arange(len(u)), first, None] < 0.0, -u, u)
+    keys = np.round(canon / NORMAL_QUANTUM).astype(np.int64).tolist()
+    firsts = {}   # key -> first facet with it
+    rep = [firsts.setdefault(tuple(k), i) for i, k in enumerate(keys)]
+    sections = {i: section_self_volume(poly, u[i], chain + (i,)) for i in firsts.values()}
+    sec_measure, sec_omega = np.array([sections[i] for i in rep]).T
+    return sec_measure, sec_omega, poly.facet_measures * sec_omega / sec_measure
 
 
 def _omega(poly, chain):
-    """Self-volume of a polytope with the origin strictly inside.
-
-    chain carries the facet indices descended so far, for error reporting.
-    Returns (value, rows) where rows hold the per-facet breakdown.
-    """
-    k = poly.dim
-    if k == 1:
-        return 2.0, []
-    memo = {}
-    rows = []
-    total = 0.0
-    for idx, f in enumerate(poly.facets):
-        key = _memo_key(f.normal)
-        if key not in memo:
-            memo[key] = section_self_volume(poly, f.normal, chain + (idx,))
-        sec_measure, sec_omega = memo[key]
-        contribution = f.measure * sec_omega / sec_measure
-        rows.append(FacetContribution(idx, f.measure, sec_measure, sec_omega, contribution))
-        total += contribution
-    return total / k, rows
+    """Self-volume of a polytope with the origin strictly inside."""
+    if poly.dim == 1:
+        return 2.0
+    # in facet order, uncompensated: np.sum is pairwise, sum() compensated from 3.12
+    return reduce(add, _facet_terms(poly, chain)[2].tolist(), 0.0) / poly.dim
 
 
 def self_volume_recursive(poly, max_dim=MAX_DIM_DEFAULT):
@@ -119,8 +113,11 @@ def self_volume_recursive(poly, max_dim=MAX_DIM_DEFAULT):
             f"dimension {poly.dim} exceeds max_dim={max_dim}; pass max_dim explicitly to override")
     if not poly.origin_interior():
         raise NotInteriorError("self-volume needs the origin strictly inside the polytope")
-    value, rows = _omega(poly, ())
-    return SelfVolumeResult(value, poly.dim, rows)
+    if poly.dim == 1:
+        return SelfVolumeResult(2.0, 1)
+    terms = [t.tolist() for t in _facet_terms(poly, ())]
+    rows = list(map(FacetContribution, itertools.count(), poly.facet_measures.tolist(), *terms))
+    return SelfVolumeResult(reduce(add, terms[2], 0.0) / poly.dim, poly.dim, rows)
 
 
 def hypercube_self_volume(n):

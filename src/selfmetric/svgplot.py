@@ -4,6 +4,7 @@ import numpy as np
 
 VIEW = 480           # square viewport edge in px
 MARGIN = 24
+SAMPLES = 720        # points on the plotted curve
 
 
 def _path(points):
@@ -11,14 +12,14 @@ def _path(points):
     return head + " ".join(f"L {x:.2f} {y:.2f}" for x, y in points[1:]) + " Z"
 
 
-def polar_svg(profile, samples=720, reference=1.0, title=""):
+def polar_svg(profile, reference=1.0, title=""):
     """Render r(theta) as a closed curve around the origin.
 
     profile is a callable of theta (a RadiusProfile works); a dashed circle of
     radius `reference` is drawn for scale, pass reference=0 to omit it.
     Returns the SVG document as a string.
     """
-    theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * np.pi, SAMPLES, endpoint=False)
     r = np.asarray(profile(theta), dtype=float)
     rmax = max(float(np.max(np.abs(r))), reference if reference > 0 else 0.0)
     if rmax <= 0.0:

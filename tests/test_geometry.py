@@ -5,8 +5,8 @@ from scipy.spatial import ConvexHull
 from selfmetric.alexandrov import FourierDensity, FourierDensityError
 from selfmetric.centers import optimal_center_2d
 from selfmetric.geometry import (BarycentricPoint, GeometryError, NotInteriorError,
-                                 Polygon2, PolytopeN, RadiusProfile, cube,
-                                 fourier_eval, icosphere, interval,
+                                 Polygon2, PolytopeN, RadiusProfile, central_section,
+                                 cube, fourier_eval, icosphere, interval,
                                  polygon_as_polytope, regular_polygon)
 from selfmetric.perimeter2 import triangle_perimeters
 from selfmetric.selfvolume import affine_image, cartesian_product, simplex_self_volume
@@ -137,11 +137,46 @@ NAN, INF = float("nan"), float("inf")
     (lambda: simplex_self_volume(2, [NAN, 0.5, 0.5]), GeometryError),
     (lambda: optimal_center_2d(regular_polygon(5), start=[NAN, NAN]), NotInteriorError),
     (lambda: optimal_center_2d(regular_polygon(5), start=[INF, INF]), NotInteriorError),
+    (lambda: polygon_as_polytope(regular_polygon(4), (NAN, 0.0)), NotInteriorError),
+    (lambda: polygon_as_polytope(regular_polygon(4), (INF, INF)), NotInteriorError),
 ], ids=["profile", "profile-inf", "profile-pairs", "profile-samples", "density",
-        "density-pairs", "bary", "bary-inf", "triangle", "simplex", "center", "center-inf"])
+        "density-pairs", "bary", "bary-inf", "triangle", "simplex", "center", "center-inf",
+        "polygon-polytope", "polygon-polytope-inf"])
 def test_non_finite_input_raises(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_central_section_of_a_polygon_is_a_segment():
+    # the square with vertices (+-1, 0), (0, +-1) meets the x-axis in [-1, 1]
+    seg = central_section(polygon_as_polytope(regular_polygon(4)), [0.0, 1.0])
+    assert seg.dim == 1
+    assert seg.volume == pytest.approx(2.0, rel=1e-15)
+    assert np.allclose(seg.vertices.ravel(), [-1.0, 1.0], rtol=0.0, atol=1e-15)
+
+
+def test_central_section_of_a_cube_is_a_square():
+    sq = central_section(cube(3), [0.0, 0.0, 2.0])
+    assert sq.dim == 2 and len(sq.vertices) == 4
+    assert sq.volume == pytest.approx(4.0, rel=1e-15)
+    assert np.allclose(np.sort(sq.facet_offsets), 1.0, rtol=1e-15)
+
+
+@pytest.mark.parametrize("poly, normal, error", [
+    (lambda: PolytopeN(cube(3).vertices + 2.0), [0.0, 0.0, 1.0], NotInteriorError),
+    (lambda: interval(), [1.0], GeometryError),
+    (lambda: cube(3), [0.0, 0.0, 0.0], GeometryError),
+    (lambda: cube(3), [NAN, 0.0, 1.0], GeometryError),
+], ids=["origin-outside", "dim-one", "zero-normal", "nan-normal"])
+def test_central_section_rejects_bad_input(poly, normal, error):
+    with pytest.raises(error):
+        central_section(poly(), normal)
+
+
+def test_segment_degeneracy_is_relative():
+    assert interval(-1e-300, 1e-300).volume == 2e-300
+    with pytest.raises(GeometryError):
+        interval(1e12, 1e12 + 1e-3)
 
 
 def _simplex(n):

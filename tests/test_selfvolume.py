@@ -3,7 +3,7 @@ import pytest
 
 from common import random_ccs_polygon
 from selfmetric.geometry import (GeometryError, NotInteriorError, PolytopeN,
-                                 cube, interval, polygon_as_polytope,
+                                 cube, icosphere, interval, polygon_as_polytope,
                                  regular_polygon)
 from selfmetric.perimeter2 import busemann_perimeter_polygon
 from selfmetric.selfvolume import (affine_image, cartesian_product,
@@ -30,12 +30,22 @@ def test_hypercube_powers_of_two(n):
     assert hypercube_self_volume(n) == 2.0 ** n
 
 
+def _ccs3():
+    p = np.random.default_rng(31).normal(size=(6, 3))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    return PolytopeN(np.vstack([p, -p]))
+
+
 def test_result_facet_breakdown_sums_to_value():
-    res = self_volume_recursive(cube(3))
-    total = sum(c.contribution for c in res.facet_contributions)
-    assert res.value == pytest.approx(total / res.dim, rel=1e-14)
-    assert len(res.facet_contributions) == 6
-    assert res.dim == 3
+    for body in (cube(3), _ccs3(), icosphere(1), affine_image(cube(4), np.eye(4) + 0.2)):
+        res = self_volume_recursive(body)
+        assert res.dim == body.dim
+        assert len(res.facet_contributions) == len(body.facet_offsets)
+        # exactly the facet-order sum: no pairwise or compensated summation
+        total = 0.0
+        for c in res.facet_contributions:
+            total += c.contribution
+        assert res.value == total / res.dim
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -46,6 +56,24 @@ def test_simplex_recursion_matches_closed_form(n):
         want = simplex_self_volume(n, lam)
         got = self_volume_recursive(simplex_at(n, lam)).value
         assert got == pytest.approx(want, abs=1e-8)
+
+
+SCALE_BODIES = {"interval": interval, "cube2": lambda: cube(2), "cube3": lambda: cube(3),
+                "icosphere1": lambda: icosphere(1), "ccs3": _ccs3, "cube4": lambda: cube(4)}
+
+
+@pytest.mark.parametrize("name", [
+    # flat hull simplices in the 4-cube's facets move its value by about 5e-8 at some scales
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason="flat hull simplices get a measure of sqrt(roundoff)"))
+    if name == "cube4" else name for name in SCALE_BODIES])
+def test_self_volume_is_scale_invariant(name):
+    body = SCALE_BODIES[name]()
+    base = self_volume_recursive(body).value
+    for k in (-14, -12, -10, -6, 6, 12):
+        scaled = self_volume_recursive(PolytopeN(body.vertices * 10.0 ** k)).value
+        assert scaled == pytest.approx(base, rel=0.0, abs=1e-12), k
+    assert self_volume_recursive(interval(-1e-12, 1e-12)).value == 2.0
 
 
 def test_simplex_centroid_values():
