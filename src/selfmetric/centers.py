@@ -1,10 +1,13 @@
 """Optimal centers: minimize the self-perimeter over the interior base point.
 
 The map p -> P(K - p) is strictly convex and blows up at the boundary, so a
-unique interior minimizer exists and plain descent cannot leave the body.
-The optimizer is first-order only: central-difference gradients with a
-backtracking line search, plus a derivative-free simplex fallback for the
-rare case where differencing turns unstable next to the boundary.
+unique interior minimizer exists. It is only piecewise smooth: the exit edge
+of a tangent ray switches as the center moves, and the minimizer generically
+sits on such a crease. So the solver is the deep-cut ellipsoid method on
+exact subgradients (Bland, Goldfarb & Todd, "The ellipsoid method: a survey",
+Oper. Res. 29, 1981), which needs no smoothness and certifies its answer:
+every cut also gives a lower bound on the minimum, and the solve stops when
+the best value lies within GAP_TOL of it.
 """
 
 from __future__ import annotations
@@ -13,12 +16,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+# minimize is not called here: it stays as a module binding because
+# perfbench/tracing.py patches it in this module
+from scipy.optimize import minimize  # noqa: F401
 
 from .geometry import BarycentricPoint, GeometryError, NotInteriorError, Polygon2
-from .perimeter2 import busemann_perimeter_polygon, self_perimeter_polygon
+from .perimeter2 import (busemann_perimeter_polygon, polygon_perimeter_subgradient,
+                         self_perimeter_polygon)
 
-STEP_TOL = 1e-10
+GAP_TOL = 1e-13      # relative bound on the certified gap between value and minimum
 MAX_ITER = 10_000
 VARIANTS = ("directed", "busemann")
 
@@ -29,7 +35,7 @@ class CenterResult:
     value: float
     iterations: int
     variant: str
-    convergence_norm: float
+    gap: float             # certified bound on value - minimum
 
 
 @dataclass
@@ -51,100 +57,60 @@ class ConvergenceError(RuntimeError):
         self.best = best
 
 
-def _objective(poly, variant):
+def _perimeter(variant):
     if variant not in VARIANTS:
         raise GeometryError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    fn = self_perimeter_polygon if variant == "directed" else busemann_perimeter_polygon
-
-    def f(p):
-        try:
-            return fn(poly, p).value
-        except NotInteriorError:
-            return np.inf
-
-    return f
-
-
-def _backtrack(f, p, fp, d, step):
-    # first decreasing point along d, halving from step; None if none above STEP_TOL
-    while step >= STEP_TOL:
-        q = p + step * d
-        fq = f(q)
-        if fq < fp:
-            return q, fq, step
-        step *= 0.5
-    return None, fp, step
+    return self_perimeter_polygon if variant == "directed" else busemann_perimeter_polygon
 
 
 def optimal_center_2d(poly, variant="directed", start=None):
     """Minimize the self-perimeter of a polygon over its interior base point.
 
-    Adaptive-step descent: normalized central-difference gradient, backtracking
-    line search with step regrowth, no barrier terms (coercivity keeps every
-    accepted iterate interior). The objective is convex but only piecewise
-    smooth (the exit edge of a tangent ray switches as the center moves), so
-    when differencing straddles a crease the computed direction stops
-    decreasing; the loop then retries with a fresh step and, if the point is
-    still not certifiably stationary, hands over to a Nelder-Mead simplex,
-    which handles the creases. Hitting MAX_ITER raises ConvergenceError
-    carrying the best iterate.
+    Deep-cut ellipsoid method on the ellipse E = {c + A u : |u| <= 1}, which
+    starts as the disk about start (default: the centroid) through the
+    farthest vertex and always holds the minimizer x. At an interior center
+    with value f and subgradient g, x satisfies g.(x - c) <= fbest - f, and
+    f - |A'g| bounds the minimum from below; at a center outside the polygon
+    the most violated edge gives a central cut. The loop stops when the best
+    value is within GAP_TOL (relative) of the best lower bound and returns
+    the perimeter function's own value at the best center; hitting MAX_ITER
+    raises ConvergenceError carrying the best iterate.
 
-    Returns a CenterResult; convergence_norm is the final descent step size.
+    Returns a CenterResult; gap is the certified bound on value - minimum.
     """
     if not isinstance(poly, Polygon2):
         raise TypeError("optimal_center_2d expects a Polygon2")
-    f = _objective(poly, variant)
-    p = np.asarray(start, dtype=float) if start is not None else poly.centroid
-    if not poly.interior_distance(p) > 0.0:   # NaN for a NaN/inf start
+    perimeter = _perimeter(variant)
+    c = np.asarray(start, dtype=float) if start is not None else poly.centroid
+    if not poly.interior_distance(c) > 0.0:   # NaN for a NaN/inf start
         raise NotInteriorError("start point is not strictly inside the polygon")
-    fp = f(p)
-    step = 0.1 * poly.interior_distance(p)   # 0.1 x inradius estimate
-    h0 = 1e-6 * poly.scale
-    iterations = 0
-    gnorm = np.inf
-    while iterations < MAX_ITER:
-        iterations += 1
-        h = min(h0, 0.25 * poly.interior_distance(p))
-        g = np.array([(f(p + [h, 0.0]) - f(p - [h, 0.0])) / (2.0 * h),
-                      (f(p + [0.0, h]) - f(p - [0.0, h])) / (2.0 * h)])
-        if not np.all(np.isfinite(g)):
-            return _simplex_finish(poly, f, p, fp, variant, iterations)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm == 0.0:
-            step = 0.0
-            break
-        d = -g / gnorm
-        q, fq, step = _backtrack(f, p, fp, d, step)
-        if q is None:
-            # retry once from a fresh step before concluding anything
-            q, fq, step = _backtrack(f, p, fp, d, 0.1 * poly.interior_distance(p))
-        if q is None:
-            break
-        p, fp = q, fq
-        step = min(2.0 * step, 0.25 * poly.scale)
-    else:
-        best = CenterResult(p, fp, iterations, variant, step)
-        raise ConvergenceError(f"no convergence in {MAX_ITER} iterations (step {step:.3e})", best)
-    if gnorm * poly.scale > 1e-7 * max(1.0, fp):
-        # stalled on a crease rather than at a smooth stationary point
-        return _simplex_finish(poly, f, p, fp, variant, iterations)
-    return CenterResult(p, fp, iterations, variant, step)
-
-
-def _simplex_finish(poly, f, p, fp, variant, iterations):
-    # two Nelder-Mead rounds: a fresh small simplex, then a restart from the
-    # answer to undo any simplex collapse along a crease
-    total = iterations
-    for delta in (1e-3, 1e-6):
-        span = delta * max(poly.interior_distance(p), 1e-6 * poly.scale)
-        init = np.array([p, p + [span, 0.0], p + [0.0, span]])
-        res = minimize(f, p, method="Nelder-Mead",
-                       options={"initial_simplex": init, "xatol": 1e-12, "fatol": 1e-14,
-                                "maxfev": 4000})
-        total += int(res.nit)
-        if res.fun < fp:
-            p, fp = np.asarray(res.x, dtype=float), float(res.fun)
-    return CenterResult(p, fp, total, variant, 0.0)
+    # A is kept as a factor, not as A A', so rounding cannot make E indefinite
+    axes = math.sqrt(np.max(np.sum((poly.vertices - c) ** 2, axis=1))) * np.eye(2)
+    best, fbest, lower = c, np.inf, -np.inf
+    for iterations in range(1, MAX_ITER + 1):
+        try:
+            f, g = polygon_perimeter_subgradient(poly, c, variant)
+        except NotInteriorError:
+            # outside the polygon: a central cut along the most violated edge
+            g = poly.normals[np.argmax(poly.normals @ c - poly.offsets)]
+            width, depth = math.hypot(*(axes.T @ g)), 0.0
+        else:
+            if f < fbest:
+                best, fbest = c, f
+            # f - width is the least value the linear bound at c allows on E
+            width = math.hypot(*(axes.T @ g))
+            lower = max(lower, f - width)
+            if fbest - lower <= GAP_TOL * fbest:
+                return CenterResult(best, perimeter(poly, best).value, iterations, variant,
+                                    fbest - lower)
+            depth = (f - fbest) / width
+        u = axes.T @ g / width
+        step = axes @ u
+        c = c - (1.0 + 2.0 * depth) / 3.0 * step
+        shrink = 1.0 - math.sqrt((1.0 - depth) / (3.0 * (1.0 + depth)))
+        axes = math.sqrt(4.0 / 3.0 * (1.0 - depth ** 2)) * (axes - shrink * np.outer(step, u))
+    raise ConvergenceError(f"no certificate in {MAX_ITER} iterations (gap {fbest - lower:.3e})",
+                           CenterResult(best, fbest, MAX_ITER, variant, fbest - lower))
 
 
 def grunbaum_bound_check(poly):
@@ -179,7 +145,7 @@ def convexity_probe(poly, variant="directed", trials=100, seed=0):
     """
     if not isinstance(poly, Polygon2):
         raise TypeError("convexity_probe expects a Polygon2")
-    f = _objective(poly, variant)
+    perimeter = _perimeter(variant)
     rng = np.random.default_rng(seed)
     lo = np.min(poly.vertices, axis=0)
     hi = np.max(poly.vertices, axis=0)
@@ -195,8 +161,8 @@ def convexity_probe(poly, variant="directed", trials=100, seed=0):
     for _ in range(int(trials)):
         p1, p2 = draw(), draw()
         mid = 0.5 * (p1 + p2)
-        lhs = f(mid)
-        rhs = 0.5 * (f(p1) + f(p2))
+        lhs = perimeter(poly, mid).value
+        rhs = 0.5 * (perimeter(poly, p1).value + perimeter(poly, p2).value)
         slack = 1e-12 * (1.0 + abs(rhs))
         if lhs > rhs + slack:
             report.violations.append({"p1": p1, "p2": p2, "gap": lhs - rhs})

@@ -3,7 +3,8 @@
 Subcommands: perimeter, volume, center, kgon-table, alexandrov,
 invariance-check, conjecture-search. Outputs are CSV or JSON files (stdout
 when no --out is given); failures print one machine-readable JSON object to
-stderr and exit nonzero. All randomness flows from the --seed flag, so
+stderr and exit nonzero; warnings print there too, one JSON object each.
+All randomness flows from the --seed flag, so
 identical invocations produce byte-identical outputs.
 """
 
@@ -12,6 +13,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -332,22 +334,26 @@ _COMMANDS = {
 
 
 def run(cfg):
-    """Execute one config; returns the process exit code."""
-    try:
-        cfg.validate()
-        return _COMMANDS[cfg.command](cfg)
-    except ShapeFormatError as exc:
-        return _fail("shape-format", str(exc), field=exc.field)
-    except (FourierDensityError, ClosureError) as exc:
-        return _fail("density", str(exc))
-    except GeometryError as exc:
-        return _fail("geometry", str(exc))
-    except ConvergenceError as exc:
-        return _fail("convergence", str(exc))
-    except FileNotFoundError as exc:
-        return _fail("io", str(exc))
-    except (ValueError, RuntimeError) as exc:
-        return _fail("config", str(exc))
+    """Execute one config; returns the process exit code. Warnings print to
+    stderr as they arise, one JSON object each, with no source location."""
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(
+            json.dumps({"warning": {"message": str(message)}}), file=sys.stderr)
+        try:
+            cfg.validate()
+            return _COMMANDS[cfg.command](cfg)
+        except ShapeFormatError as exc:
+            return _fail("shape-format", str(exc), field=exc.field)
+        except (FourierDensityError, ClosureError) as exc:
+            return _fail("density", str(exc))
+        except GeometryError as exc:
+            return _fail("geometry", str(exc))
+        except ConvergenceError as exc:
+            return _fail("convergence", str(exc))
+        except FileNotFoundError as exc:
+            return _fail("io", str(exc))
+        except (ValueError, RuntimeError) as exc:
+            return _fail("config", str(exc))
 
 
 def _fail(kind, message, field=None):

@@ -138,7 +138,9 @@ class Polygon2:
         try:
             hull = ConvexHull(pts)
         except QhullError as exc:
-            raise GeometryError(f"points are degenerate, no 2d hull: {exc}") from exc
+            # qhull's first line only: the rest holds a run-id that differs per call
+            raise GeometryError("points are degenerate, no 2d hull: "
+                                + str(exc).splitlines()[0]) from exc
         return cls(pts[hull.vertices])  # qhull returns 2d hull vertices in CCW order
 
     @property
@@ -274,7 +276,8 @@ class PolytopeN:
             try:
                 hull = ConvexHull(v)
             except QhullError as exc:
-                raise GeometryError(f"degenerate polytope (no full-dimensional hull): {exc}") from exc
+                raise GeometryError("degenerate polytope (no full-dimensional hull): "
+                                    + str(exc).splitlines()[0]) from exc
             keep = np.sort(hull.vertices)
             remap = -np.ones(len(v), dtype=int)
             remap[keep] = np.arange(len(keep))

@@ -33,7 +33,8 @@ class Perimeter2Result:
 
 
 def _polygon_ray_lengths(poly, center, directions):
-    """Exit distances from center along each unit direction (vectorized halfplane min)."""
+    """Exit distances from center along each unit direction (vectorized halfplane min),
+    the index of the edge each ray exits through, and the edge slacks h_j - n_j.p."""
     p = np.asarray(center, dtype=float)
     # an infinite center makes 0 * inf = NaN slacks; "not > 0" rejects those too
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -42,7 +43,8 @@ def _polygon_ray_lengths(poly, center, directions):
             raise NotInteriorError("center is not strictly inside the polygon")
         den = directions @ poly.normals.T          # (ndir, nedges)
         t = np.where(den > 0.0, num[None, :] / den, np.inf)
-    return np.min(t, axis=1)
+    exits = np.argmin(t, axis=1)
+    return t[np.arange(len(t)), exits], exits, num
 
 
 def self_perimeter_polygon(poly, center):
@@ -53,8 +55,7 @@ def self_perimeter_polygon(poly, center):
     """
     if not isinstance(poly, Polygon2):
         raise TypeError("self_perimeter_polygon expects a Polygon2")
-    radii = _polygon_ray_lengths(poly, center, poly.tangents)
-    value = float(np.sum(poly.edge_lengths / radii))
+    value, _ = polygon_perimeter_subgradient(poly, center, "directed")
     return Perimeter2Result(value, "directed", "polygon-exact")
 
 
@@ -62,10 +63,31 @@ def busemann_perimeter_polygon(poly, center):
     """Busemann self-perimeter: each edge divided by half its parallel chord."""
     if not isinstance(poly, Polygon2):
         raise TypeError("busemann_perimeter_polygon expects a Polygon2")
-    fwd = _polygon_ray_lengths(poly, center, poly.tangents)
-    bwd = _polygon_ray_lengths(poly, center, -poly.tangents)
-    value = float(np.sum(2.0 * poly.edge_lengths / (fwd + bwd)))
+    value, _ = polygon_perimeter_subgradient(poly, center, "busemann")
     return Perimeter2Result(value, "busemann", "polygon-exact")
+
+
+def polygon_perimeter_subgradient(poly, center, variant):
+    """(value, subgradient) of a polygon's self-perimeter as a function of its center.
+
+    The ray radius r_i of edge i leaves through edge j, so r_i = s_j / (n_j.t_i)
+    with slack s_j = h_j - n_j.p, and d r_i / dp = -r_i n_j / s_j. Where several
+    exit edges tie (a crease of the convex objective) any of them gives a valid
+    subgradient.
+    """
+    if variant not in ("directed", "busemann"):
+        raise GeometryError(f"variant must be directed or busemann, got {variant!r}")
+    lengths, normals = poly.edge_lengths, poly.normals
+    fwd, j_fwd, slack = _polygon_ray_lengths(poly, center, poly.tangents)
+    if variant == "directed":
+        value = float(np.sum(lengths / fwd))
+        return value, (lengths / (fwd * slack[j_fwd])) @ normals[j_fwd]
+    bwd, j_bwd, _ = _polygon_ray_lengths(poly, center, -poly.tangents)
+    chords = fwd + bwd
+    value = float(np.sum(2.0 * lengths / chords))
+    w = 2.0 * lengths / chords ** 2
+    return value, ((w * fwd / slack[j_fwd]) @ normals[j_fwd]
+                   + (w * bwd / slack[j_bwd]) @ normals[j_bwd])
 
 
 def smooth_density(profile, theta):

@@ -1,11 +1,15 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from common import random_polygon
-from selfmetric.centers import (convexity_probe, grunbaum_bound_check,
+from selfmetric.centers import (GAP_TOL, convexity_probe, grunbaum_bound_check,
                                 optimal_center_2d, optimal_simplex_center)
 from selfmetric.geometry import GeometryError, Polygon2
-from selfmetric.perimeter2 import self_perimeter_polygon
+from selfmetric.perimeter2 import busemann_perimeter_polygon, self_perimeter_polygon
 
 POSITION_TOL = 1e-6
 
@@ -114,3 +118,51 @@ def test_reported_value_matches_reported_point():
     res = optimal_center_2d(poly, "directed")
     assert self_perimeter_polygon(poly, res.optimum).value == pytest.approx(res.value, rel=1e-12)
     assert res.iterations >= 1
+
+
+def _ellipse_polygon(rng, k, thin):
+    # k vertices jittered around the unit circle, squeezed in y, then rotated
+    ang = 2.0 * np.pi * (np.arange(k) + rng.uniform(0.1, 0.9, k)) / k
+    v = np.column_stack([np.cos(ang), np.sin(ang)])
+    aspect = rng.uniform(8.0, 20.0) if thin else rng.uniform(1.0, 2.0)
+    v[:, 1] /= aspect
+    t = rng.uniform(0.0, np.pi)
+    return Polygon2(v @ np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]]))
+
+
+@pytest.mark.parametrize("seed, k, thin", [(6, 23, True), (19, 16, False), (36, 18, True)])
+def test_busemann_solve_is_certified_where_descent_stalled(seed, k, thin):
+    # minimizers on creases, where a smooth descent stalls: the cuts certify them fast
+    poly = _ellipse_polygon(np.random.default_rng(seed), k, thin)
+    t0 = time.perf_counter()
+    res = optimal_center_2d(poly, "busemann")
+    assert time.perf_counter() - t0 < 0.1
+    assert res.gap <= GAP_TOL * res.value
+    assert res.value == busemann_perimeter_polygon(poly, res.optimum).value
+
+
+@st.composite
+def polygons_with_a_point(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    poly = _ellipse_polygon(rng, draw(st.integers(3, 40)), draw(st.booleans()))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    shift = np.array(draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))))
+    poly = Polygon2(scale * (poly.vertices + shift))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(poly),
+                                     max_size=len(poly))))
+    return poly, weights @ poly.vertices / np.sum(weights)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(polygons_with_a_point(), st.sampled_from(["directed", "busemann"]))
+def test_solver_certifies_and_agrees_across_starts(drawn, variant):
+    poly, point = drawn
+    perimeter = self_perimeter_polygon if variant == "directed" else busemann_perimeter_polygon
+    ceiling = min(perimeter(poly, poly.centroid).value, perimeter(poly, point).value)
+    results = [optimal_center_2d(poly, variant), optimal_center_2d(poly, variant, start=point)]
+    for res in results:
+        assert res.gap <= GAP_TOL * res.value
+        assert res.value <= ceiling * (1.0 + 1e-12)
+        if variant == "directed":
+            assert res.value <= 9.0 * (1.0 + 1e-12)
+    assert results[1].value == pytest.approx(results[0].value, rel=1e-12, abs=0.0)

@@ -235,3 +235,34 @@ def test_parser_defaults_match_run_config():
 def test_run_returns_exit_code_not_raises(tmp_path):
     cfg = RunConfig(command="perimeter", shape=str(tmp_path / "missing.json"))
     assert run(cfg) == 1
+
+
+def test_flat_polytope_error_is_deterministic(tmp_path):
+    # qhull's full text carries a per-call run-id; only its first line is kept
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"type": "polytope", "dim": 3,
+                                "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]}))
+    first, second = (invoke(["volume", "--shape", str(path)]) for _ in range(2))
+    assert first.returncode == second.returncode == 1
+    assert first.stderr == second.stderr
+    lines = first.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "geometry" and "QH6154" in err["message"]
+    assert "\n" not in err["message"]
+
+
+def test_warning_is_one_json_object_on_stderr(tmp_path):
+    path = tmp_path / "bumpy.json"
+    path.write_text(json.dumps({"type": "radius_profile",
+                                "coeffs": [[0, 1.0, 0.0], [3, 0.05, 0.02]]}))
+    out = invoke(["perimeter", "--shape", str(path)])
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[0] == "body_id,variant,method,value,nodes"
+    assert out.stdout.splitlines()[1].startswith("bumpy,directed,quadrature,")
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert list(doc) == ["warning"] and list(doc["warning"]) == ["message"]
+    assert doc["warning"]["message"].startswith("radius profile fails the convexity check")
+    assert ".py" not in out.stderr

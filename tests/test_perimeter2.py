@@ -5,8 +5,9 @@ from common import interior_point, random_ccs_polygon, random_polygon
 from selfmetric.geometry import (BarycentricPoint, GeometryError, NotInteriorError,
                                  Polygon2, RadiusProfile, regular_polygon)
 from selfmetric.perimeter2 import (busemann_perimeter_polygon, kgon_self_perimeter,
-                                   self_perimeter_polygon, self_perimeter_smooth,
-                                   smooth_density, triangle_perimeters)
+                                   polygon_perimeter_subgradient, self_perimeter_polygon,
+                                   self_perimeter_smooth, smooth_density,
+                                   triangle_perimeters)
 
 TRI = Polygon2([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -34,6 +35,42 @@ def test_triangle_closed_forms_match_geometric_sums():
 def _bary_of(tri, point):
     m = np.vstack([tri.vertices.T, np.ones(3)])
     return np.linalg.solve(m, np.append(point, 1.0))
+
+
+def test_subgradient_matches_triangle_closed_forms():
+    # directed sum 1/lambda_i and Busemann 2 sum 1/(1 - lambda_i) are smooth in p
+    rng = np.random.default_rng(12)
+    for _ in range(25):
+        tri = Polygon2.from_hull(rng.normal(size=(3, 2)) * rng.uniform(0.5, 3.0))
+        point = BarycentricPoint(rng.dirichlet([2.0, 2.0, 2.0])).cartesian(tri.vertices)
+        lam = _bary_of(tri, point)
+        dlam = np.linalg.inv(np.vstack([tri.vertices.T, np.ones(3)]))[:, :2]
+        value, grad = polygon_perimeter_subgradient(tri, point, "directed")
+        assert value == self_perimeter_polygon(tri, point).value
+        assert grad == pytest.approx(-(1.0 / lam ** 2) @ dlam, rel=1e-9, abs=1e-9)
+        value, grad = polygon_perimeter_subgradient(tri, point, "busemann")
+        assert value == busemann_perimeter_polygon(tri, point).value
+        assert grad == pytest.approx(2.0 * (1.0 / (1.0 - lam) ** 2) @ dlam, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("variant", ["directed", "busemann"])
+def test_subgradient_inequality_on_random_polygons(variant):
+    # f(q) >= f(p) + g.(q - p) for every interior q: what the ellipsoid cuts rely on
+    rng = np.random.default_rng(13)
+    perimeter = self_perimeter_polygon if variant == "directed" else busemann_perimeter_polygon
+    for _ in range(10):
+        poly = random_polygon(rng, points=int(rng.integers(3, 12)))
+        p = interior_point(poly, rng)
+        value, grad = polygon_perimeter_subgradient(poly, p, variant)
+        assert value == perimeter(poly, p).value
+        for _ in range(20):
+            q = interior_point(poly, rng)
+            assert perimeter(poly, q).value >= value + grad @ (q - p) - 1e-12 * value
+
+
+def test_subgradient_rejects_outside_center():
+    with pytest.raises(NotInteriorError):
+        polygon_perimeter_subgradient(TRI, [2.0, 2.0], "directed")
 
 
 def test_perimeter_ordering_on_random_interior_points():

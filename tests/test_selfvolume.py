@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from common import random_ccs_polygon
-from selfmetric.geometry import (GeometryError, NotInteriorError, PolytopeN,
+from selfmetric.alexandrov import SurfaceMeasure
+from selfmetric.geometry import (REL_TOL, GeometryError, NotInteriorError, PolytopeN,
                                  cube, icosphere, interval, polygon_as_polytope,
                                  regular_polygon)
 from selfmetric.perimeter2 import busemann_perimeter_polygon
@@ -140,6 +141,30 @@ def test_origin_must_be_interior():
     shifted = PolytopeN(cube(2).vertices + 5.0)
     with pytest.raises(NotInteriorError):
         self_volume_recursive(shifted)
+
+
+def _box_near_origin(margin, s):
+    # the box [a, 2] x [-1, 1]^2 times s, with a < 0 chosen so that the nearest
+    # facet lies margin * REL_TOL * scale from the origin (scale = sqrt(6) * s)
+    a = -margin * REL_TOL * np.sqrt(6.0)
+    return PolytopeN(s * np.array([[x, y, z] for x in (a, 2.0) for y in (-1.0, 1.0)
+                                   for z in (-1.0, 1.0)]))
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+def test_origin_interior_tolerance_is_rel_tol_times_scale(s):
+    # intended: the origin counts as interior only beyond REL_TOL * scale
+    near = _box_near_origin(2.0, s)
+    assert np.min(near.facet_offsets) == pytest.approx(2.0 * REL_TOL * near.scale, rel=1e-9)
+    assert self_volume_recursive(near).value == pytest.approx(8.0, rel=1e-12)
+    assert SurfaceMeasure(near).total_mass == pytest.approx(24.0, rel=1e-12)
+    too_near = _box_near_origin(0.5, s)
+    assert np.min(too_near.facet_offsets) == pytest.approx(0.5 * REL_TOL * too_near.scale,
+                                                           rel=1e-9)
+    with pytest.raises(NotInteriorError):
+        self_volume_recursive(too_near)
+    with pytest.raises(NotInteriorError):
+        SurfaceMeasure(too_near)
 
 
 def test_dimension_guard():
