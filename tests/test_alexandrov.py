@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from common import random_ccs_polygon
+from selfmetric import alexandrov, geometry
 from selfmetric.alexandrov import (ClosureError, FourierDensity, FourierDensityError,
                                    SurfaceMeasure, circle_grid, cusp_exclusion_mask,
                                    forward_measure, leading_order,
@@ -226,6 +229,32 @@ def test_reconstruct_classical_region_slope():
         ladder.append((eps, res.residual_classical))
     slope = np.polyfit(np.log([e for e, _ in ladder]), np.log([r for _, r in ladder]), 1)[0]
     assert slope >= 1.3
+
+
+
+# (residual, residual_classical) of the 11c ladder, cos 4t at 4096 nodes, with
+# every fourier_eval on the dense path
+LADDER_11C = {0.04: (0.07877899748556588, 0.0037877649692208033),
+              0.01: (0.019922491955887384, 0.00039026793720246204),
+              0.0025: (0.004995132465396432, 4.536015675746458e-05)}
+
+
+def test_reconstruct_ladder_matches_the_dense_forward_map(monkeypatch):
+    results = {eps: reconstruct(FourierDensity.from_pairs([(4, 0.5, 0.0)], eps), nodes=4096)
+               for eps in LADDER_11C}
+    for eps, (residual, classical) in LADDER_11C.items():
+        assert abs(results[eps].residual - residual) <= 1e-12
+        assert abs(results[eps].residual_classical - classical) <= 1e-12
+    # phi0 and the returned radius never go through the NUFFT: with the dense
+    # path forced and the forward map stubbed out they come back identical
+    monkeypatch.setattr(geometry, "NUFFT_CROSSOVER", math.inf)
+    monkeypatch.setattr(alexandrov, "forward_measure",
+                        lambda profile, nodes: (circle_grid(nodes), np.ones(nodes)))
+    for eps, res in results.items():
+        dense = reconstruct(FourierDensity.from_pairs([(4, 0.5, 0.0)], eps), nodes=4096)
+        assert dense.phi0 == res.phi0
+        assert np.array_equal(dense.radius.ks, res.radius.ks)
+        assert np.array_equal(dense.radius.coeffs, res.radius.coeffs)
 
 
 def test_reconstruct_both_sign_branches():

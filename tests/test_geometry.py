@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from selfmetric import geometry
 from selfmetric.alexandrov import FourierDensity, FourierDensityError
 from selfmetric.centers import optimal_center_2d
 from selfmetric.geometry import (BarycentricPoint, GeometryError, NotInteriorError,
@@ -21,6 +26,102 @@ def test_fourier_eval_matches_trig():
     coeffs = np.array([0.25j, 0.5, 1.0, 0.5, -0.25j])
     expected = 1.0 + np.cos(2 * theta) + 0.5 * np.sin(3 * theta)
     assert np.allclose(fourier_eval(theta, ks, coeffs), expected, atol=1e-14)
+
+
+
+def _dense_reference(theta, ks, coeffs):
+    return (np.exp(1j * np.outer(theta, ks)) @ coeffs).real
+
+
+def _symmetric_spectrum(rng, positive_ks):
+    """ks = (-k..., 0, k...) with random c_{-k} = conj(c_k) and a real c_0."""
+    c = rng.normal(size=len(positive_ks)) + 1j * rng.normal(size=len(positive_ks))
+    ks = np.concatenate([-positive_ks[::-1], [0], positive_ks])
+    return ks, np.concatenate([np.conj(c[::-1]), [rng.normal()], c])
+
+
+@pytest.fixture
+def nufft_calls(monkeypatch):
+    """Angle counts of the calls that took the NUFFT path."""
+    calls = []
+    nufft = geometry._nufft_type2
+
+    def spy(theta, *args):
+        calls.append(len(theta))
+        return nufft(theta, *args)
+
+    monkeypatch.setattr(geometry, "_nufft_type2", spy)
+    return calls
+
+
+def test_fourier_eval_paths_on_both_sides_of_the_crossover(nufft_calls):
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 200)
+    # few harmonics: the dense loop, bit for bit
+    ks, coeffs = _symmetric_spectrum(rng, np.arange(1, 4))
+    assert np.array_equal(fourier_eval(theta, ks, coeffs), _dense_reference(theta, ks, coeffs))
+    # 30 far sparse harmonics on 64 angles: dense, no fine grid of 2^19 nodes
+    ks, coeffs = _symmetric_spectrum(rng, np.sort(rng.choice(np.arange(1, 100_000), 14,
+                                                             replace=False)))
+    ks = np.concatenate([[-100_000], ks, [100_000]])
+    coeffs = np.concatenate([[0.5 - 0.25j], coeffs, [0.5 + 0.25j]])
+    assert len(ks) == 31 and np.max(np.abs(ks)) == 100_000
+    assert np.array_equal(fourier_eval(theta[:64], ks, coeffs),
+                          _dense_reference(theta[:64], ks, coeffs))
+    assert nufft_calls == []
+    # many harmonics: the NUFFT
+    ks, coeffs = _symmetric_spectrum(rng, np.arange(1, 65))
+    got = fourier_eval(theta, ks, coeffs)
+    assert nufft_calls == [200]
+    err = np.max(np.abs(got - _dense_reference(theta, ks, coeffs)))
+    assert err <= 1e-12 * np.sum(np.abs(coeffs))
+
+
+def test_fourier_eval_non_finite_angles_give_nan_in_place(nufft_calls):
+    rng = np.random.default_rng(6)
+    ks, coeffs = _symmetric_spectrum(rng, np.arange(1, 129))
+    theta = rng.uniform(-10.0, 10.0, 300)
+    bad = [0, 17, 150, 299]
+    theta[bad] = [np.nan, np.inf, -np.inf, np.nan]
+    got = fourier_eval(theta, ks, coeffs)
+    assert nufft_calls == [300]
+    assert np.flatnonzero(np.isnan(got)).tolist() == bad
+    good = np.isfinite(theta)
+    err = np.max(np.abs(got[good] - _dense_reference(theta[good], ks, coeffs)))
+    assert err <= 1e-12 * np.sum(np.abs(coeffs))
+    # the dense path does the same for NaN
+    dense = fourier_eval(np.array([0.5, np.nan, 1.0]), ks[127:130], coeffs[127:130])
+    assert nufft_calls == [300]
+    assert np.isnan(dense).tolist() == [False, True, False]
+
+
+@st.composite
+def fourier_cases(draw):
+    """Spectrum, angles and coefficient set on either side of the NUFFT crossover."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kmax = draw(st.sampled_from([1, 3, 6, 16, 40, 128, 700, 2047]))
+    positive = np.arange(1, kmax + 1)
+    if draw(st.booleans()):
+        positive = np.sort(rng.choice(positive, size=max(1, kmax // 6), replace=False))
+    ks, coeffs = _symmetric_spectrum(rng, positive)
+    coeffs = draw(st.sampled_from([coeffs, 1j * ks * coeffs, -(ks ** 2) * coeffs]))
+    if draw(st.booleans()):
+        theta = draw(st.floats(-50.0, 50.0))
+    else:
+        theta = rng.uniform(-50.0, 50.0, draw(st.sampled_from([1, 16, 130, 600])))
+    return theta, ks, coeffs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(fourier_cases())
+def test_fourier_eval_agrees_with_the_dense_sum(case):
+    theta, ks, coeffs = case
+    got = fourier_eval(theta, ks, coeffs)
+    want = _dense_reference(np.atleast_1d(theta), ks, coeffs)
+    if np.isscalar(theta):
+        assert isinstance(got, float)
+    assert np.shape(got) == np.shape(theta)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(coeffs))
 
 
 def test_square_area_and_centroid():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from common import interior_point, random_ccs_polygon, random_polygon
 from selfmetric.geometry import (BarycentricPoint, GeometryError, NotInteriorError,
@@ -106,6 +108,26 @@ def test_triangle_perimeter_inequalities():
         directed, busemann = triangle_perimeters(lam)
         assert busemann >= 9.0 - 1e-9
         assert directed >= busemann - 1e-9 * busemann
+
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.lists(st.floats(-9.0, 0.0), min_size=3, max_size=3))
+def test_triangle_perimeters_satisfy_nine_le_busemann_le_directed(log_weights):
+    # interior barycentric points from the centroid out to 1e-9 of the edges
+    w = 10.0 ** np.array(log_weights)
+    directed, busemann = triangle_perimeters(w / np.sum(w))
+    assert busemann >= 9.0 * (1.0 - 1e-12)
+    assert directed >= busemann * (1.0 - 1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12), st.floats(-3.0, 3.0))
+def test_golab_range_on_centrally_symmetric_polygons(seed, pairs, log_scale):
+    # Golab: a centrally symmetric body measured from its centre lies in [6, 8]
+    poly = random_ccs_polygon(np.random.default_rng(seed), pairs=pairs, scale=10.0 ** log_scale)
+    value = self_perimeter_polygon(poly, np.zeros(2)).value
+    assert 6.0 * (1.0 - 1e-12) <= value <= 8.0 * (1.0 + 1e-12)
 
 
 def test_kgon_closed_forms():
