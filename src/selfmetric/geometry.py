@@ -16,6 +16,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 REL_TOL = 1e-9        # relative tolerance for collinearity / degeneracy decisions
+COPLANAR_TOL = 1e-8   # hull pieces whose unit normals agree this closely form one facet
 PROFILE_GRID = 2048   # dense grid used to validate radius profiles
 _EVAL_CHUNK = 256     # angle chunk for Fourier evaluation, keeps temporaries small
 _GATHER_CHUNK = 1024  # angle chunk of the NUFFT gather (2w values per angle)
@@ -58,9 +59,10 @@ def fourier_eval(theta, ks, coeffs):
         out = _nufft_type2(flat, np.asarray(ks), coeffs, modes, fine)
     else:
         out = np.empty(flat.shape, dtype=complex)
-        for lo in range(0, len(flat), _EVAL_CHUNK):
-            blk = flat[lo:lo + _EVAL_CHUNK]
-            out[lo:lo + _EVAL_CHUNK] = np.exp(1j * np.outer(blk, ks)) @ coeffs
+        with np.errstate(invalid="ignore"):   # an infinite angle gives NaN, as on the NUFFT path
+            for lo in range(0, len(flat), _EVAL_CHUNK):
+                blk = flat[lo:lo + _EVAL_CHUNK]
+                out[lo:lo + _EVAL_CHUNK] = np.exp(1j * np.outer(blk, ks)) @ coeffs
         out = out.real
     res = out.reshape(np.shape(th))
     return float(res) if np.isscalar(theta) else res
@@ -326,16 +328,7 @@ class PolytopeN:
             raise GeometryError("polytope vertices must be finite")
         self.dim = int(v.shape[1])
         if self.dim == 1:
-            lo, hi = float(np.min(v)), float(np.max(v))
-            if hi - lo <= REL_TOL * max(abs(lo), abs(hi)):   # relative: scale-invariant
-                raise GeometryError("1d polytope is degenerate")
-            self.vertices = np.array([[lo], [hi]])
-            # facet of a segment is a point; its 0-measure is 1 by convention
-            self.facet_normals = np.array([[-1.0], [1.0]])
-            self.facet_offsets = np.array([-lo, hi])
-            self.facet_measures = np.ones(2)
-            self.edges = np.array([[0, 1]])
-            self.volume = hi - lo
+            self._set_segment(float(np.min(v)), float(np.max(v)))
         else:
             if len(v) < self.dim + 1:
                 raise GeometryError(f"need at least {self.dim + 1} vertices in dimension {self.dim}")
@@ -358,12 +351,87 @@ class PolytopeN:
             a, b = np.array(list(itertools.combinations(range(self.dim), 2))).T
             codes = np.unique(ends[:, a] * n + ends[:, b])
             self.edges = np.column_stack([codes // n, codes % n])
-        self.scale = float(np.max(np.linalg.norm(self.vertices, axis=1)))
+            self.scale = float(np.max(np.linalg.norm(self.vertices, axis=1)))
+
+    def _set_segment(self, lo, hi):
+        """Make self the segment [lo, hi]; it is degenerate unless hi - lo exceeds
+        REL_TOL times its larger end, a relative and so scale-invariant test."""
+        ends = max(abs(lo), abs(hi))
+        if hi - lo <= REL_TOL * ends:
+            raise GeometryError("1d polytope is degenerate")
+        self.dim = 1
+        self.vertices = np.array([[lo], [hi]])
+        # facet of a segment is a point; its 0-measure is 1 by convention
+        self.facet_normals = np.array([[-1.0], [1.0]])
+        self.facet_offsets = np.array([-lo, hi])
+        self.facet_measures = np.ones(2)
+        self.edges = np.array([[0, 1]])
+        self.volume = hi - lo
+        self.scale = ends
+
+    @classmethod
+    def _segment(cls, lo, hi):
+        """The segment [lo, hi], without the generic constructor."""
+        seg = cls.__new__(cls)
+        seg._set_segment(lo, hi)
+        return seg
+
+    @classmethod
+    def _polygon(cls, points):
+        """Polygon hull of (k, 2) points around an interior origin, without qhull.
+
+        One pass of Graham's scan (Inf. Process. Lett. 1, 1972) over the points
+        sorted by angle about the origin, from the farthest point, which is a
+        vertex. A point where the boundary turns by at most COPLANAR_TOL (sine
+        of the turn) is dropped, so reflex, collinear and repeated points go,
+        and edges that _merge_facets would merge come out as one. Facet rows
+        are ordered as in _merge_facets; the area is (1/2) sum h_F L_F.
+        """
+        order = np.argsort(np.arctan2(points[:, 1], points[:, 0]))
+        x, y = points[order, 0], points[order, 1]
+        r2 = x * x + y * y
+        start = int(np.argmax(r2))
+        xs, ys = x.tolist(), y.tolist()
+        tol2 = COPLANAR_TOL ** 2
+        hull = []
+        for i in [*range(start, len(xs)), *range(start + 1)]:
+            px, py = xs[i], ys[i]
+            while len(hull) >= 2:
+                a, b = hull[-2], hull[-1]
+                ux, uy = xs[b] - xs[a], ys[b] - ys[a]
+                wx, wy = px - xs[b], py - ys[b]
+                turn = ux * wy - uy * wx
+                if turn > 0.0 and turn * turn > tol2 * (ux * ux + uy * uy) * (wx * wx + wy * wy):
+                    break
+                hull.pop()
+            hull.append(i)
+        hull.pop()   # the start, visited again to close the boundary
+        m = len(hull)
+        if m < 3:
+            raise GeometryError("degenerate polygon: the points are collinear")
+        x, y = x[hull], y[hull]
+        nxt = np.arange(1, m + 1)
+        nxt[-1] = 0
+        ex, ey = x[nxt] - x, y[nxt] - y
+        lengths = np.hypot(ex, ey)
+        # outward normal of a CCW edge is its direction rotated -90 degrees
+        nx, ny = ey / lengths, -ex / lengths
+        offsets = nx * x + ny * y
+        rows = np.lexsort((np.round(ny, 12), np.round(nx, 12)))
+        poly = cls.__new__(cls)
+        poly.dim = 2
+        poly.vertices = np.column_stack([x, y])
+        poly.facet_normals = np.column_stack([nx[rows], ny[rows]])
+        poly.facet_offsets, poly.facet_measures = offsets[rows], lengths[rows]
+        poly.volume = 0.5 * float(offsets @ lengths)
+        poly.edges = np.column_stack([np.arange(m), nxt])
+        poly.scale = math.sqrt(float(np.max(r2[hull])))
+        return poly
 
     def _merge_facets(self, hull, simplices):
         """(normals, offsets, measures) of the facets, sorted by rounded normal.
 
-        Neighbouring hull simplices whose plane equations agree to 1e-8 form one
+        Neighbouring hull simplices whose plane equations agree to COPLANAR_TOL form one
         facet, with the plane of its lowest simplex and the sum of their measures.
         """
         eqs = hull.equations
@@ -372,8 +440,8 @@ class PolytopeN:
         j = hull.neighbors.ravel()
         i, j = i[j > i], j[j > i]
         diff = np.abs(eqs[i] - eqs[j])
-        same = ((np.max(diff[:, :-1], axis=1) < 1e-8)
-                & (diff[:, -1] < 1e-8 * np.maximum(1.0, np.abs(eqs[i, -1]))))
+        same = ((np.max(diff[:, :-1], axis=1) < COPLANAR_TOL)
+                & (diff[:, -1] < COPLANAR_TOL * np.maximum(1.0, np.abs(eqs[i, -1]))))
         i, j = i[same], j[same]
         # label every simplex with the lowest simplex index of its coplanar group
         label = np.arange(nf)
@@ -469,6 +537,13 @@ def central_section(poly, normal):
     """Intersection of a polytope with the hyperplane through the origin
     orthogonal to normal, returned as a PolytopeN of dimension dim - 1 in an
     orthonormal coordinate frame of the hyperplane (the origin is preserved).
+
+    The section's points are the polytope's vertices on the hyperplane and the
+    crossings of its edges, projected on a _pivoted_basis frame. The builder
+    depends on the section's dimension: a chord of a polygon is the segment
+    between the extreme projections, a section of a 3-D body is a polygon by
+    angular sort about the origin (PolytopeN._polygon, no qhull), and higher
+    sections go through the qhull-backed PolytopeN constructor.
     """
     if not isinstance(poly, PolytopeN):
         raise TypeError("central_section expects a PolytopeN")
@@ -479,19 +554,24 @@ def central_section(poly, normal):
     nu = _unit(normal)
     heights = poly.vertices @ nu
     tol = REL_TOL * poly.scale
-    pts = [poly.vertices[np.abs(heights) <= tol]]
+    on = np.abs(heights) <= tol
     ii, jj = poly.edges[:, 0], poly.edges[:, 1]
     hi, hj = heights[ii], heights[jj]
     crossing = ((hi > tol) & (hj < -tol)) | ((hi < -tol) & (hj > tol))
-    if np.any(crossing):
-        a, b = ii[crossing], jj[crossing]
-        t = (hi[crossing] / (hi[crossing] - hj[crossing]))[:, None]
-        pts.append(poly.vertices[a] + t * (poly.vertices[b] - poly.vertices[a]))
-    pts = np.vstack(pts)
+    a, b = ii[crossing], jj[crossing]
+    t = (hi[crossing] / (hi[crossing] - hj[crossing]))[:, None]
+    pts = poly.vertices[a] + t * (poly.vertices[b] - poly.vertices[a])
+    if np.any(on):
+        pts = np.vstack([poly.vertices[on], pts])
     if len(pts) < poly.dim:
         raise DegenerateSectionError("hyperplane misses the polytope interior")
+    proj = pts @ _pivoted_basis(nu)
     try:
-        return PolytopeN(pts @ _pivoted_basis(nu))
+        if poly.dim == 2:
+            return PolytopeN._segment(float(np.min(proj)), float(np.max(proj)))
+        if poly.dim == 3:
+            return PolytopeN._polygon(proj)
+        return PolytopeN(proj)
     except GeometryError as exc:
         raise DegenerateSectionError(f"section is not full-dimensional: {exc}") from exc
 

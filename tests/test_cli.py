@@ -152,6 +152,18 @@ def test_invariance_check_passes(shapes):
     assert all(float(r.split(",")[2]) < 1e-6 for r in lines[1:])
 
 
+def test_conjecture_search_dim2_output_is_pinned(tmp_path):
+    # the hill climb accepts a step on any increase, last-bit ones included,
+    # so this output pins every bit of the 2-D self-volumes along its path
+    out = tmp_path / "search.json"
+    assert run(RunConfig(command="conjecture-search", dim=2, trials=2, steps=12, seed=0,
+                         out=str(out))) == 0
+    assert json.loads(out.read_text()) == {
+        "dim": 2, "trials": 2, "steps": 12, "seed": 0, "max_found": 4.000000000000001,
+        "min_found": 3.0437084936571823, "conjectured_max": 4.0, "conjectured_min": 3.0,
+        "within_conjecture": True, "degenerate_rejections": 0}
+
+
 def test_conjecture_search_dim2_bounds():
     out = invoke(["conjecture-search", "--dim", "2", "--trials", "4",
                   "--steps", "12", "--tolerance", "1e-2"])

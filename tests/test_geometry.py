@@ -14,7 +14,8 @@ from selfmetric.geometry import (BarycentricPoint, GeometryError, NotInteriorErr
                                  cube, fourier_eval, icosphere, interval,
                                  polygon_as_polytope, regular_polygon)
 from selfmetric.perimeter2 import triangle_perimeters
-from selfmetric.selfvolume import affine_image, cartesian_product, simplex_self_volume
+from selfmetric.selfvolume import (affine_image, cartesian_product, self_volume_recursive,
+                                   simplex_self_volume)
 
 RNG = np.random.default_rng(20240817)
 
@@ -89,10 +90,11 @@ def test_fourier_eval_non_finite_angles_give_nan_in_place(nufft_calls):
     good = np.isfinite(theta)
     err = np.max(np.abs(got[good] - _dense_reference(theta[good], ks, coeffs)))
     assert err <= 1e-12 * np.sum(np.abs(coeffs))
-    # the dense path does the same for NaN
-    dense = fourier_eval(np.array([0.5, np.nan, 1.0]), ks[127:130], coeffs[127:130])
+    # the dense path does the same, quietly
+    dense = fourier_eval(np.array([0.5, np.nan, 1.0, np.inf, -np.inf]), ks[127:130],
+                         coeffs[127:130])
     assert nufft_calls == [300]
-    assert np.isnan(dense).tolist() == [False, True, False]
+    assert np.isnan(dense).tolist() == [False, True, False, True, True]
 
 
 @st.composite
@@ -272,6 +274,58 @@ def test_central_section_of_a_cube_is_a_square():
 def test_central_section_rejects_bad_input(poly, normal, error):
     with pytest.raises(error):
         central_section(poly(), normal)
+
+
+def test_collinear_section_raises():
+    # a cube squashed into the plane y = 0 (its facet rows kept, so the origin
+    # still counts as interior): the plane z = 0 meets it in a line
+    flat = cube(3)
+    flat.vertices = flat.vertices * [1.0, 0.0, 1.0]
+    with pytest.raises(geometry.DegenerateSectionError):
+        central_section(flat, [0.0, 0.0, 1.0])
+    with pytest.raises(GeometryError):
+        PolytopeN._polygon(np.array([[-1.0, 0.0], [1.0, 0.0], [0.5, 0.0], [-1.0, 0.0]]))
+
+
+@st.composite
+def polygon_clouds(draw):
+    """Points around the origin: a random cloud, thin up to aspect 1e4 and
+    rotated, plus points the hull must drop as central sections produce them:
+    hull-edge midpoints (diagonals of triangulated facets crossing the plane),
+    exact duplicates, and points 1e-12 * scale inside an edge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.normal(size=(draw(st.integers(3, 24)), 2))
+    pts[:, 1] /= draw(st.sampled_from([1.0, 1e2, 1e4]))
+    if draw(st.booleans()):
+        a = rng.uniform(0.0, np.pi)
+        pts = pts @ np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
+    pts -= pts.mean(axis=0)
+    v = pts[ConvexHull(pts).vertices]
+    edge = np.roll(v, -1, axis=0) - v
+    inward = np.column_stack([-edge[:, 1], edge[:, 0]]) / np.linalg.norm(edge, axis=1)[:, None]
+    mid = v + 0.5 * edge
+    scale = np.max(np.linalg.norm(pts, axis=1))
+    extra = [mid, pts[rng.integers(0, len(pts), 3)], mid + 1e-12 * scale * inward]
+    cloud = np.vstack([pts] + [e for e in extra if draw(st.booleans())])
+    return cloud[rng.permutation(len(cloud))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(polygon_clouds())
+def test_angular_polygon_matches_qhull(cloud):
+    want, got = PolytopeN(cloud), PolytopeN._polygon(cloud)
+    assert len(got.facet_offsets) == len(want.facet_offsets) == len(got.vertices)
+    # the area of float points at aspect a is only determined to about
+    # eps * kappa, kappa = scale * perimeter / area (about 4a): rotated at
+    # aspect 1e4, qhull and the scan both miss the exact area by up to 1.4e-12
+    kappa = want.scale * np.sum(want.facet_measures) / want.volume
+    rel = 1e-13 * max(1.0, kappa / 100.0)
+    assert got.volume == pytest.approx(want.volume, rel=rel)
+    omega = self_volume_recursive(got).value
+    assert omega == pytest.approx(self_volume_recursive(want).value, rel=rel)
+    assert got.scale == want.scale
+    # the facet rows are qhull's, in the same order
+    assert np.allclose(got.facet_normals, want.facet_normals, rtol=0.0, atol=1e-14 * kappa)
 
 
 def test_segment_degeneracy_is_relative():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from common import random_ccs_polygon
+from common import random_ccs_polygon, random_polygon_with_origin
 from selfmetric.alexandrov import SurfaceMeasure
 from selfmetric.geometry import (REL_TOL, GeometryError, NotInteriorError, PolytopeN,
                                  cube, icosphere, interval, polygon_as_polytope,
@@ -31,8 +31,8 @@ def test_hypercube_powers_of_two(n):
     assert hypercube_self_volume(n) == 2.0 ** n
 
 
-def _ccs3():
-    p = np.random.default_rng(31).normal(size=(6, 3))
+def _ccs3(seed=31, pairs=6):
+    p = np.random.default_rng(seed).normal(size=(pairs, 3))
     p /= np.linalg.norm(p, axis=1, keepdims=True)
     return PolytopeN(np.vstack([p, -p]))
 
@@ -59,8 +59,13 @@ def test_simplex_recursion_matches_closed_form(n):
         assert got == pytest.approx(want, abs=1e-8)
 
 
+def _mapped_cube3():
+    return affine_image(cube(3), np.random.default_rng(17).normal(size=(3, 3)))
+
+
 SCALE_BODIES = {"interval": interval, "cube2": lambda: cube(2), "cube3": lambda: cube(3),
-                "icosphere1": lambda: icosphere(1), "ccs3": _ccs3, "cube4": lambda: cube(4)}
+                "mapped-cube3": _mapped_cube3, "icosphere1": lambda: icosphere(1),
+                "ccs3": _ccs3, "cube4": lambda: cube(4)}
 
 
 @pytest.mark.parametrize("name", [
@@ -117,24 +122,48 @@ def test_interval_self_volume_is_two_anywhere():
 
 def test_affine_invariance_2d_and_3d():
     rng = np.random.default_rng(17)
-    for body in (polygon_as_polytope(random_ccs_polygon(rng, 5)), cube(3)):
+    for body in (polygon_as_polytope(random_ccs_polygon(rng, 5)), cube(3), _mapped_cube3(),
+                 icosphere(1), _ccs3(), _ccs3(seed=8, pairs=4)):
         base = self_volume_recursive(body).value
         for _ in range(10):
             m = rng.normal(size=(body.dim, body.dim))
             if abs(np.linalg.det(m)) < 1e-2:
                 continue
             mapped = self_volume_recursive(affine_image(body, m)).value
-            assert mapped == pytest.approx(base, rel=1e-9)
+            assert mapped == pytest.approx(base, rel=1e-12)
 
 
 def test_volume_matches_half_busemann_perimeter():
-    # in 2d, recursive self-volume about p equals half the Busemann perimeter at p
+    # in 2d, recursive self-volume about p equals half the Busemann perimeter at p,
+    # for centrally symmetric polygons and for any polygon around the origin
     rng = np.random.default_rng(23)
     for _ in range(10):
-        poly = random_ccs_polygon(rng, pairs=rng.integers(3, 7))
-        volume = self_volume_recursive(polygon_as_polytope(poly)).value
-        per = busemann_perimeter_polygon(poly, np.zeros(2)).value
-        assert 2.0 * volume == pytest.approx(per, rel=1e-12)
+        for poly in (random_ccs_polygon(rng, pairs=rng.integers(3, 7)),
+                     random_polygon_with_origin(rng, points=rng.integers(3, 12))):
+            volume = self_volume_recursive(polygon_as_polytope(poly)).value
+            per = busemann_perimeter_polygon(poly, np.zeros(2)).value
+            assert 2.0 * volume == pytest.approx(per, rel=1e-12)
+
+
+def _pinned_polygon(i):
+    pts = np.random.default_rng(700 + i).normal(size=(3 + i, 2))
+    if i >= 7:   # thin: aspect about 1e2, 1e3, 1e4
+        pts[:, 1] *= 10.0 ** (5 - i)
+    return PolytopeN(pts - pts.mean(axis=0))
+
+
+# self_volume_recursive of _pinned_polygon(0..9), as computed when every
+# section still went through qhull; a 2-D body passed in keeps its qhull
+# facets and must keep every bit (cli._climb follows last-bit differences)
+PINNED_POLYGON_VALUES = [4.500000000000002, 4.5035484685090115, 3.924555001639054,
+                         3.6137874671995496, 4.007464093537697, 3.5526274601308554,
+                         4.098624276839033, 3.826334598912829, 3.5294791977736306,
+                         3.9356828356510816]
+
+
+@pytest.mark.parametrize("i", range(10))
+def test_planar_self_volume_is_bit_identical(i):
+    assert self_volume_recursive(_pinned_polygon(i)).value == PINNED_POLYGON_VALUES[i]
 
 
 def test_origin_must_be_interior():
