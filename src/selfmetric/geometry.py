@@ -7,6 +7,7 @@ data, central hyperplane sections and Fourier evaluation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -199,6 +200,20 @@ class Polygon2:
     def __len__(self):
         return len(self.vertices)
 
+    @functools.cached_property
+    def ray_tables(self):
+        """Ray-casting tables, (forward, backward), computed once per polygon.
+
+        For rays along the edge tangents t_i (forward) or -t_i (backward): the
+        cosines n_j . (+-t_i) against every edge normal, (edges, edges), and the
+        mask where they are positive, the edges a ray can exit through.
+        """
+        tables = []
+        for directions in (self.tangents, -self.tangents):
+            den = directions @ self.normals.T
+            tables.append((den, den > 0.0))
+        return tuple(tables)
+
     @classmethod
     def from_hull(cls, points):
         """Build the CCW convex hull of an arbitrary point cloud."""
@@ -310,6 +325,20 @@ class Facet(NamedTuple):
     measure: float
 
 
+def _frozen(rows):
+    a = np.array(rows)
+    a.flags.writeable = False
+    return a
+
+
+# the facets of every segment are its two end points, each of 0-measure 1 by
+# convention; segments share these read-only rows
+_SEGMENT_NORMALS = _frozen([[-1.0], [1.0]])
+_SEGMENT_MEASURES = _frozen([1.0, 1.0])
+_SEGMENT_EDGES = _frozen([[0, 1]])
+_ROTATE_CW = _frozen([1.0, -1.0])   # (y, x) * this = (y, -x): (x, y) turned by -90 degrees
+
+
 class PolytopeN:
     """Convex polytope in R^d from its vertices; facets derived by convex hull.
 
@@ -361,11 +390,10 @@ class PolytopeN:
             raise GeometryError("1d polytope is degenerate")
         self.dim = 1
         self.vertices = np.array([[lo], [hi]])
-        # facet of a segment is a point; its 0-measure is 1 by convention
-        self.facet_normals = np.array([[-1.0], [1.0]])
+        self.facet_normals = _SEGMENT_NORMALS
         self.facet_offsets = np.array([-lo, hi])
-        self.facet_measures = np.ones(2)
-        self.edges = np.array([[0, 1]])
+        self.facet_measures = _SEGMENT_MEASURES
+        self.edges = _SEGMENT_EDGES
         self.volume = hi - lo
         self.scale = ends
 
@@ -387,10 +415,11 @@ class PolytopeN:
         and edges that _merge_facets would merge come out as one. Facet rows
         are ordered as in _merge_facets; the area is (1/2) sum h_F L_F.
         """
-        order = np.argsort(np.arctan2(points[:, 1], points[:, 0]))
-        x, y = points[order, 0], points[order, 1]
+        order = np.arctan2(points[:, 1], points[:, 0]).argsort()
+        pts = points.take(order, axis=0)
+        x, y = pts[:, 0], pts[:, 1]
         r2 = x * x + y * y
-        start = int(np.argmax(r2))
+        start = int(r2.argmax())
         xs, ys = x.tolist(), y.tolist()
         tol2 = COPLANAR_TOL ** 2
         hull = []
@@ -409,23 +438,27 @@ class PolytopeN:
         m = len(hull)
         if m < 3:
             raise GeometryError("degenerate polygon: the points are collinear")
-        x, y = x[hull], y[hull]
-        nxt = np.arange(1, m + 1)
-        nxt[-1] = 0
-        ex, ey = x[nxt] - x, y[nxt] - y
-        lengths = np.hypot(ex, ey)
+        hull = np.array(hull)
+        verts = pts.take(hull, axis=0)
+        # edge i runs from vertex i to vertex i + 1 (mod m)
+        edges = (np.arange(1, 2 * m + 1) // 2).reshape(m, 2)
+        edges[-1, 1] = 0
+        e = verts.take(edges[:, 1], axis=0) - verts
+        lengths = np.hypot(e[:, 0], e[:, 1])
         # outward normal of a CCW edge is its direction rotated -90 degrees
-        nx, ny = ey / lengths, -ex / lengths
-        offsets = nx * x + ny * y
-        rows = np.lexsort((np.round(ny, 12), np.round(nx, 12)))
+        normals = e[:, ::-1] * _ROTATE_CW / lengths[:, None]
+        nv = normals * verts
+        offsets = nv[:, 0] + nv[:, 1]
+        key = normals.round(12)
+        rows = np.lexsort((key[:, 1], key[:, 0]))
         poly = cls.__new__(cls)
         poly.dim = 2
-        poly.vertices = np.column_stack([x, y])
-        poly.facet_normals = np.column_stack([nx[rows], ny[rows]])
-        poly.facet_offsets, poly.facet_measures = offsets[rows], lengths[rows]
+        poly.vertices = verts
+        poly.facet_normals = normals.take(rows, axis=0)
+        poly.facet_offsets, poly.facet_measures = offsets.take(rows), lengths.take(rows)
         poly.volume = 0.5 * float(offsets @ lengths)
-        poly.edges = np.column_stack([np.arange(m), nxt])
-        poly.scale = math.sqrt(float(np.max(r2[hull])))
+        poly.edges = edges
+        poly.scale = math.sqrt(float(r2.take(hull).max()))
         return poly
 
     def _merge_facets(self, hull, simplices):
@@ -473,6 +506,12 @@ class PolytopeN:
                         self.facet_measures.tolist()))
 
     def origin_interior(self):
+        """Whether every facet lies beyond REL_TOL * scale from the origin."""
+        return self._origin_inside
+
+    @functools.cached_property
+    def _origin_inside(self):
+        # computed on first use, once per polytope: the facet rows never change
         return float(np.min(self.facet_offsets)) > REL_TOL * self.scale
 
     def interior_distance(self, point):
@@ -508,29 +547,69 @@ class BarycentricPoint:
 # sections
 
 
-def _unit(direction):
+def _unit(direction, dim):
+    """direction / |direction| for a nonzero finite vector of shape (dim,).
+
+    The norm is sqrt(v . v), as np.linalg.norm computes it. Only a vector whose
+    v . v would underflow to 0 or overflow is first divided by max |v|, so every
+    direction with a representable v . v keeps its bits.
+    """
     v = np.asarray(direction, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0.0 or not np.isfinite(n):
-        raise GeometryError("direction must be a nonzero finite vector")
+    if v.shape != (dim,):
+        raise GeometryError(f"direction must have shape ({dim},), got {v.shape}")
+    # components below 1e150 cannot overflow v . v; larger ones are checked
+    # without numpy's overflow warning
+    if max(map(abs, v.tolist())) < 1e150:
+        n = math.sqrt(v.dot(v))
+    else:
+        with np.errstate(over="ignore"):
+            n = math.sqrt(v.dot(v))
+    if not 0.0 < n < math.inf:   # zero, underflow, overflow or not finite
+        big = float(np.max(np.abs(v)))
+        if not 0.0 < big < math.inf:
+            raise GeometryError("direction must be a nonzero finite vector")
+        v = v / big
+        n = math.sqrt(v.dot(v))
     return v / n
 
 
-def _pivoted_basis(normal):
-    """Orthonormal basis of the hyperplane orthogonal to normal (pivoted Gram-Schmidt)."""
-    nu = _unit(normal)
+def _pivoted_basis(nu):
+    """Orthonormal basis of the hyperplane orthogonal to the unit vector nu
+    (pivoted Gram-Schmidt), as the columns of a C-ordered (d, d - 1) array.
+
+    nu is normalised once more, then the axes are taken most orthogonal first:
+    w = e_axis - sum_b (e_axis . b) b over the basis so far, kept if |w| > 1e-8.
+    The one-hot dot product e_axis . b is b[axis], and 0.0 - s equals e_axis - s
+    off the axis, zero signs included. The dot products w . w stay on numpy
+    (BLAS may fuse their multiply-adds), so every bit matches the textbook form.
+    """
+    norm = math.sqrt(nu.dot(nu))
     d = len(nu)
+    if d == 2:
+        # the loop below in closed form: np.argsort takes the axis of the
+        # smaller |nu_i| first, the first one on a tie, and |w|^2 >= 1/2 keeps it
+        x, y = nu.tolist()
+        x, y = x / norm, y / norm
+        axis, c = (0, x) if abs(x) <= abs(y) else (1, y)
+        w = [0.0 - c * x, 0.0 - c * y]
+        w[axis] = 1.0 - c * c
+        wa = np.array(w)
+        norm = math.sqrt(wa.dot(wa))
+        return np.array([[w[0] / norm], [w[1] / norm]])
+    nu = nu / norm
     basis = [nu]
-    for axis in np.argsort(np.abs(nu)):  # most orthogonal axes first
-        e = np.zeros(d)
-        e[axis] = 1.0
-        w = e - sum((e @ b) * b for b in basis)
-        norm = np.linalg.norm(w)
+    for axis in np.abs(nu).argsort().tolist():   # most orthogonal axes first
+        s = nu[axis] * nu
+        for b in basis[1:]:
+            s = s + b[axis] * b
+        w = 0.0 - s
+        w[axis] = 1.0 - s[axis]
+        norm = math.sqrt(w.dot(w))
         if norm > 1e-8:
             basis.append(w / norm)
-        if len(basis) == d:
-            break
-    return np.column_stack(basis[1:])
+            if len(basis) == d:
+                break
+    return np.array(basis[1:]).T.copy()
 
 
 def central_section(poly, normal):
@@ -547,29 +626,36 @@ def central_section(poly, normal):
     """
     if not isinstance(poly, PolytopeN):
         raise TypeError("central_section expects a PolytopeN")
-    if poly.dim < 2:
+    d = poly.dim
+    if d < 2:
         raise GeometryError("sections need dimension >= 2")
     if not poly.origin_interior():
         raise NotInteriorError("central section needs the origin strictly inside")
-    nu = _unit(normal)
-    heights = poly.vertices @ nu
+    nu = _unit(normal, d)
+    verts = poly.vertices
+    heights = verts @ nu
     tol = REL_TOL * poly.scale
-    on = np.abs(heights) <= tol
-    ii, jj = poly.edges[:, 0], poly.edges[:, 1]
-    hi, hj = heights[ii], heights[jj]
-    crossing = ((hi > tol) & (hj < -tol)) | ((hi < -tol) & (hj > tol))
-    a, b = ii[crossing], jj[crossing]
-    t = (hi[crossing] / (hi[crossing] - hj[crossing]))[:, None]
-    pts = poly.vertices[a] + t * (poly.vertices[b] - poly.vertices[a])
-    if np.any(on):
-        pts = np.vstack([poly.vertices[on], pts])
-    if len(pts) < poly.dim:
+    # +1 above the hyperplane, -1 below, 0 on it; an edge crosses when its
+    # two ends lie on opposite sides
+    side = np.subtract(heights > tol, heights < -tol, dtype=np.int8)
+    ends_side = side.take(poly.edges)
+    ends = poly.edges.take((ends_side[:, 0] * ends_side[:, 1] < 0).nonzero()[0], axis=0)
+    h = heights.take(ends)
+    hi = h[:, 0]
+    t = hi / (hi - h[:, 1])
+    v = verts.take(ends, axis=0)
+    vi = v[:, 0]
+    pts = vi + t[:, None] * (v[:, 1] - vi)
+    if np.count_nonzero(side) < len(side):   # vertices on the hyperplane
+        pts = np.vstack([verts[side == 0], pts])
+    if len(pts) < d:
         raise DegenerateSectionError("hyperplane misses the polytope interior")
     proj = pts @ _pivoted_basis(nu)
     try:
-        if poly.dim == 2:
-            return PolytopeN._segment(float(np.min(proj)), float(np.max(proj)))
-        if poly.dim == 3:
+        if d == 2:
+            coords = proj.ravel().tolist()
+            return PolytopeN._segment(min(coords), max(coords))
+        if d == 3:
             return PolytopeN._polygon(proj)
         return PolytopeN(proj)
     except GeometryError as exc:

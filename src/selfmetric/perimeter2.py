@@ -32,17 +32,18 @@ class Perimeter2Result:
     node_count: int | None = None
 
 
-def _polygon_ray_lengths(poly, center, directions):
-    """Exit distances from center along each unit direction (vectorized halfplane min),
-    the index of the edge each ray exits through, and the edge slacks h_j - n_j.p."""
+def _polygon_ray_lengths(poly, center, backward=False):
+    """Exit distances from center along each edge tangent, reversed if backward
+    (vectorized halfplane min), the index of the edge each ray exits through,
+    and the edge slacks h_j - n_j.p."""
     p = np.asarray(center, dtype=float)
     # an infinite center makes 0 * inf = NaN slacks; "not > 0" rejects those too
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):
         num = poly.offsets - poly.normals @ p
-        if not np.min(num) > 0.0:
-            raise NotInteriorError("center is not strictly inside the polygon")
-        den = directions @ poly.normals.T          # (ndir, nedges)
-        t = np.where(den > 0.0, num[None, :] / den, np.inf)
+    if not np.min(num) > 0.0:
+        raise NotInteriorError("center is not strictly inside the polygon")
+    den, ahead = poly.ray_tables[backward]
+    t = np.divide(num, den, out=np.full(den.shape, np.inf), where=ahead)
     exits = np.argmin(t, axis=1)
     return t[np.arange(len(t)), exits], exits, num
 
@@ -78,11 +79,11 @@ def polygon_perimeter_subgradient(poly, center, variant):
     if variant not in ("directed", "busemann"):
         raise GeometryError(f"variant must be directed or busemann, got {variant!r}")
     lengths, normals = poly.edge_lengths, poly.normals
-    fwd, j_fwd, slack = _polygon_ray_lengths(poly, center, poly.tangents)
+    fwd, j_fwd, slack = _polygon_ray_lengths(poly, center)
     if variant == "directed":
         value = float(np.sum(lengths / fwd))
         return value, (lengths / (fwd * slack[j_fwd])) @ normals[j_fwd]
-    bwd, j_bwd, _ = _polygon_ray_lengths(poly, center, -poly.tangents)
+    bwd, j_bwd, _ = _polygon_ray_lengths(poly, center, backward=True)
     chords = fwd + bwd
     value = float(np.sum(2.0 * lengths / chords))
     w = 2.0 * lengths / chords ** 2

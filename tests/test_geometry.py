@@ -270,10 +270,87 @@ def test_central_section_of_a_cube_is_a_square():
     (lambda: interval(), [1.0], GeometryError),
     (lambda: cube(3), [0.0, 0.0, 0.0], GeometryError),
     (lambda: cube(3), [NAN, 0.0, 1.0], GeometryError),
-], ids=["origin-outside", "dim-one", "zero-normal", "nan-normal"])
+    (lambda: cube(3), [INF, 0.0, 1.0], GeometryError),
+    (lambda: cube(3), [0.0, 1.0], GeometryError),
+    (lambda: cube(3), [0.0, 0.0, 1.0, 0.0], GeometryError),
+    (lambda: cube(3), [[0.0, 0.0, 1.0]], GeometryError),
+    (lambda: polygon_as_polytope(regular_polygon(4)), 1.0, GeometryError),
+], ids=["origin-outside", "dim-one", "zero-normal", "nan-normal", "inf-normal", "short-normal",
+        "long-normal", "matrix-normal", "scalar-normal"])
 def test_central_section_rejects_bad_input(poly, normal, error):
     with pytest.raises(error):
         central_section(poly(), normal)
+
+
+@pytest.mark.parametrize("normal", [[1e308, 1e308, 0.0], [1e-320, 0.0, 0.0],
+                                    [0.0, -1e-310, 3e-310], [1e200, -1e-200, 0.0]],
+                         ids=["overflow", "underflow", "subnormal", "wide-range"])
+def test_central_section_rescales_extreme_normals(normal):
+    # v . v overflows to inf or underflows to 0: the direction is divided by
+    # max |v| first (no RuntimeWarning, which fails the test) and then cut
+    # exactly like the rescaled vector
+    v = np.array(normal)
+    got = central_section(cube(3), v)
+    want = central_section(cube(3), v / np.max(np.abs(v)))
+    assert got.volume == want.volume
+    assert np.array_equal(got.vertices, want.vertices)
+
+
+# _pivoted_basis(nu) as computed by the textbook Gram-Schmidt form (one-hot
+# dot products, numpy throughout); float.hex keeps the sign of a zero. Rows:
+# normals with -0.0 components, ties |nu_0| = |nu_1| in 2-D and 3-D (and a
+# three-way tie), then normals with norm 1 - 1 ulp and 1 + 1 ulp in 2-D and
+# 3-D, which only the second normalisation of nu sees
+PINNED_BASES = [
+    ([-0.0, 1.0], [["0x1.0000000000000p+0"], ["0x0.0p+0"]]),
+    ([0.0, -1.0], [["0x1.0000000000000p+0"], ["0x0.0p+0"]]),
+    ([-0.0, -1.0], [["0x1.0000000000000p+0"], ["0x0.0p+0"]]),
+    ([1.0, -0.0], [["0x0.0p+0"], ["0x1.0000000000000p+0"]]),
+    ([-1.0, -0.0], [["0x0.0p+0"], ["0x1.0000000000000p+0"]]),
+    ([0.6, 0.6], [["0x1.6a09e667f3bcep-1"], ["-0x1.6a09e667f3bcbp-1"]]),
+    ([-0.6, 0.6], [["0x1.6a09e667f3bcep-1"], ["0x1.6a09e667f3bcbp-1"]]),
+    ([0.6, -0.6], [["0x1.6a09e667f3bcep-1"], ["0x1.6a09e667f3bcbp-1"]]),
+    ([-0.0, 0.0, 1.0], [["0x1.0000000000000p+0", "0x0.0p+0"],
+                        ["0x0.0p+0", "0x1.0000000000000p+0"], ["0x0.0p+0", "0x0.0p+0"]]),
+    ([0.0, -0.0, -1.0], [["0x1.0000000000000p+0", "0x0.0p+0"],
+                         ["0x0.0p+0", "0x1.0000000000000p+0"], ["0x0.0p+0", "0x0.0p+0"]]),
+    ([-0.0, -1.0, -0.0], [["0x1.0000000000000p+0", "0x0.0p+0"], ["0x0.0p+0", "0x0.0p+0"],
+                          ["0x0.0p+0", "0x1.0000000000000p+0"]]),
+    ([1.0, 1.0, 0.0], [["0x0.0p+0", "0x1.6a09e667f3bcep-1"],
+                       ["0x0.0p+0", "-0x1.6a09e667f3bcbp-1"], ["0x1.0000000000000p+0", "0x0.0p+0"]]),
+    ([-1.0, 1.0, -0.0], [["0x0.0p+0", "0x1.6a09e667f3bcep-1"],
+                         ["0x0.0p+0", "0x1.6a09e667f3bcbp-1"], ["0x1.0000000000000p+0", "0x0.0p+0"]]),
+    ([1.0, -1.0, 1.0], [["0x1.a20bd700c2c3cp-1", "0x1.6a09e667f3bccp-53"],
+                        ["0x1.a20bd700c2c40p-2", "0x1.6a09e667f3bc9p-1"],
+                        ["-0x1.a20bd700c2c40p-2", "0x1.6a09e667f3bcfp-1"]]),
+    ([0.5, -0.5, 0.25], [["-0x1.e2b7dddfefa66p-3", "0x1.6a09e667f3bccp-1"],
+                         ["0x1.e2b7dddfefa66p-3", "0x1.6a09e667f3bccp-1"],
+                         ["0x1.e2b7dddfefa66p-1", "0x0.0p+0"]]),
+    ([0.192179652399663, -0.9813597613533707],
+     [["0x1.f674c9613f05fp-1"], ["0x1.89957c501b090p-3"]]),
+    ([-0.9978090697238526, 0.06615935592809417],
+     [["0x1.0efd1ce091c4ep-4"], ["0x1.fee0d4943b755p-1"]]),
+    ([0.1281075299652227, -0.9652240879182925, -0.22788356866722462],
+     [["0x1.fbc80101d69f5p-1", "-0x1.0709bba943e51p-58"],
+      ["0x1.feb03ef1eb178p-4", "-0x1.d69540bd59ddbp-3"],
+      ["0x1.e24825bbb1161p-6", "0x1.f24cf35c3d5b4p-1"]]),
+    ([0.6392819468472682, 0.38742194931320134, -0.6642460580428958],
+     [["-0x1.1319c473cc6c9p-2", "0x1.70e78d2e8c245p-1"],
+      ["0x1.d8039afef3f30p-1", "0x1.634cf5fd3f12dp-55"],
+      ["0x1.1dd7e906f1b03p-2", "0x1.630a43e086bd3p-1"]]),
+]
+
+
+@pytest.mark.parametrize("normal, want", PINNED_BASES)
+def test_pivoted_basis_is_bit_identical(normal, want):
+    basis = geometry._pivoted_basis(np.array(normal))
+    assert basis.flags.c_contiguous   # the layout decides the BLAS kernel of pts @ basis
+    assert [[x.hex() for x in row] for row in basis.tolist()] == want
+
+
+def test_pinned_norms_are_one_ulp_off():
+    norms = [math.sqrt(np.dot(n, n)) for n, _ in PINNED_BASES[-4:]]
+    assert norms == [math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)] * 2
 
 
 def test_collinear_section_raises():

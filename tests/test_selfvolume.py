@@ -166,6 +166,34 @@ def test_planar_self_volume_is_bit_identical(i):
     assert self_volume_recursive(_pinned_polygon(i)).value == PINNED_POLYGON_VALUES[i]
 
 
+def _mapped(body, seed):
+    return affine_image(body, np.random.default_rng(seed).normal(size=(body.dim, body.dim)))
+
+
+def _ccs4():
+    p = np.random.default_rng(44).normal(size=(7, 4))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    return PolytopeN(np.vstack([p, -p]))
+
+
+# self_volume_recursive values taken with the textbook section kernel (one-hot
+# dot products, numpy throughout); every bit must stay
+PINNED_BODIES = {"mapped-cube4": lambda: _mapped(cube(4), 41),
+                 "mapped-cube5": lambda: _mapped(cube(5), 42),
+                 "mapped-icosphere2": lambda: _mapped(icosphere(2), 43), "ccs4": _ccs4}
+PINNED_BODY_VALUES = {"mapped-cube4": 16.000000138899154, "mapped-cube5": 32.00000015978784,
+                      "mapped-icosphere2": 4.216549703589156, "ccs4": 7.470242021175242}
+
+
+@pytest.mark.parametrize("name", PINNED_BODIES)
+def test_self_volume_is_bit_identical(name):
+    assert self_volume_recursive(PINNED_BODIES[name]()).value == PINNED_BODY_VALUES[name]
+
+
+def test_surface_measure_is_bit_identical():
+    assert SurfaceMeasure(_mapped(cube(4), 41)).total_mass == 64.0000005555966
+
+
 def test_origin_must_be_interior():
     shifted = PolytopeN(cube(2).vertices + 5.0)
     with pytest.raises(NotInteriorError):
