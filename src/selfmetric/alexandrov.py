@@ -74,13 +74,7 @@ class FourierDensity:
     """
 
     def __init__(self, ks, coeffs, epsilon):
-        ks = np.asarray(ks, dtype=int)
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if ks.ndim != 1 or ks.shape != coeffs.shape:
-            raise FourierDensityError("ks and coeffs must be 1d arrays of equal length")
-        if len(np.unique(ks)) != len(ks):
-            raise FourierDensityError("duplicate harmonic index")
-        if np.any(ks == 0):
+        if np.any(np.equal(ks, 0)):
             raise FourierDensityError("k=0 is excluded: the constant shift is not part of the density")
         epsilon = float(epsilon)
         if not np.isfinite(epsilon) or epsilon < 0.0:
@@ -136,18 +130,15 @@ class Phi0Result:
 def solve_phi0(phi_p, nodes=GRID_NODES):
     """Constant shift balancing the signed square roots of the aligned part.
 
-    Accepts a FourierDensity or raw samples on a uniform circle grid. Bisects
-    the imbalance over [min - 1, max + 1]; an identically zero input returns
+    phi_p is a FourierDensity, sampled on the uniform circle grid of `nodes`.
+    Bisects the imbalance over [min - 1, max + 1]; a zero density returns
     value 0.0 with trivial=True instead of bisecting.
     """
-    if isinstance(phi_p, FourierDensity):
-        if phi_p.is_zero():
-            return Phi0Result(0.0, True, 0.0)
-        vals = phi_p.evaluate(circle_grid(nodes))
-    else:
-        vals = np.asarray(phi_p, dtype=float)
-        if float(np.max(np.abs(vals))) <= 1e-15:
-            return Phi0Result(0.0, True, 0.0)
+    if not isinstance(phi_p, FourierDensity):
+        raise TypeError("solve_phi0 expects a FourierDensity")
+    if phi_p.is_zero():
+        return Phi0Result(0.0, True, 0.0)
+    vals = phi_p.evaluate(circle_grid(nodes))
     lo = float(np.min(vals)) - 1.0
     hi = float(np.max(vals)) + 1.0
     g = np.inf
@@ -173,15 +164,15 @@ def _snap_small(values):
     return np.where(np.abs(values) < 1e-12 * cap, 0.0, values)
 
 
-def cusp_exclusion_mask(s, guard=CUSP_GUARD):
-    """Boolean mask dropping `guard` nodes on each side of every sign change of s."""
+def cusp_exclusion_mask(s):
+    """Boolean mask dropping CUSP_GUARD nodes on each side of every sign change of s."""
     s = np.asarray(s, dtype=float)
     n = len(s)
     sgn = np.sign(s)
     mask = np.ones(n, dtype=bool)
     flips = np.nonzero(sgn != np.roll(sgn, -1))[0]
     for j in flips:
-        for d in range(-guard + 1, guard + 1):
+        for d in range(1 - CUSP_GUARD, CUSP_GUARD + 1):
             mask[(j + d) % n] = False
     return mask
 

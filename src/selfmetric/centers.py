@@ -73,14 +73,14 @@ def optimal_center_2d(poly, variant="directed", start=None):
     f - |A'g| bounds the minimum from below; at a center outside the polygon
     the most violated edge gives a central cut. The loop stops when the best
     value is within GAP_TOL (relative) of the best lower bound and returns
-    the perimeter function's own value at the best center; hitting MAX_ITER
-    raises ConvergenceError carrying the best iterate.
+    the best center with its value; hitting MAX_ITER raises ConvergenceError
+    carrying the best iterate.
 
     Returns a CenterResult; gap is the certified bound on value - minimum.
     """
     if not isinstance(poly, Polygon2):
         raise TypeError("optimal_center_2d expects a Polygon2")
-    perimeter = _perimeter(variant)
+    _perimeter(variant)   # rejects an unknown variant
     c = np.asarray(start, dtype=float) if start is not None else poly.centroid
     if not poly.interior_distance(c) > 0.0:   # NaN for a NaN/inf start
         raise NotInteriorError("start point is not strictly inside the polygon")
@@ -101,8 +101,7 @@ def optimal_center_2d(poly, variant="directed", start=None):
             width = math.hypot(*(axes.T @ g))
             lower = max(lower, f - width)
             if fbest - lower <= GAP_TOL * fbest:
-                return CenterResult(best, perimeter(poly, best).value, iterations, variant,
-                                    fbest - lower)
+                return CenterResult(best, fbest, iterations, variant, fbest - lower)
             depth = (f - fbest) / width
         u = axes.T @ g / width
         step = axes @ u

@@ -26,7 +26,7 @@ from .geometry import (GeometryError, Polygon2, PolytopeN, RadiusProfile,
 from .perimeter2 import (MIN_NODES, busemann_perimeter_polygon, kgon_self_perimeter,
                          self_perimeter_polygon, self_perimeter_smooth)
 from .selfvolume import MAX_DIM_DEFAULT, affine_image, self_volume_recursive
-from .shapeio import ShapeFormatError, load_density, load_shape
+from .shapeio import ShapeFormatError, coeff_rows, load_density, load_shape
 
 MAX_TOLERANCE = 1e-2
 
@@ -216,8 +216,7 @@ def _cmd_alexandrov(cfg):
         "phi0": res.phi0,
         "residual": res.residual,
         "residual_classical": res.residual_classical,
-        "radius_coeffs": [[int(k), float(c.real), float(c.imag)]
-                          for k, c in zip(res.radius.ks, res.radius.coeffs)],
+        "radius_coeffs": coeff_rows(res.radius),
         "notes": list(res.notes),
         "svg": polar_svg(res.radius, title="reconstructed radius"),
     }
@@ -375,8 +374,6 @@ def build_parser():
         # options left out stay out of the namespace, so RunConfig supplies the defaults
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--out", help="output file (stdout when omitted)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--tolerance", type=float)
         return p
 
     p = add("perimeter", "self-perimeter of a body, optionally off-center")
@@ -392,6 +389,7 @@ def build_parser():
     p.add_argument("--csv", dest="facet_csv", help="also write the facet breakdown CSV")
 
     p = add("center", "perimeter-minimizing interior point of a polygon")
+    p.add_argument("--seed", type=int)
     p.add_argument("--shape", required=True)
     p.add_argument("--variant", choices=["directed", "busemann"])
     p.add_argument("--restarts", type=int)
@@ -406,11 +404,15 @@ def build_parser():
     p.add_argument("--nodes", type=int)
 
     p = add("invariance-check", "self-volume under random linear maps")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tolerance", type=float)
     p.add_argument("--shape", required=True)
     p.add_argument("--trials", type=int)
     p.add_argument("--max-dim", dest="max_dim", type=int)
 
     p = add("conjecture-search", "random search for extremal CCS self-volumes")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tolerance", type=float)
     p.add_argument("--dim", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--steps", type=int)

@@ -122,11 +122,18 @@ class DegenerateSectionError(GeometryError):
 
 
 def _conjugate_symmetric(ks, coeffs, error, scale_floor):
-    """Sort harmonics ascending and check c_{-k} = conj(c_k).
+    """Integer ks and complex coeffs as 1d arrays, sorted by k, with c_{-k} = conj(c_k).
 
-    The tolerance is 1e-12 * max(scale_floor, max |c_k|); a violation, or a
-    non-finite coefficient, raises `error`. Returns the sorted (ks, coeffs).
+    The tolerance is 1e-12 * max(scale_floor, max |c_k|); a violation, a
+    repeated k, mismatched shapes or a non-finite coefficient raises `error`.
+    Returns the sorted (ks, coeffs).
     """
+    ks = np.asarray(ks, dtype=int)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if ks.ndim != 1 or ks.shape != coeffs.shape:
+        raise error("ks and coeffs must be 1d arrays of equal length")
+    if len(np.unique(ks)) != len(ks):
+        raise error("duplicate harmonic index")
     if not np.all(np.isfinite(coeffs)):
         raise error("coefficients must be finite")
     order = np.argsort(ks)
@@ -261,26 +268,18 @@ class RadiusProfile:
     (a warning), because near-limit shapes fail it by harmless amounts.
     """
 
-    def __init__(self, ks, coeffs, check=True, warn_nonconvex=True):
-        ks = np.asarray(ks, dtype=int)
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if ks.ndim != 1 or ks.shape != coeffs.shape:
-            raise GeometryError("ks and coeffs must be 1d arrays of equal length")
-        if len(np.unique(ks)) != len(ks):
-            raise GeometryError("duplicate harmonic index in radius profile")
-        if not np.any(coeffs):
-            raise GeometryError("radius profile has no nonzero coefficient")
+    def __init__(self, ks, coeffs, check=True):
         self.ks, self.coeffs = _conjugate_symmetric(ks, coeffs, GeometryError, scale_floor=0.0)
+        if not np.any(self.coeffs):
+            raise GeometryError("radius profile has no nonzero coefficient")
         if check:
-            theta = np.linspace(0.0, 2.0 * np.pi, PROFILE_GRID, endpoint=False)
-            r = self(theta)
+            r = self(np.linspace(0.0, 2.0 * np.pi, PROFILE_GRID, endpoint=False))
             if np.min(r) <= 0.0:
                 raise GeometryError("radius profile is not strictly positive")
-            if warn_nonconvex:
-                margin = self.convexity_margin(theta=theta)
-                if margin < -REL_TOL * float(np.max(r)) ** 2:
-                    warnings.warn(f"radius profile fails the convexity check (margin {margin:.3e})",
-                                  stacklevel=2)
+            margin = self.convexity_margin()
+            if margin < -REL_TOL * float(np.max(r)) ** 2:
+                warnings.warn(f"radius profile fails the convexity check (margin {margin:.3e})",
+                              stacklevel=2)
 
     @classmethod
     def from_coeff_pairs(cls, pairs, **kwargs):
@@ -307,10 +306,9 @@ class RadiusProfile:
     def second_derivative(self, theta):
         return fourier_eval(theta, self.ks, -(self.ks ** 2) * self.coeffs)
 
-    def convexity_margin(self, theta=None):
-        """Min of r^2 + 2 r'^2 - r r'' on theta (default: PROFILE_GRID nodes); >= 0 if convex."""
-        if theta is None:
-            theta = np.linspace(0.0, 2.0 * np.pi, PROFILE_GRID, endpoint=False)
+    def convexity_margin(self):
+        """Min of r^2 + 2 r'^2 - r r'' on PROFILE_GRID nodes; >= 0 if convex."""
+        theta = np.linspace(0.0, 2.0 * np.pi, PROFILE_GRID, endpoint=False)
         r = self(theta)
         dr = self.derivative(theta)
         ddr = self.second_derivative(theta)
@@ -415,7 +413,7 @@ class PolytopeN:
         and edges that _merge_facets would merge come out as one. Facet rows
         are ordered as in _merge_facets; the area is (1/2) sum h_F L_F.
         """
-        order = np.arctan2(points[:, 1], points[:, 0]).argsort()
+        order = np.arctan2(points[:, 1], points[:, 0]).argsort(kind="stable")
         pts = points.take(order, axis=0)
         x, y = pts[:, 0], pts[:, 1]
         r2 = x * x + y * y
@@ -598,7 +596,9 @@ def _pivoted_basis(nu):
         return np.array([[w[0] / norm], [w[1] / norm]])
     nu = nu / norm
     basis = [nu]
-    for axis in np.abs(nu).argsort().tolist():   # most orthogonal axes first
+    # most orthogonal axes first, ties in axis order: numpy's default sort
+    # kind may dispatch to a SIMD sort that does not keep ties in order
+    for axis in np.abs(nu).argsort(kind="stable").tolist():
         s = nu[axis] * nu
         for b in basis[1:]:
             s = s + b[axis] * b

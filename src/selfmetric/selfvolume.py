@@ -32,7 +32,7 @@ from .geometry import (
     central_section,
 )
 
-NORMAL_QUANTUM = 1e-12   # quantization of section-normal memo keys
+ANTIPODE_TOL = 1e-12     # facets with max |u_i + u_j| below this share a section
 MAX_DIM_DEFAULT = 5      # recursion cost grows fast with dimension
 PRODUCT_VERTEX_GUARD = 100_000
 
@@ -69,19 +69,21 @@ def section_self_volume(poly, normal, chain=()):
 def _facet_terms(poly, chain):
     """Per-facet (section measure, section self-volume, contribution) arrays.
 
-    One section is built per +-normal class, in first-facet order; chain
-    carries the facet indices descended so far, for error reporting.
+    section(nu) == section(-nu) through the origin, so facet i reuses the
+    section of the first facet j < i antipodal to it (max |u_i + u_j| <
+    ANTIPODE_TOL); the others are built in facet order. chain carries the
+    facet indices descended so far, for error reporting.
     """
     u = poly.facet_normals
-    # section(nu) == section(-nu) through the origin, so the class key is the
-    # normal with its first significant component made positive, in quanta
-    first = np.argmax(np.abs(u) > 1e-9, axis=1)
-    canon = np.where(u[np.arange(len(u)), first, None] < 0.0, -u, u)
-    keys = np.round(canon / NORMAL_QUANTUM).astype(np.int64).tolist()
-    firsts = {}   # key -> first facet with it
-    rep = [firsts.setdefault(tuple(k), i) for i, k in enumerate(keys)]
-    sections = {i: section_self_volume(poly, u[i], chain + (i,)) for i in firsts.values()}
-    sec_measure, sec_omega = np.array([sections[i] for i in rep]).T
+    # u_i . u_j near -1 preselects the pairs, but cannot decide: normals within
+    # about 1.5e-8 of each other tie in the dot product
+    i, j = np.nonzero(u @ u.T < ANTIPODE_TOL - 1.0)
+    near = (np.abs(u[i] + u[j]) < ANTIPODE_TOL).all(axis=1)
+    rep = list(range(len(u)))
+    for a, b in zip(i[near].tolist(), j[near].tolist()):
+        rep[a] = min(rep[a], b)
+    sections = {k: section_self_volume(poly, u[k], chain + (k,)) for k in sorted(set(rep))}
+    sec_measure, sec_omega = np.array([sections[k] for k in rep]).T
     return sec_measure, sec_omega, poly.facet_measures * sec_omega / sec_measure
 
 

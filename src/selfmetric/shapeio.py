@@ -91,6 +91,11 @@ def _coeff_triples(raw, field):
     return out
 
 
+def coeff_rows(series):
+    """The [[k, re, im], ...] rows of a RadiusProfile's or FourierDensity's coefficients."""
+    return [[int(k), float(c.real), float(c.imag)] for k, c in zip(series.ks, series.coeffs)]
+
+
 def load_shape(path):
     with open(path) as fh:
         try:
@@ -107,9 +112,7 @@ def shape_to_dict(body):
     if isinstance(body, PolytopeN):
         return {"type": "polytope", "dim": body.dim, "vertices": body.vertices.tolist()}
     if isinstance(body, RadiusProfile):
-        coeffs = [[int(k), float(c.real), float(c.imag)]
-                  for k, c in zip(body.ks, body.coeffs)]
-        return {"type": "radius_profile", "coeffs": coeffs}
+        return {"type": "radius_profile", "coeffs": coeff_rows(body)}
     raise TypeError(f"cannot serialize {type(body).__name__}")
 
 
@@ -141,9 +144,7 @@ def load_density(path, epsilon=None):
 
 
 def density_to_dict(phi):
-    coeffs = [[int(k), float(c.real), float(c.imag)]
-              for k, c in zip(phi.ks, phi.coeffs)]
-    return {"coeffs": coeffs, "epsilon": phi.epsilon}
+    return {"coeffs": coeff_rows(phi), "epsilon": phi.epsilon}
 
 
 def bodies_equal(a, b, tol=1e-12):

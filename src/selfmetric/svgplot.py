@@ -12,18 +12,15 @@ def _path(points):
     return head + " ".join(f"L {x:.2f} {y:.2f}" for x, y in points[1:]) + " Z"
 
 
-def polar_svg(profile, reference=1.0, title=""):
+def polar_svg(profile, title=""):
     """Render r(theta) as a closed curve around the origin.
 
-    profile is a callable of theta (a RadiusProfile works); a dashed circle of
-    radius `reference` is drawn for scale, pass reference=0 to omit it.
-    Returns the SVG document as a string.
+    profile is a callable of theta (a RadiusProfile works); a dashed unit
+    circle is drawn for scale. Returns the SVG document as a string.
     """
     theta = np.linspace(0.0, 2.0 * np.pi, SAMPLES, endpoint=False)
     r = np.asarray(profile(theta), dtype=float)
-    rmax = max(float(np.max(np.abs(r))), reference if reference > 0 else 0.0)
-    if rmax <= 0.0:
-        raise ValueError("profile has no positive extent")
+    rmax = max(float(np.max(np.abs(r))), 1.0)
     half = VIEW / 2.0
     scale = (half - MARGIN) / rmax
     xs = half + scale * r * np.cos(theta)
@@ -36,12 +33,10 @@ def polar_svg(profile, reference=1.0, title=""):
         'stroke="#ccc" stroke-width="1"/>',
         f'<line x1="{half}" y1="{MARGIN}" x2="{half}" y2="{VIEW - MARGIN}" '
         'stroke="#ccc" stroke-width="1"/>',
+        f'<circle cx="{half}" cy="{half}" r="{scale:.2f}" '
+        'fill="none" stroke="#999" stroke-dasharray="4 4" stroke-width="1"/>',
+        f'<path d="{_path(list(zip(xs, ys)))}" fill="none" stroke="#1f5fa8" stroke-width="2"/>',
     ]
-    if reference > 0.0:
-        parts.append(f'<circle cx="{half}" cy="{half}" r="{scale * reference:.2f}" '
-                     'fill="none" stroke="#999" stroke-dasharray="4 4" stroke-width="1"/>')
-    parts.append(f'<path d="{_path(list(zip(xs, ys)))}" fill="none" '
-                 'stroke="#1f5fa8" stroke-width="2"/>')
     if title:
         safe = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<text x="{MARGIN}" y="{MARGIN - 6}" font-family="sans-serif" '

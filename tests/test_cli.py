@@ -244,6 +244,18 @@ def test_parser_defaults_match_run_config():
     assert RunConfig(command="invariance-check").trials == 20
 
 
+# every subcommand that reads neither --seed nor --tolerance rejects them
+@pytest.mark.parametrize("name,flag", [
+    *((name, flag) for name in ("perimeter", "volume", "kgon-table", "alexandrov")
+      for flag in ("--seed", "--tolerance")),
+    ("center", "--tolerance")])
+def test_parser_rejects_unread_flags(name, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(_argv(name) + [flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 def test_run_returns_exit_code_not_raises(tmp_path):
     cfg = RunConfig(command="perimeter", shape=str(tmp_path / "missing.json"))
     assert run(cfg) == 1

@@ -353,6 +353,18 @@ def test_pinned_norms_are_one_ulp_off():
     assert norms == [math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)] * 2
 
 
+def test_pivoted_basis_takes_tied_axes_in_axis_order():
+    # |nu| ties on axes 0, 1 and on axes 2, 3. A stable sort takes them as
+    # 2, 3, 0, 1 on every CPU; numpy's default kind, dispatched to an
+    # AVX-512 sort, gave 3, 2, 1, 0 and so another frame
+    basis = geometry._pivoted_basis(np.array([1.0, 1.0, 0.0, 0.0]))
+    assert [[x.hex() for x in row] for row in basis.tolist()] == [
+        ["0x0.0p+0", "0x0.0p+0", "0x1.6a09e667f3bcep-1"],
+        ["0x0.0p+0", "0x0.0p+0", "-0x1.6a09e667f3bcbp-1"],
+        ["0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0"],
+        ["0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"]]
+
+
 def test_collinear_section_raises():
     # a cube squashed into the plane y = 0 (its facet rows kept, so the origin
     # still counts as interior): the plane z = 0 meets it in a line

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from common import random_ccs_polygon, random_polygon_with_origin
+from selfmetric import selfvolume
 from selfmetric.alexandrov import SurfaceMeasure
 from selfmetric.geometry import (REL_TOL, GeometryError, NotInteriorError, PolytopeN,
                                  cube, icosphere, interval, polygon_as_polytope,
@@ -47,6 +48,23 @@ def test_result_facet_breakdown_sums_to_value():
         for c in res.facet_contributions:
             total += c.contribution
         assert res.value == total / res.dim
+
+
+def test_antipodal_facets_share_one_section(monkeypatch):
+    # the top and bottom edges of this quadrilateral have normals antipodal
+    # within 2.2e-14 that round to different multiples of 1e-12, so keys
+    # quantised to 1e-12 would give them two sections
+    poly = PolytopeN([[1.0, 1.0], [-1.0, 1.449], [-1.5, -0.66324999999993],
+                      [1.5, -1.3367499999999999]])
+    top, bottom = poly.facet_normals[2], poly.facet_normals[1]
+    assert np.max(np.abs(top + bottom)) < 1e-12
+    assert np.any(np.round(top / 1e-12) != np.round(-bottom / 1e-12))
+    built = []
+    section = selfvolume.central_section
+    monkeypatch.setattr(selfvolume, "central_section",
+                        lambda p, normal: built.append(normal) or section(p, normal))
+    self_volume_recursive(poly)
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -106,8 +106,5 @@ def test_polar_svg_structure():
     assert svg.rstrip().endswith("</svg>")
     assert 'width="480"' in svg
     assert "a &lt; b" in svg
-    assert "stroke-dasharray" in svg   # reference circle
-
-    plain = polar_svg(prof, reference=0.0)
-    assert "stroke-dasharray" not in plain
-    assert "<text" not in plain
+    assert "stroke-dasharray" in svg   # unit circle
+    assert "<text" not in polar_svg(prof)
