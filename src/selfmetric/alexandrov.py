@@ -86,16 +86,13 @@ class FourierDensity:
     @classmethod
     def from_pairs(cls, pairs, epsilon):
         """Build from [(k, re, im), ...]; missing negative harmonics are mirrored."""
-        return cls(*_mirrored_pairs(pairs, FourierDensityError), epsilon)
+        return cls(*_mirrored_pairs(pairs), epsilon)
 
     def evaluate(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if len(self.ks) == 0:
-            return np.zeros_like(theta)
         return fourier_eval(theta, self.ks, self.coeffs)
 
     def is_zero(self):
-        return len(self.ks) == 0 or float(np.max(np.abs(self.coeffs))) <= 1e-15
+        return float(np.max(np.abs(self.coeffs), initial=0.0)) <= 1e-15
 
 
 def split_harmonics(phi):
@@ -231,11 +228,7 @@ def second_order(phi):
     component is fixed to zero for reproducibility.
     """
     _, phi_u = split_harmonics(phi)
-    if np.any(phi_u.ks % 4 == 0):
-        raise RuntimeError("internal: aligned harmonic reached the spectral division")
     lam = np.array([shift_eigenvalue(k) for k in phi_u.ks], dtype=complex)
-    if len(lam) == 0:
-        return phi_u.ks.copy(), phi_u.coeffs.copy()
     return phi_u.ks.copy(), phi_u.coeffs / lam
 
 
@@ -280,8 +273,11 @@ def reconstruct(phi, sign=1, nodes=GRID_NODES):
     """Solve the inverse problem to two perturbative orders.
 
     eps = 0 returns the unit disk with zero residual. Otherwise the aligned
-    part must be nonzero (FourierDensityError if not); both sign branches are
-    valid and give mirror-image bodies.
+    part must be nonzero (FourierDensityError if not). Both sign branches are
+    valid: they share phi0 and zeta2, and their zeta1 are exact negatives. For
+    real aligned coefficients zeta1 is odd up to rounding, so the branches are
+    mirror images under theta -> -theta at leading order only; zeta2 is the
+    same on both and need not be even.
     """
     theta = circle_grid(nodes)
     eps = phi.epsilon
@@ -296,7 +292,7 @@ def reconstruct(phi, sign=1, nodes=GRID_NODES):
             "no quarter-turn-aligned harmonics: the leading slope field is identically zero")
     z1 = leading_order(phi, sign=sign, nodes=nodes, phi0=p0.value)
     ks2, c2 = second_order(phi)
-    z2 = fourier_eval(theta, ks2, c2) if len(ks2) else np.zeros_like(theta)
+    z2 = fourier_eval(theta, ks2, c2)
     samples = np.exp(np.sqrt(eps) * z1 + eps * z2)
     notes = []
     with warnings.catch_warnings(record=True) as caught:

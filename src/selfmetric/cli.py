@@ -29,6 +29,8 @@ from .selfvolume import MAX_DIM_DEFAULT, affine_image, self_volume_recursive
 from .shapeio import ShapeFormatError, coeff_rows, load_density, load_shape
 
 MAX_TOLERANCE = 1e-2
+SIGNS = ("plus", "minus")
+VARIANTS = {"perimeter": ("directed", "busemann", "both"), "center": ("directed", "busemann")}
 
 
 @dataclass
@@ -60,18 +62,28 @@ class RunConfig:
             self.trials = 10 if self.command == "conjecture-search" else 20
 
     def validate(self):
-        if self.nodes < MIN_NODES:
+        """Check the values that self.command reads; the other fields are not used."""
+        cmd = self.command
+        if cmd in ("perimeter", "alexandrov") and self.nodes < MIN_NODES:
             raise ValueError(f"nodes must be at least {MIN_NODES}, got {self.nodes}")
-        if not 0.0 < self.tolerance <= MAX_TOLERANCE:
+        if cmd in ("invariance-check", "conjecture-search") \
+                and not 0.0 < self.tolerance <= MAX_TOLERANCE:
             raise ValueError(f"tolerance must lie in (0, {MAX_TOLERANCE}], got {self.tolerance}")
-        if self.restarts < 1:
+        if cmd in VARIANTS and self.variant not in VARIANTS[cmd]:
+            *head, last = VARIANTS[cmd]
+            raise ValueError(f"variant must be {', '.join(head)} or {last}")
+        if cmd == "alexandrov" and self.sign not in SIGNS:
+            raise ValueError(f"sign must be plus or minus, got {self.sign!r}")
+        if cmd == "center" and self.restarts < 1:
             raise ValueError("restarts must be positive")
-        if self.command == "kgon-table" and self.k_max < 3:
+        if cmd == "kgon-table" and self.k_max < 3:
             raise ValueError("k-max must be at least 3")
-        if self.command == "conjecture-search" and not 2 <= self.dim <= 4:
+        if cmd == "conjecture-search" and not 2 <= self.dim <= 4:
             raise ValueError("conjecture search supports dimensions 2 to 4")
-        if self.trials < 1 or self.steps < 0:
-            raise ValueError("trials must be positive and steps nonnegative")
+        if cmd in ("invariance-check", "conjecture-search") and self.trials < 1:
+            raise ValueError("trials must be positive")
+        if cmd == "conjecture-search" and self.steps < 0:
+            raise ValueError("steps must be nonnegative")
 
 
 def _fmt(x):
@@ -176,8 +188,6 @@ def _cmd_center(cfg):
     body = load_shape(cfg.shape)
     if not isinstance(body, Polygon2):
         raise ValueError('center optimization needs a shape of type "polygon2"')
-    if cfg.variant not in ("directed", "busemann"):
-        raise ValueError("variant must be directed or busemann")
 
     def solve(i):
         run_seed = cfg.seed + i
@@ -379,7 +389,7 @@ def build_parser():
     p = add("perimeter", "self-perimeter of a body, optionally off-center")
     p.add_argument("--shape", required=True)
     p.add_argument("--center", help="x,y base point (polygons; default centroid)")
-    p.add_argument("--variant", choices=["directed", "busemann", "both"])
+    p.add_argument("--variant", choices=VARIANTS["perimeter"])
     p.add_argument("--nodes", type=int)
     p.add_argument("--max-dim", dest="max_dim", type=int)
 
@@ -391,7 +401,7 @@ def build_parser():
     p = add("center", "perimeter-minimizing interior point of a polygon")
     p.add_argument("--seed", type=int)
     p.add_argument("--shape", required=True)
-    p.add_argument("--variant", choices=["directed", "busemann"])
+    p.add_argument("--variant", choices=VARIANTS["center"])
     p.add_argument("--restarts", type=int)
 
     p = add("kgon-table", "closed forms vs exact sums for regular k-gons")
@@ -400,7 +410,7 @@ def build_parser():
     p = add("alexandrov", "perturbative inverse problem for a target density")
     p.add_argument("--phi", required=True, help="density JSON file")
     p.add_argument("--epsilon", type=float, help="overrides the epsilon stored in the file")
-    p.add_argument("--sign", choices=["plus", "minus"])
+    p.add_argument("--sign", choices=SIGNS)
     p.add_argument("--nodes", type=int)
 
     p = add("invariance-check", "self-volume under random linear maps")

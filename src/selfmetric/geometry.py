@@ -125,46 +125,35 @@ def _conjugate_symmetric(ks, coeffs, error, scale_floor):
     """Integer ks and complex coeffs as 1d arrays, sorted by k, with c_{-k} = conj(c_k).
 
     The tolerance is 1e-12 * max(scale_floor, max |c_k|); a violation, a
-    repeated k, mismatched shapes or a non-finite coefficient raises `error`.
-    Returns the sorted (ks, coeffs).
+    repeated k, mismatched shapes or a non-finite coefficient raises `error`,
+    which names the first offending k in sorted order. Returns the sorted
+    (ks, coeffs).
     """
     ks = np.asarray(ks, dtype=int)
     coeffs = np.asarray(coeffs, dtype=complex)
     if ks.ndim != 1 or ks.shape != coeffs.shape:
         raise error("ks and coeffs must be 1d arrays of equal length")
-    if len(np.unique(ks)) != len(ks):
+    order = np.argsort(ks)
+    ks, coeffs = ks[order], coeffs[order]
+    if np.any(ks[1:] == ks[:-1]):
         raise error("duplicate harmonic index")
     if not np.all(np.isfinite(coeffs)):
         raise error("coefficients must be finite")
-    order = np.argsort(ks)
-    ks, coeffs = ks[order], coeffs[order]
-    cmax = float(np.max(np.abs(coeffs))) if len(coeffs) else 0.0
-    tol = 1e-12 * max(scale_floor, cmax)
-    lookup = dict(zip(ks.tolist(), coeffs))
-    for k, c in lookup.items():
-        mate = lookup.get(-k)
-        if mate is None or abs(np.conj(c) - mate) > tol:
-            raise error(f"coefficients are not conjugate-symmetric at k={k}")
+    tol = 1e-12 * max(scale_floor, float(np.max(np.abs(coeffs), initial=0.0)))
+    # the slot of -k in the sorted ks, clipped where -k exceeds every k
+    mate = np.minimum(np.searchsorted(ks, -ks), len(ks) - 1)
+    bad = (ks[mate] != -ks) | (np.abs(np.conj(coeffs) - coeffs[mate]) > tol)
+    if np.any(bad):
+        raise error(f"coefficients are not conjugate-symmetric at k={ks[np.argmax(bad)]}")
     return ks, coeffs
 
 
-def _mirrored_pairs(pairs, error):
-    """(ks, coeffs) from [(k, re, im), ...], mirroring each missing negative harmonic.
-
-    A repeated k must repeat its coefficient; a conflicting repeat raises `error`.
-    """
-    lookup = {}
-    for k, re, im in pairs:
-        k = int(k)
-        c = complex(re, im)
-        if k in lookup and abs(lookup[k] - c) > 1e-12 * max(1.0, abs(c)):
-            raise error(f"conflicting duplicate coefficient at k={k}")
-        lookup[k] = c
-    for k in list(lookup):
-        if -k not in lookup:
-            lookup[-k] = np.conj(lookup[k])
-    ks = np.array(sorted(lookup), dtype=int)
-    return ks, np.array([lookup[k] for k in ks])
+def _mirrored_pairs(pairs):
+    """(ks, coeffs) from [(k, re, im), ...], adding conj(c_k) at -k wherever -k is missing."""
+    ks = np.array([int(k) for k, _, _ in pairs], dtype=int)
+    coeffs = np.array([complex(re, im) for _, re, im in pairs], dtype=complex)
+    lone = ~np.isin(-ks, ks)
+    return np.append(ks, -ks[lone]), np.append(coeffs, np.conj(coeffs[lone]))
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +271,9 @@ class RadiusProfile:
                               stacklevel=2)
 
     @classmethod
-    def from_coeff_pairs(cls, pairs, **kwargs):
+    def from_coeff_pairs(cls, pairs):
         """Build from [(k, re, im), ...]; missing negative harmonics are mirrored."""
-        return cls(*_mirrored_pairs(pairs, GeometryError), **kwargs)
+        return cls(*_mirrored_pairs(pairs))
 
     @classmethod
     def from_samples(cls, values, k_max, **kwargs):

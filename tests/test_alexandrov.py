@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from common import random_ccs_polygon
 from selfmetric import alexandrov, geometry
@@ -49,6 +51,7 @@ def test_density_validation():
     empty = FourierDensity([], [], 0.01)
     assert empty.is_zero()
     assert np.all(empty.evaluate(circle_grid(8)) == 0.0)
+    assert isinstance(empty.evaluate(0.5), float) and isinstance(COS4.evaluate(0.5), float)
 
 
 def test_density_evaluates_real_cosine():
@@ -169,6 +172,8 @@ def test_second_order_inverts_the_shift_operator():
 def test_second_order_empty_when_all_aligned():
     ks, coeffs = second_order(COS4)
     assert len(ks) == 0 and len(coeffs) == 0
+    zeta2 = reconstruct(COS4, nodes=256).zeta2
+    assert zeta2.dtype == float and np.array_equal(zeta2, np.zeros(256))
 
 
 def test_cusp_mask_single_crossing_pair():
@@ -262,6 +267,30 @@ def test_reconstruct_both_sign_branches():
     minus = reconstruct(phi, sign=-1, nodes=1024)
     assert np.array_equal(minus.zeta1, -plus.zeta1)
     assert plus.residual <= 5.0 * eps and minus.residual <= 5.0 * eps
+
+
+AMPLITUDE = st.floats(-0.5, 0.5).filter(lambda a: abs(a) >= 0.05)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(aligned=st.dictionaries(st.sampled_from([4, 8, 12]), AMPLITUDE, min_size=1, max_size=2),
+       imag=st.just(0.0) | st.floats(-0.3, 0.3),
+       rest=st.dictionaries(st.sampled_from([1, 2, 3, 5, 6, 7]),
+                            st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)), max_size=3),
+       eps=st.floats(1e-4, 1e-2))
+def test_reconstruct_sign_branches_share_all_but_zeta1_sign(aligned, imag, rest, eps):
+    # imag goes on the first aligned harmonic; with imag = 0 the aligned part is even
+    pairs = [(k, a, imag if i == 0 else 0.0) for i, (k, a) in enumerate(aligned.items())]
+    phi = FourierDensity.from_pairs(pairs + [(k, re, im) for k, (re, im) in rest.items()], eps)
+    plus = reconstruct(phi, sign=1, nodes=512)
+    minus = reconstruct(phi, sign=-1, nodes=512)
+    assert np.array_equal(minus.zeta1, -plus.zeta1)
+    assert np.array_equal(minus.zeta2, plus.zeta2)
+    assert minus.phi0 == plus.phi0
+    if imag == 0.0:
+        # zeta1 is odd: the branches mirror each other under theta -> -theta at leading order
+        mirrored = plus.zeta1[-np.arange(512) % 512]
+        assert np.max(np.abs(mirrored + plus.zeta1)) < 1e-12
 
 
 def test_reconstruct_notes_capture_convexity_loss():

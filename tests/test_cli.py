@@ -209,12 +209,34 @@ def test_run_config_validation_direct():
     cfg = RunConfig(command="kgon-table", k_max=2)
     with pytest.raises(ValueError):
         cfg.validate()
-    cfg = RunConfig(command="perimeter", tolerance=0.5)
+    cfg = RunConfig(command="invariance-check", tolerance=0.5)
     with pytest.raises(ValueError):
         cfg.validate()
     cfg = RunConfig(command="conjecture-search", dim=7)
     with pytest.raises(ValueError):
         cfg.validate()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"command": "alexandrov", "sign": "Plus"}, "sign must be plus or minus"),
+    ({"command": "perimeter", "variant": "bussemann"}, "variant must be directed, busemann or both"),
+    ({"command": "center", "variant": "both"}, "variant must be directed or busemann"),
+], ids=["alexandrov-sign", "perimeter-variant", "center-variant"])
+def test_run_config_rejects_unknown_choices(fields, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig(**fields).validate()
+
+
+@pytest.mark.parametrize("command, unread", [
+    ("volume", dict(nodes=4, tolerance=0.5, restarts=0, trials=0, steps=-1, sign="up",
+                    variant="none")),
+    ("perimeter", dict(tolerance=0.5, restarts=0, trials=0, steps=-1, sign="up")),
+    ("alexandrov", dict(tolerance=0.5, restarts=0, trials=0, variant="none")),
+    ("center", dict(nodes=4, tolerance=0.5, trials=0, sign="up")),
+    ("invariance-check", dict(nodes=4, restarts=0, steps=-1, variant="none")),
+], ids=["volume", "perimeter", "alexandrov", "center", "invariance-check"])
+def test_run_config_ignores_values_its_command_does_not_read(command, unread):
+    RunConfig(command=command, **unread).validate()
 
 
 # the required options of each subcommand

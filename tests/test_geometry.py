@@ -250,6 +250,28 @@ def test_non_finite_input_raises(build, error):
         build()
 
 
+@pytest.mark.parametrize("rows", [[(4, 0.05, 0.0), (4, 0.05, 0.0)],
+                                  [(4, 0.05, 0.0), (4, 0.06, 0.0)]], ids=["equal", "conflicting"])
+@pytest.mark.parametrize("build, error", [
+    (lambda rows: RadiusProfile.from_coeff_pairs([(0, 1.0, 0.0)] + rows), GeometryError),
+    (lambda rows: FourierDensity.from_pairs(rows, 0.01), FourierDensityError),
+], ids=["profile", "density"])
+def test_repeated_harmonic_rows_raise(build, error, rows):
+    with pytest.raises(error, match="duplicate harmonic index"):
+        build(rows)
+
+
+@pytest.mark.parametrize("ks, coeffs, k", [
+    ([-5, -3, 0, 3, 4, 5], np.ones(6), 4),
+    ([5, 4, 3, 0, -3, -5], np.ones(6), 4),
+    ([2, 0, -2], [2.0, 1.0, 1.0], -2),
+    ([-1, 0, 1], [0.5j, 1.0, 0.5j], -1),
+])
+def test_symmetry_error_names_first_offending_harmonic(ks, coeffs, k):
+    with pytest.raises(GeometryError, match=f"not conjugate-symmetric at k={k}$"):
+        RadiusProfile(ks, coeffs)
+
+
 def test_central_section_of_a_polygon_is_a_segment():
     # the square with vertices (+-1, 0), (0, +-1) meets the x-axis in [-1, 1]
     seg = central_section(polygon_as_polytope(regular_polygon(4)), [0.0, 1.0])
