@@ -29,7 +29,8 @@ import numpy as np
 # central_section and self_volume_recursive are not called here: they stay
 # as module bindings because perfbench/tracing.py patches them in this module
 from .geometry import (GeometryError, NotInteriorError, PolytopeN, RadiusProfile,  # noqa: F401
-                       _conjugate_symmetric, _mirrored_pairs, central_section, fourier_eval)
+                       _conjugate_symmetric, _mirrored_pairs, central_section, fourier_eval,
+                       uniform_grid)
 from .perimeter2 import smooth_density
 from .selfvolume import MAX_DIM_DEFAULT, section_self_volume, self_volume_recursive  # noqa: F401
 
@@ -61,7 +62,7 @@ def circle_grid(nodes):
     nodes = int(nodes)
     if nodes < 8 or nodes % 4 != 0:
         raise ValueError("nodes must be a multiple of 4, at least 8")
-    return np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False)
+    return uniform_grid(nodes)
 
 
 class FourierDensity:

@@ -30,11 +30,16 @@ _TWO_PI_LO = 2.4492935982947064e-16   # 2 pi - float(2 pi)
 NUFFT_CROSSOVER = 0.4
 
 
+def uniform_grid(n):
+    """The n angles 2 pi j / n, j = 0..n-1: the grid fourier_eval sums by one FFT."""
+    return np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+
+
 def fourier_eval(theta, ks, coeffs):
     """Evaluate sum_k c_k exp(i k theta) for integer harmonics ks.
 
     Returns the real part (the whole sum when c_{-k} = conj(c_k)). Scalar
-    input gives a scalar back. Two paths give the same values:
+    input gives a scalar back. Three paths give the same values:
 
     - dense: exp(1j * outer(theta, ks)) @ coeffs, chunked over theta to bound
       the outer-product temporary;
@@ -44,20 +49,35 @@ def fourier_eval(theta, ks, coeffs):
       (measured: within 4.2e-14 * sum |c_k| for theta in [0, 2 pi), max |k|
       up to 2047 and up to 8192 angles). At large |theta| both paths lose
       digits to the rounding of theta; the NUFFT reduces theta mod 2 pi in
-      two parts and stays the closer of the two to the exact sum.
+      two parts and stays the closer of the two to the exact sum;
+    - the exact grid path: where theta equals uniform_grid(n) bit for bit,
+      the sums at the exact angles 2 pi j / n are one inverse DFT of the
+      coefficients folded mod n (aliasing included), with no kernel. For
+      max |k| up to 2047 and n from 512 to 8192 it was measured within
+      2.7e-14 * sum |c_k| of those sums, and within 2.9e-13 * sum |c_k| of
+      the dense sum, whose rounded angles account for the difference.
 
-    The NUFFT runs when the dense term count len(theta) * len(ks) exceeds
-    NUFFT_CROSSOVER times fine * log2(fine) + 2w * len(theta), fine being its
-    oversampled grid. Few harmonics or few angles, and sparse spectra with far
-    harmonics, stay on the dense path and keep its exact values.
+    The dense path runs unless the dense term count len(theta) * len(ks)
+    exceeds NUFFT_CROSSOVER times fine * log2(fine) + 2w * len(theta), fine
+    being the NUFFT's oversampled grid. Few harmonics or few angles, and
+    sparse spectra with far harmonics, stay on it and keep its exact values.
+    Above the crossover the grid path takes theta = uniform_grid(n) and the
+    NUFFT every other angle set, a shifted grid included.
     """
     th = np.asarray(theta, dtype=float)
     flat = np.atleast_1d(th).ravel()
+    ks = np.asarray(ks)
     modes = 2 * int(np.max(np.abs(ks), initial=0)) + 1
     fine = 1 << (2 * modes - 1).bit_length()   # the power of two >= 2 * modes
     nufft_ops = fine * math.log2(fine) + 2 * NUFFT_HALF_WIDTH * len(flat)
     if len(flat) * len(ks) > NUFFT_CROSSOVER * nufft_ops:
-        out = _nufft_type2(flat, np.asarray(ks), coeffs, modes, fine)
+        n = len(flat)
+        if np.array_equal(flat, uniform_grid(n)):
+            spec = np.zeros(n, dtype=complex)
+            np.add.at(spec, ks % n, coeffs)
+            out = np.fft.ifft(spec, norm="forward").real
+        else:
+            out = _nufft_type2(flat, ks, coeffs, modes, fine)
     else:
         out = np.empty(flat.shape, dtype=complex)
         with np.errstate(invalid="ignore"):   # an infinite angle gives NaN, as on the NUFFT path
@@ -262,7 +282,7 @@ class RadiusProfile:
         if not np.any(self.coeffs):
             raise GeometryError("radius profile has no nonzero coefficient")
         if check:
-            r = self(np.linspace(0.0, 2.0 * np.pi, PROFILE_GRID, endpoint=False))
+            r = self(uniform_grid(PROFILE_GRID))
             if np.min(r) <= 0.0:
                 raise GeometryError("radius profile is not strictly positive")
             margin = self.convexity_margin()
@@ -297,7 +317,7 @@ class RadiusProfile:
 
     def convexity_margin(self):
         """Min of r^2 + 2 r'^2 - r r'' on PROFILE_GRID nodes; >= 0 if convex."""
-        theta = np.linspace(0.0, 2.0 * np.pi, PROFILE_GRID, endpoint=False)
+        theta = uniform_grid(PROFILE_GRID)
         r = self(theta)
         dr = self.derivative(theta)
         ddr = self.second_derivative(theta)

@@ -19,6 +19,7 @@ from .geometry import (
     NotInteriorError,
     Polygon2,
     RadiusProfile,
+    uniform_grid,
 )
 
 MIN_NODES = 64  # coarsest admissible quadrature grid
@@ -117,7 +118,7 @@ def self_perimeter_smooth(profile, nodes=512):
     nodes = int(nodes)
     if nodes < MIN_NODES:
         raise GeometryError(f"need at least {MIN_NODES} quadrature nodes, got {nodes}")
-    theta = np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False)
+    theta = uniform_grid(nodes)
     value = float(np.mean(smooth_density(profile, theta)) * 2.0 * np.pi)
     return Perimeter2Result(value, "directed", "quadrature", node_count=nodes)
 

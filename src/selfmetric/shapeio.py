@@ -22,6 +22,7 @@ from .alexandrov import FourierDensity
 from .geometry import Polygon2, PolytopeN, RadiusProfile
 
 SHAPE_TYPES = ("polygon2", "polytope", "radius_profile")
+_K_MAX = np.iinfo(np.int64).max   # k and -k both fit the int64 harmonic arrays
 
 
 class ShapeFormatError(ValueError):
@@ -87,6 +88,8 @@ def _coeff_triples(raw, field):
         k = row[0]
         _require(isinstance(k, int) and not isinstance(k, bool),
                  "harmonic index must be an integer", f"{field}[{i}][0]")
+        _require(abs(k) <= _K_MAX, f"harmonic index must satisfy |k| <= {_K_MAX}",
+                 f"{field}[{i}][0]")
         out.append((k, _number(row[1], f"{field}[{i}][1]"), _number(row[2], f"{field}[{i}][2]")))
     return out
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .geometry import uniform_grid
+
 VIEW = 480           # square viewport edge in px
 MARGIN = 24
 SAMPLES = 720        # points on the plotted curve
@@ -18,7 +20,7 @@ def polar_svg(profile, title=""):
     profile is a callable of theta (a RadiusProfile works); a dashed unit
     circle is drawn for scale. Returns the SVG document as a string.
     """
-    theta = np.linspace(0.0, 2.0 * np.pi, SAMPLES, endpoint=False)
+    theta = uniform_grid(SAMPLES)
     r = np.asarray(profile(theta), dtype=float)
     rmax = max(float(np.max(np.abs(r))), 1.0)
     half = VIEW / 2.0

@@ -184,6 +184,22 @@ def test_shape_format_error_carries_field(tmp_path):
     assert err["type"] == "shape-format" and err["field"] == "vertices"
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("perimeter", {"type": "radius_profile", "coeffs": [[0, 1.0, 0.0], [10 ** 20, 0.01, 0.0]]}),
+    ("perimeter", {"type": "radius_profile", "coeffs": [[0, 1.0, 0.0], [-2 ** 63, 0.01, 0.0]]}),
+    ("alexandrov", {"coeffs": [[4, 0.5, 0.0], [10 ** 20, 0.01, 0.0]], "epsilon": 0.001}),
+])
+def test_out_of_range_harmonic_is_shape_format_error(tmp_path, capsys, command, doc):
+    path = tmp_path / "big_k.json"
+    path.write_text(json.dumps(doc))
+    field = "shape" if command == "perimeter" else "phi"
+    assert run(RunConfig(command=command, **{field: str(path)})) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = json.loads(out.err)["error"]
+    assert err["type"] == "shape-format" and err["field"] == "coeffs[1][0]"
+
+
 @pytest.mark.parametrize("center", ["nan,0.2", "inf,0.2"])
 def test_non_finite_polygon_center_is_geometry_error(shapes, center):
     out = invoke(["perimeter", "--shape", str(shapes / "tri.json"), "--center", center,

@@ -12,8 +12,8 @@ from selfmetric.centers import optimal_center_2d
 from selfmetric.geometry import (BarycentricPoint, GeometryError, NotInteriorError,
                                  Polygon2, PolytopeN, RadiusProfile, central_section,
                                  cube, fourier_eval, icosphere, interval,
-                                 polygon_as_polytope, regular_polygon)
-from selfmetric.perimeter2 import triangle_perimeters
+                                 polygon_as_polytope, regular_polygon, uniform_grid)
+from selfmetric.perimeter2 import smooth_density, triangle_perimeters
 from selfmetric.selfvolume import (affine_image, cartesian_product, self_volume_recursive,
                                    simplex_self_volume)
 
@@ -124,6 +124,90 @@ def test_fourier_eval_agrees_with_the_dense_sum(case):
         assert isinstance(got, float)
     assert np.shape(got) == np.shape(theta)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(coeffs))
+
+
+def _chunked_dense_reference(theta, ks, coeffs):
+    """_dense_reference in blocks of 512 angles, so 8192 x 4095 terms stay small."""
+    return np.concatenate([_dense_reference(theta[lo:lo + 512], ks, coeffs)
+                           for lo in range(0, len(theta), 512)])
+
+
+@pytest.mark.parametrize("n, kmax", [(512, 2047), (720, 300), (2048, 700), (8192, 128)])
+def test_fourier_eval_takes_the_grid_path_only_on_the_exact_grid(nufft_calls, n, kmax):
+    rng = np.random.default_rng(n)
+    ks, coeffs = _symmetric_spectrum(rng, np.arange(1, kmax + 1))
+    bound = 1e-12 * np.sum(np.abs(coeffs))
+    grid = uniform_grid(n)
+    got = fourier_eval(grid, ks, coeffs)
+    assert nufft_calls == []
+    assert np.max(np.abs(got - _chunked_dense_reference(grid, ks, coeffs))) <= bound
+    nudged = grid.copy()
+    nudged[n // 3] = np.nextafter(nudged[n // 3], 4.0)
+    closed = np.linspace(0.0, 2.0 * np.pi, n, endpoint=True)
+    for theta in (nudged, closed, grid + 0.25):
+        got = fourier_eval(theta, ks, coeffs)
+        assert np.max(np.abs(got - _chunked_dense_reference(theta, ks, coeffs))) <= bound
+    # the same sizes and spectrum, so only the angles kept the grid call off the NUFFT
+    assert nufft_calls == [n, n, n]
+
+
+@st.composite
+def grid_cases(draw):
+    """Grid size and spectrum, max |k| up to 2047 so small grids alias."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.sampled_from([512, 720, 2048, 8192]))
+    kmax = draw(st.sampled_from([40, 128, 700, 2047]))
+    positive = np.arange(1, kmax + 1)
+    if draw(st.booleans()):
+        positive = np.sort(rng.choice(positive, size=max(1, kmax // 6), replace=False))
+    ks, coeffs = _symmetric_spectrum(rng, positive)
+    coeffs = draw(st.sampled_from([coeffs, 1j * ks * coeffs, -(ks ** 2) * coeffs]))
+    return n, ks, coeffs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(grid_cases())
+def test_fourier_eval_on_the_grid_agrees_with_the_dense_sum(case):
+    n, ks, coeffs = case
+    grid = uniform_grid(n)
+    got = fourier_eval(grid, ks, coeffs)
+    total = np.sum(np.abs(coeffs))
+    rows = np.arange(0, n, n // 512)   # 512 angles of each grid keep the references small
+    want = _dense_reference(grid[rows], ks, coeffs)
+    assert np.max(np.abs(got[rows] - want)) <= 1e-12 * total
+    # the sum at the exact angles 2 pi j / n, phases reduced mod n in integers
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    exact = (roots[np.outer(rows, ks) % n] @ coeffs).real
+    assert np.max(np.abs(got[rows] - exact)) <= 1e-13 * total
+
+
+def test_smooth_density_on_the_grid_keeps_one_nufft_call(monkeypatch):
+    rng = np.random.default_rng(24)
+    pos = np.arange(1, 25)
+    c = 0.02 * (rng.normal(size=24) + 1j * rng.normal(size=24)) / pos ** 2
+    profile = RadiusProfile(np.concatenate([-pos[::-1], [0], pos]),
+                            np.concatenate([np.conj(c[::-1]), [1.0], c]))
+    evals, nufft_angles = [], []
+    fourier, nufft = geometry.fourier_eval, geometry._nufft_type2
+
+    def spy_eval(theta, *args):
+        evals.append(np.array(theta))
+        return fourier(theta, *args)
+
+    def spy_nufft(theta, *args):
+        nufft_angles.append(np.array(theta))
+        return nufft(theta, *args)
+
+    monkeypatch.setattr(geometry, "fourier_eval", spy_eval)
+    monkeypatch.setattr(geometry, "_nufft_type2", spy_nufft)
+    grid = uniform_grid(2048)
+    density = smooth_density(profile, grid)
+    # r and r' on the grid, then r at theta + alpha: only the last takes the NUFFT
+    assert len(evals) == 3
+    assert np.array_equal(evals[0], grid) and np.array_equal(evals[1], grid)
+    assert len(nufft_angles) == 1 and np.array_equal(nufft_angles[0], evals[2])
+    assert not np.array_equal(evals[2], grid)
+    assert np.all(np.isfinite(density)) and np.all(density > 0.0)
 
 
 def test_square_area_and_centroid():
