@@ -367,6 +367,10 @@ class SurfaceMeasure:
     def evaluate(self, directions):
         """Density at unit directions (m x dim array); rays must leave through a facet."""
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+        if dirs.ndim != 2 or dirs.shape[1] != self.dim:
+            raise GeometryError(f"directions must have shape (m, {self.dim}), got {dirs.shape}")
+        if not np.all(np.isfinite(dirs)):
+            raise GeometryError("directions must be finite")
         norms = np.linalg.norm(dirs, axis=1, keepdims=True)
         if np.any(norms <= 0.0):
             raise GeometryError("zero direction")

@@ -14,7 +14,8 @@ import io
 import json
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ from .geometry import (GeometryError, Polygon2, PolytopeN, RadiusProfile,
                        regular_polygon)
 from .perimeter2 import (MIN_NODES, busemann_perimeter_polygon, kgon_self_perimeter,
                          self_perimeter_polygon, self_perimeter_smooth)
-from .selfvolume import MAX_DIM_DEFAULT, affine_image, self_volume_recursive
+from .selfvolume import (MAX_DIM_DEFAULT, FacetContribution, affine_image,
+                         self_volume_recursive)
 from .shapeio import ShapeFormatError, coeff_rows, load_density, load_shape
 
 MAX_TOLERANCE = 1e-2
@@ -92,26 +94,24 @@ def _fmt(x):
     return "" if x is None else str(x)
 
 
-def _write_csv(path, header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
-    if path is None:
-        sys.stdout.write(buf.getvalue())
-    else:
-        Path(path).write_text(buf.getvalue())
-        print(f"wrote {path}")
-
-
-def _write_json(path, doc):
-    text = json.dumps(doc, indent=1) + "\n"
+def _emit(path, text):
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
         print(f"wrote {path}")
+
+
+def _write_csv(path, header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(x) for x in row] for row in rows)
+    _emit(path, buf.getvalue())
+
+
+def _write_json(path, doc):
+    _emit(path, json.dumps(doc, indent=1) + "\n")
 
 
 def _parse_point(text):
@@ -152,25 +152,14 @@ def _cmd_volume(cfg):
     if not isinstance(body, PolytopeN):
         raise ValueError('volume needs a shape of type "polytope" with the origin interior')
     res = self_volume_recursive(body, max_dim=cfg.max_dim)
-    doc = {
-        "value": res.value,
-        "dim": res.dim,
-        "facets": [
-            {"index": c.facet_index, "facet_measure": c.facet_measure,
-             "section_measure": c.section_measure,
-             "section_self_volume": c.section_self_volume,
-             "contribution": c.contribution}
-            for c in res.facet_contributions
-        ],
-    }
-    _write_json(cfg.out, doc)
+    # the CSV header is FacetContribution's fields; the JSON keys name the first "index"
+    header = [f.name for f in fields(FacetContribution)]
+    rows = list(map(attrgetter(*header), res.facet_contributions))
+    keys = ["index", *header[1:]]
+    _write_json(cfg.out, {"value": res.value, "dim": res.dim,
+                          "facets": [dict(zip(keys, row)) for row in rows]})
     if cfg.facet_csv:
-        _write_csv(cfg.facet_csv,
-                   ["facet_index", "facet_measure", "section_measure",
-                    "section_self_volume", "contribution"],
-                   [[c.facet_index, c.facet_measure, c.section_measure,
-                     c.section_self_volume, c.contribution]
-                    for c in res.facet_contributions])
+        _write_csv(cfg.facet_csv, header, rows)
     return 0
 
 
@@ -359,7 +348,7 @@ def run(cfg):
             return _fail("geometry", str(exc))
         except ConvergenceError as exc:
             return _fail("convergence", str(exc))
-        except FileNotFoundError as exc:
+        except OSError as exc:
             return _fail("io", str(exc))
         except (ValueError, RuntimeError) as exc:
             return _fail("config", str(exc))

@@ -313,7 +313,8 @@ class RadiusProfile:
         return fourier_eval(theta, self.ks, 1j * self.ks * self.coeffs)
 
     def second_derivative(self, theta):
-        return fourier_eval(theta, self.ks, -(self.ks ** 2) * self.coeffs)
+        # in float: int64 k**2 wraps for |k| >= 2**31.5
+        return fourier_eval(theta, self.ks, -(self.ks.astype(float) ** 2) * self.coeffs)
 
     def convexity_margin(self):
         """Min of r^2 + 2 r'^2 - r r'' on PROFILE_GRID nodes; >= 0 if convex."""

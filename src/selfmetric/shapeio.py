@@ -99,13 +99,16 @@ def coeff_rows(series):
     return [[int(k), float(c.real), float(c.imag)] for k, c in zip(series.ks, series.coeffs)]
 
 
-def load_shape(path):
+def _read_json(path):
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:   # JSONDecodeError, or bytes that are not UTF-8
             raise ShapeFormatError(f"not valid JSON: {exc}", "") from exc
-    return shape_from_dict(doc)
+
+
+def load_shape(path):
+    return shape_from_dict(_read_json(path))
 
 
 def shape_to_dict(body):
@@ -134,15 +137,10 @@ def density_from_dict(doc):
 
 
 def load_density(path, epsilon=None):
-    """Read a density file; a non-None epsilon overrides the stored scale."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ShapeFormatError(f"not valid JSON: {exc}", "") from exc
-    if epsilon is not None:
-        doc = dict(doc)
-        doc["epsilon"] = epsilon
+    """Read a density file; a non-None epsilon overrides the stored scale of an object."""
+    doc = _read_json(path)
+    if epsilon is not None and isinstance(doc, dict):
+        doc = {**doc, "epsilon": epsilon}
     return density_from_dict(doc)
 
 

@@ -358,6 +358,14 @@ def test_surface_measure_guards():
         sm.evaluate([[0.0, 0.0]])
 
 
+@pytest.mark.parametrize("directions", [
+    [np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0], [[1.0, 0.0]], [1.0, 0.0, 0.0, 0.0],
+], ids=["nan", "inf", "short", "long"])
+def test_surface_measure_rejects_bad_directions(directions):
+    with pytest.raises(GeometryError, match="directions must"):
+        SurfaceMeasure(cube(3)).evaluate(directions)
+
+
 def test_surface_measure_max_dim_bounds_the_section_dimension():
     assert SurfaceMeasure(cube(4), max_dim=3).total_mass == pytest.approx(4.0 * 16.0, rel=1e-12)
     with pytest.raises(GeometryError):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -328,3 +329,94 @@ def test_warning_is_one_json_object_on_stderr(tmp_path):
     assert list(doc) == ["warning"] and list(doc["warning"]) == ["message"]
     assert doc["warning"]["message"].startswith("radius profile fails the convexity check")
     assert ".py" not in out.stderr
+
+
+@pytest.mark.parametrize("command, field", [("volume", "shape"), ("kgon-table", "out")])
+def test_directory_path_is_io_error(tmp_path, capsys, command, field):
+    assert run(RunConfig(command=command, **{field: str(tmp_path)})) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = out.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "io" and "Is a directory" in err["message"]
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "[]"], ids=["list", "string", "empty-list"])
+@pytest.mark.parametrize("epsilon", [None, 0.01], ids=["stored", "override"])
+def test_density_document_must_be_object(tmp_path, capsys, text, epsilon):
+    path = tmp_path / "phi.json"
+    path.write_text(text)
+    assert run(RunConfig(command="alexandrov", phi=str(path), epsilon=epsilon)) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "shape-format", "message": "density document must be a JSON object",
+                   "field": ""}
+
+
+@pytest.mark.parametrize("data", [b"{not json", b'{"coeffs": "\xff"}'], ids=["syntax", "not-utf8"])
+@pytest.mark.parametrize("field", ["shape", "phi"])
+def test_invalid_json_is_shape_format_error(tmp_path, capsys, field, data):
+    path = tmp_path / "broken.json"
+    path.write_bytes(data)
+    command = "perimeter" if field == "shape" else "alexandrov"
+    assert run(RunConfig(command=command, **{field: str(path)})) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "shape-format" and err["field"] == ""
+    assert err["message"].startswith("not valid JSON: ")
+
+
+def test_volume_json_facets_match_csv_rows(tmp_path):
+    shape = tmp_path / "simplex.json"
+    shape.write_text(json.dumps({"type": "polytope", "dim": 3, "vertices": [
+        [1.0, 0.2, -0.3], [-0.4, 1.1, 0.1], [-0.5, -0.6, 0.9], [0.1, -0.3, -1.2]]}))
+    out_json, out_csv = tmp_path / "v.json", tmp_path / "f.csv"
+    assert run(RunConfig(command="volume", shape=str(shape), out=str(out_json),
+                         facet_csv=str(out_csv))) == 0
+    facets = json.loads(out_json.read_text())["facets"]
+    header, *rows = out_csv.read_text().splitlines()
+    assert header == "facet_index,facet_measure,section_measure,section_self_volume,contribution"
+    assert len(rows) == len(facets) == 4
+    for facet, row in zip(facets, rows):
+        assert list(facet) == ["index", "facet_measure", "section_measure",
+                               "section_self_volume", "contribution"]
+        index, *values = row.split(",")
+        assert int(index) == facet["index"]
+        assert [float(v) for v in values] == list(facet.values())[1:]
+
+
+@pytest.mark.parametrize("fields, summary", [
+    ({"command": "kgon-table", "k_max": 5}, None),
+    ({"command": "center", "shape": "tri.json", "restarts": 2}, "best center "),
+    ({"command": "alexandrov", "phi": "phi4.json", "nodes": 512}, "phi0 "),
+    ({"command": "volume", "shape": "cube3.json"}, None),
+], ids=["kgon-table-csv", "center-csv", "alexandrov-json", "volume-json"])
+def test_stdout_holds_the_bytes_out_writes(shapes, tmp_path, capsys, fields, summary):
+    fields = {key: str(shapes / value) if key in ("shape", "phi") else value
+              for key, value in fields.items()}
+    assert run(RunConfig(**fields)) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "result.out"
+    assert run(RunConfig(out=str(path), **fields)) == 0
+    assert path.read_text() == printed
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"wrote {path}"
+    if summary is None:
+        assert len(lines) == 1
+    else:
+        assert len(lines) == 2 and lines[1].startswith(summary)
+
+
+def test_wrapped_harmonic_profile_warns(tmp_path, capsys):
+    # k**2 = 1 mod 2**64: int64 arithmetic read r'' as -2c cos(k theta), missing the k**2
+    path = tmp_path / "wrapped.json"
+    path.write_text(json.dumps({"type": "radius_profile",
+                                "coeffs": [[0, 1.0, 0.0], [2 ** 63 - 1, 0.001, 0.0]]}))
+    with warnings.catch_warnings():   # pytest makes a UserWarning an error
+        warnings.simplefilter("always")
+        assert run(RunConfig(command="perimeter", shape=str(path))) == 0
+    out = capsys.readouterr()
+    assert out.out.splitlines()[1].startswith("wrapped,directed,quadrature,")
+    lines = out.err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["warning"]["message"]
+    assert message.startswith("radius profile fails the convexity check")

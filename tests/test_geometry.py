@@ -270,6 +270,21 @@ def test_profile_convexity_is_advisory():
     assert prof.convexity_margin() < 0.0
 
 
+def test_second_derivative_does_not_wrap():
+    # int64 k**2 wraps to 0 at k = 2**32; the 2048-node check grid aliases
+    # this harmonic onto its crests, where r'' < 0, so the margin is positive
+    prof = RadiusProfile.from_coeff_pairs([(0, 1.0, 0.0), (2 ** 32, 0.001, 0.0)])
+    assert prof.second_derivative(0.0) == -0.002 * 2.0 ** 64
+    assert prof.convexity_margin() > 1e16
+
+
+def test_wrapped_harmonic_fails_the_convexity_check():
+    # (2**63 - 1)**2 = 1 mod 2**64: in int64, r'' read as -2c cos(k theta)
+    with pytest.warns(UserWarning, match="fails the convexity check"):
+        prof = RadiusProfile.from_coeff_pairs([(0, 1.0, 0.0), (2 ** 63 - 1, 0.001, 0.0)])
+    assert prof.convexity_margin() < -1e34
+
+
 def test_cube_facets():
     c = cube(3)
     assert c.dim == 3
