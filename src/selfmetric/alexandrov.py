@@ -371,9 +371,17 @@ class SurfaceMeasure:
             raise GeometryError(f"directions must have shape (m, {self.dim}), got {dirs.shape}")
         if not np.all(np.isfinite(dirs)):
             raise GeometryError("directions must be finite")
-        norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-        if np.any(norms <= 0.0):
-            raise GeometryError("zero direction")
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+        # as geometry._unit: only a row whose norm underflows to 0 or overflows
+        # is first divided by its max |v|; every other row keeps its bits
+        extreme = ~((norms > 0.0) & (norms < np.inf))
+        if np.any(extreme):
+            big = np.max(np.abs(dirs), axis=1, keepdims=True)
+            if np.any(big <= 0.0):
+                raise GeometryError("zero direction")
+            dirs = np.where(extreme, dirs / big, dirs)
+            norms = np.linalg.norm(dirs, axis=1, keepdims=True)
         dirs = dirs / norms
         den = dirs @ self._normals.T
         with np.errstate(divide="ignore"):

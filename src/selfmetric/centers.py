@@ -16,9 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# minimize is not called here: it stays as a module binding because
-# perfbench/tracing.py patches it in this module
-from scipy.optimize import minimize  # noqa: F401
 
 from .geometry import BarycentricPoint, GeometryError, NotInteriorError, Polygon2
 from .perimeter2 import (busemann_perimeter_polygon, polygon_perimeter_subgradient,
@@ -27,6 +24,17 @@ from .perimeter2 import (busemann_perimeter_polygon, polygon_perimeter_subgradie
 GAP_TOL = 1e-13      # relative bound on the certified gap between value and minimum
 MAX_ITER = 10_000
 VARIANTS = ("directed", "busemann")
+
+
+def __getattr__(name):
+    # centers.minimize exists only for perfbench/tracing.py, which patches it;
+    # no solve calls it. scipy.optimize loads on that first access, and the
+    # binding goes when the library carries its own tracer (ROADMAP item 2)
+    if name == "minimize":
+        from scipy.optimize import minimize
+        globals()["minimize"] = minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

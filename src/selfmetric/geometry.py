@@ -14,7 +14,6 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 REL_TOL = 1e-9        # relative tolerance for collinearity / degeneracy decisions
 COPLANAR_TOL = 1e-8   # hull pieces whose unit normals agree this closely form one facet
@@ -28,6 +27,29 @@ _TWO_PI_LO = 2.4492935982947064e-16   # 2 pi - float(2 pi)
 # path won only at 16 or 64 angles, by under 0.04 ms; below it the winner
 # varied, and the dense path keeps its exact values there
 NUFFT_CROSSOVER = 0.4
+
+
+def ConvexHull(points):
+    """scipy's qhull hull of points, with scipy.spatial imported on the first call.
+
+    A process that builds no hull (polygons given by their vertices, radius
+    profiles, densities) never loads scipy. Every hull goes through this module
+    global, so one wrapper of geometry.ConvexHull sees them all.
+    """
+    from scipy.spatial import ConvexHull as qhull
+    return qhull(points)
+
+
+def _hull(points, failure):
+    """ConvexHull(points); a qhull failure becomes GeometryError(failure + qhull's
+    first line), the rest of qhull's text holding a run-id that differs per call."""
+    try:
+        return ConvexHull(points)
+    except RuntimeError as exc:   # QhullError's base; naming QhullError itself needs scipy
+        from scipy.spatial import QhullError
+        if not isinstance(exc, QhullError):
+            raise
+        raise GeometryError(failure + str(exc).splitlines()[0]) from exc
 
 
 def uniform_grid(n):
@@ -234,12 +256,7 @@ class Polygon2:
     def from_hull(cls, points):
         """Build the CCW convex hull of an arbitrary point cloud."""
         pts = np.asarray(points, dtype=float)
-        try:
-            hull = ConvexHull(pts)
-        except QhullError as exc:
-            # qhull's first line only: the rest holds a run-id that differs per call
-            raise GeometryError("points are degenerate, no 2d hull: "
-                                + str(exc).splitlines()[0]) from exc
+        hull = _hull(pts, "points are degenerate, no 2d hull: ")
         return cls(pts[hull.vertices])  # qhull returns 2d hull vertices in CCW order
 
     @property
@@ -369,11 +386,7 @@ class PolytopeN:
         else:
             if len(v) < self.dim + 1:
                 raise GeometryError(f"need at least {self.dim + 1} vertices in dimension {self.dim}")
-            try:
-                hull = ConvexHull(v)
-            except QhullError as exc:
-                raise GeometryError("degenerate polytope (no full-dimensional hull): "
-                                    + str(exc).splitlines()[0]) from exc
+            hull = _hull(v, "degenerate polytope (no full-dimensional hull): ")
             keep = np.sort(hull.vertices)
             remap = -np.ones(len(v), dtype=int)
             remap[keep] = np.arange(len(keep))

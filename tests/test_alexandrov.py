@@ -366,6 +366,14 @@ def test_surface_measure_rejects_bad_directions(directions):
         SurfaceMeasure(cube(3)).evaluate(directions)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_surface_measure_rescales_extreme_directions(scale):
+    # v . v overflows or underflows; pytest makes numpy's overflow warning an error
+    sm = SurfaceMeasure(cube(3))
+    plain = sm.evaluate([[1.0, 1.0, 0.0], [1.0, 2.0, 3.0]])
+    assert np.array_equal(sm.evaluate([[scale, scale, 0.0], [1.0, 2.0, 3.0]]), plain)
+
+
 def test_surface_measure_max_dim_bounds_the_section_dimension():
     assert SurfaceMeasure(cube(4), max_dim=3).total_mass == pytest.approx(4.0 * 16.0, rel=1e-12)
     with pytest.raises(GeometryError):

@@ -420,3 +420,62 @@ def test_wrapped_harmonic_profile_warns(tmp_path, capsys):
     assert len(lines) == 1
     message = json.loads(lines[0])["warning"]["message"]
     assert message.startswith("radius profile fails the convexity check")
+
+
+# runs each argv through cli.main in one fresh interpreter, then reports the
+# exit codes and the scipy modules loaded
+_FRESH_MAIN = """
+import json, sys
+import selfmetric
+from selfmetric import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        cli.main(argv)
+    except SystemExit as exc:
+        codes.append(exc.code)
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def _fresh_main(*argvs):
+    proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, json.dumps(argvs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+def test_import_loads_no_scipy():
+    report, _ = _fresh_main()
+    assert report == {"codes": [], "scipy": []}
+
+
+def test_planar_commands_load_no_scipy(shapes, tmp_path):
+    out = [str(tmp_path / f"out{i}") for i in range(5)]
+    report, _ = _fresh_main(
+        ["kgon-table", "--k-max", "5", "--out", out[0]],
+        ["perimeter", "--shape", str(shapes / "tri.json"), "--out", out[1]],
+        ["perimeter", "--shape", str(shapes / "disk.json"), "--out", out[2]],
+        ["center", "--shape", str(shapes / "tri.json"), "--out", out[3]],
+        ["alexandrov", "--phi", str(shapes / "phi4.json"), "--out", out[4]])
+    assert report == {"codes": [0] * 5, "scipy": []}
+
+
+def test_volume_loads_qhull_and_no_optimizer(shapes, tmp_path):
+    report, _ = _fresh_main(["volume", "--shape", str(shapes / "cube3.json"),
+                             "--out", str(tmp_path / "out.json")])
+    assert report["codes"] == [0]
+    assert "scipy.spatial" in report["scipy"]
+    assert not any(m.startswith("scipy.optimize") for m in report["scipy"])
+
+
+def test_degenerate_first_hull_is_geometry_error(tmp_path):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"type": "polytope", "dim": 3,
+                                "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]}))
+    report, err = _fresh_main(["volume", "--shape", str(path)])
+    assert report["codes"] == [1]
+    assert json.loads(err) == {"error": {"type": "geometry", "message":
+        "degenerate polytope (no full-dimensional hull): QH6154 Qhull precision error: "
+        "Initial simplex is flat (facet 1 is coplanar with the interior point)"}}

@@ -235,6 +235,42 @@ def test_from_hull_orders_and_dedups():
     assert np.all(cross > 0)
 
 
+def _count_hulls(monkeypatch):
+    calls = []
+    hull = geometry.ConvexHull
+
+    def counting(points):
+        calls.append(len(points))
+        return hull(points)
+
+    monkeypatch.setattr(geometry, "ConvexHull", counting)
+    return calls
+
+
+def test_every_hull_goes_through_the_module_binding(monkeypatch):
+    calls = _count_hulls(monkeypatch)
+    cube(3)
+    assert calls == [8]
+    Polygon2.from_hull(RNG.normal(size=(30, 2)))
+    assert calls == [8, 30]
+
+
+@pytest.mark.parametrize("build, points, prefix", [
+    (Polygon2.from_hull, [[0, 0], [1, 1], [2, 2], [3, 3]], "points are degenerate, no 2d hull: "),
+    (PolytopeN, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
+     "degenerate polytope (no full-dimensional hull): "),
+], ids=["collinear", "coplanar"])
+def test_qhull_failure_is_prefix_and_first_qhull_line(build, points, prefix, monkeypatch):
+    from scipy.spatial import QhullError
+    with pytest.raises(QhullError) as qhull:
+        ConvexHull(np.array(points, dtype=float))
+    calls = _count_hulls(monkeypatch)
+    with pytest.raises(GeometryError) as info:
+        build(points)
+    assert str(info.value) == prefix + str(qhull.value).splitlines()[0]
+    assert calls == [len(points)]
+
+
 def test_regular_polygon_geometry():
     hexa = regular_polygon(6)
     assert len(hexa) == 6
