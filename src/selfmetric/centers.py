@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import BarycentricPoint, GeometryError, NotInteriorError, Polygon2
+from .geometry import BarycentricPoint, GeometryError, NotInteriorError, Polygon2, _planar_point
 from .perimeter2 import (busemann_perimeter_polygon, polygon_perimeter_subgradient,
                          self_perimeter_polygon)
 
@@ -89,33 +89,42 @@ def optimal_center_2d(poly, variant="directed", start=None):
     if not isinstance(poly, Polygon2):
         raise TypeError("optimal_center_2d expects a Polygon2")
     _perimeter(variant)   # rejects an unknown variant
-    c = np.asarray(start, dtype=float) if start is not None else poly.centroid
-    if not poly.interior_distance(c) > 0.0:   # NaN for a NaN/inf start
+    start = poly.centroid if start is None else _planar_point(start)
+    if not poly.interior_distance(start) > 0.0:   # NaN for a NaN/inf start
         raise NotInteriorError("start point is not strictly inside the polygon")
-    # A is kept as a factor, not as A A', so rounding cannot make E indefinite
-    axes = math.sqrt(np.max(np.sum((poly.vertices - c) ** 2, axis=1))) * np.eye(2)
-    best, fbest, lower = c, np.inf, -np.inf
+    # the center (x, y) and the factor A = [[a00, a01], [a10, a11]] of E are
+    # Python floats; A is kept as a factor, not as A A', so rounding cannot
+    # make E indefinite
+    x, y = start.tolist()
+    a00 = a11 = math.sqrt(np.max(np.sum((poly.vertices - start) ** 2, axis=1)))
+    a01 = a10 = 0.0
+    best, fbest, lower = start, math.inf, -math.inf
     for iterations in range(1, MAX_ITER + 1):
+        p = np.array((x, y))
         try:
-            f, g = polygon_perimeter_subgradient(poly, c, variant)
+            f, g = polygon_perimeter_subgradient(poly, p, variant)
         except NotInteriorError:
             # outside the polygon: a central cut along the most violated edge
-            g = poly.normals[np.argmax(poly.normals @ c - poly.offsets)]
-            width, depth = math.hypot(*(axes.T @ g)), 0.0
-        else:
+            f, g = None, poly.normals[np.argmax(poly.normals @ p - poly.offsets)]
+        g0, g1 = g.tolist()
+        v0, v1 = a00 * g0 + a10 * g1, a01 * g0 + a11 * g1      # A'g
+        width, depth = math.hypot(v0, v1), 0.0
+        if f is not None:
             if f < fbest:
-                best, fbest = c, f
-            # f - width is the least value the linear bound at c allows on E
-            width = math.hypot(*(axes.T @ g))
+                best, fbest = p, f
+            # f - width is the least value the linear bound at p allows on E
             lower = max(lower, f - width)
             if fbest - lower <= GAP_TOL * fbest:
                 return CenterResult(best, fbest, iterations, variant, fbest - lower)
             depth = (f - fbest) / width
-        u = axes.T @ g / width
-        step = axes @ u
-        c = c - (1.0 + 2.0 * depth) / 3.0 * step
+        u0, u1 = v0 / width, v1 / width
+        s0, s1 = a00 * u0 + a01 * u1, a10 * u0 + a11 * u1      # step = A u
+        move = (1.0 + 2.0 * depth) / 3.0
+        x, y = x - move * s0, y - move * s1
         shrink = 1.0 - math.sqrt((1.0 - depth) / (3.0 * (1.0 + depth)))
-        axes = math.sqrt(4.0 / 3.0 * (1.0 - depth ** 2)) * (axes - shrink * np.outer(step, u))
+        scale = math.sqrt(4.0 / 3.0 * (1.0 - depth ** 2))
+        a00, a01 = scale * (a00 - shrink * (s0 * u0)), scale * (a01 - shrink * (s0 * u1))
+        a10, a11 = scale * (a10 - shrink * (s1 * u0)), scale * (a11 - shrink * (s1 * u1))
     raise ConvergenceError(f"no certificate in {MAX_ITER} iterations (gap {fbest - lower:.3e})",
                            CenterResult(best, fbest, MAX_ITER, variant, fbest - lower))
 

@@ -202,6 +202,14 @@ def _mirrored_pairs(pairs):
 # bodies
 
 
+def _planar_point(point):
+    """point as a float ndarray of shape (2,); GeometryError naming any other shape."""
+    p = np.asarray(point, dtype=float)
+    if p.shape != (2,):
+        raise GeometryError(f"point must have shape (2,), got {p.shape}")
+    return p
+
+
 class Polygon2:
     """Strictly convex polygon with vertices in counterclockwise order.
 
@@ -239,18 +247,17 @@ class Polygon2:
         return len(self.vertices)
 
     @functools.cached_property
-    def ray_tables(self):
-        """Ray-casting tables, (forward, backward), computed once per polygon.
+    def exit_cosines(self):
+        """Exit cosines of the perimeter's ray casts, shape (2k, k) for k edges, built once.
 
-        For rays along the edge tangents t_i (forward) or -t_i (backward): the
-        cosines n_j . (+-t_i) against every edge normal, (edges, edges), and the
-        mask where they are positive, the edges a ray can exit through.
+        Row i < k is n_j . t_i against every edge normal n_j, for the ray along the
+        edge tangent t_i; row k + i is n_j . (-t_i), for the reversed ray. A ray
+        exits only through an edge whose cosine is positive, so every other entry
+        is +0.0: a positive slack divided by it is +inf.
         """
-        tables = []
-        for directions in (self.tangents, -self.tangents):
-            den = directions @ self.normals.T
-            tables.append((den, den > 0.0))
-        return tuple(tables)
+        table = np.vstack([self.tangents @ self.normals.T, -self.tangents @ self.normals.T])
+        table[table <= 0.0] = 0.0
+        return table
 
     @classmethod
     def from_hull(cls, points):
@@ -276,7 +283,7 @@ class Polygon2:
     def interior_distance(self, point):
         """Smallest slack over the edge halfplanes; positive iff strictly interior, NaN if
         the point is not finite."""
-        p = np.asarray(point, dtype=float)
+        p = _planar_point(point)
         with np.errstate(invalid="ignore"):
             return float(np.min(self.offsets - self.normals @ p))
 

@@ -19,6 +19,7 @@ from .geometry import (
     NotInteriorError,
     Polygon2,
     RadiusProfile,
+    _planar_point,
     uniform_grid,
 )
 
@@ -31,22 +32,6 @@ class Perimeter2Result:
     variant: str          # "directed" or "busemann"
     method: str           # "polygon-exact", "quadrature" or "closed-form"
     node_count: int | None = None
-
-
-def _polygon_ray_lengths(poly, center, backward=False):
-    """Exit distances from center along each edge tangent, reversed if backward
-    (vectorized halfplane min), the index of the edge each ray exits through,
-    and the edge slacks h_j - n_j.p."""
-    p = np.asarray(center, dtype=float)
-    # an infinite center makes 0 * inf = NaN slacks; "not > 0" rejects those too
-    with np.errstate(invalid="ignore"):
-        num = poly.offsets - poly.normals @ p
-    if not np.min(num) > 0.0:
-        raise NotInteriorError("center is not strictly inside the polygon")
-    den, ahead = poly.ray_tables[backward]
-    t = np.divide(num, den, out=np.full(den.shape, np.inf), where=ahead)
-    exits = np.argmin(t, axis=1)
-    return t[np.arange(len(t)), exits], exits, num
 
 
 def self_perimeter_polygon(poly, center):
@@ -79,14 +64,28 @@ def polygon_perimeter_subgradient(poly, center, variant):
     """
     if variant not in ("directed", "busemann"):
         raise GeometryError(f"variant must be directed or busemann, got {variant!r}")
+    p = _planar_point(center)
+    k = len(poly)
+    cosines = poly.exit_cosines if variant == "busemann" else poly.exit_cosines[:k]
+    # the slacks stay one matvec: numpy's BLAS fuses its multiply-adds, so an
+    # element-wise form would round differently. An infinite center makes
+    # 0 * inf = NaN slacks, which "not > 0" rejects; past that check every
+    # slack is positive, so only a +0.0 cosine divides, giving +inf
+    with np.errstate(invalid="ignore", divide="ignore"):
+        slack = poly.offsets - poly.normals @ p
+        if not slack.min() > 0.0:
+            raise NotInteriorError("center is not strictly inside the polygon")
+        t = np.divide(slack, cosines)
+    exits = t.argmin(axis=1)
+    radii = t[np.arange(len(t)), exits]
     lengths, normals = poly.edge_lengths, poly.normals
-    fwd, j_fwd, slack = _polygon_ray_lengths(poly, center)
+    fwd, j_fwd = radii[:k], exits[:k]
     if variant == "directed":
-        value = float(np.sum(lengths / fwd))
+        value = float((lengths / fwd).sum())
         return value, (lengths / (fwd * slack[j_fwd])) @ normals[j_fwd]
-    bwd, j_bwd, _ = _polygon_ray_lengths(poly, center, backward=True)
+    bwd, j_bwd = radii[k:], exits[k:]
     chords = fwd + bwd
-    value = float(np.sum(2.0 * lengths / chords))
+    value = float((2.0 * lengths / chords).sum())
     w = 2.0 * lengths / chords ** 2
     return value, ((w * fwd / slack[j_fwd]) @ normals[j_fwd]
                    + (w * bwd / slack[j_bwd]) @ normals[j_bwd])

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import random_polygon
-from selfmetric.centers import (GAP_TOL, convexity_probe, grunbaum_bound_check,
-                                optimal_center_2d, optimal_simplex_center)
-from selfmetric.geometry import GeometryError, Polygon2
+from selfmetric import centers
+from selfmetric.centers import (GAP_TOL, ConvergenceError, convexity_probe,
+                                grunbaum_bound_check, optimal_center_2d, optimal_simplex_center)
+from selfmetric.geometry import GeometryError, Polygon2, regular_polygon
 from selfmetric.perimeter2 import busemann_perimeter_polygon, self_perimeter_polygon
 
 POSITION_TOL = 1e-6
@@ -166,3 +167,39 @@ def test_solver_certifies_and_agrees_across_starts(drawn, variant):
         if variant == "directed":
             assert res.value <= 9.0 * (1.0 + 1e-12)
     assert results[1].value == pytest.approx(results[0].value, rel=1e-12, abs=0.0)
+
+
+PERIMETERS = {"directed": self_perimeter_polygon, "busemann": busemann_perimeter_polygon}
+
+
+@pytest.mark.parametrize("variant", ["directed", "busemann"])
+def test_value_is_the_perimeter_at_the_optimum_exactly(variant):
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        poly = _ellipse_polygon(rng, int(rng.integers(3, 30)), bool(rng.integers(2)))
+        res = optimal_center_2d(poly, variant)
+        assert res.value == PERIMETERS[variant](poly, res.optimum).value
+
+
+@pytest.mark.parametrize("variant", ["directed", "busemann"])
+def test_solve_leaves_the_floating_point_error_state_alone(variant):
+    before = np.geterr()
+    optimal_center_2d(_ellipse_polygon(np.random.default_rng(9), 12, True), variant)
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("variant", ["directed", "busemann"])
+def test_convergence_error_carries_the_best_iterate(monkeypatch, variant):
+    poly = _ellipse_polygon(np.random.default_rng(10), 15, False)
+    monkeypatch.setattr(centers, "MAX_ITER", 5)
+    with pytest.raises(ConvergenceError) as caught:
+        optimal_center_2d(poly, variant)
+    best = caught.value.best
+    assert best.iterations == 5 and best.gap > GAP_TOL * best.value
+    assert best.value == PERIMETERS[variant](poly, best.optimum).value
+
+
+@pytest.mark.parametrize("start", [[0.1, 0.2, 0.3], 0.3, [[0.1, 0.2]], [0.1]])
+def test_misshapen_start_is_geometry_error(start):
+    with pytest.raises(GeometryError, match="point must have shape"):
+        optimal_center_2d(regular_polygon(5), start=start)

@@ -210,6 +210,13 @@ def test_non_finite_polygon_center_is_geometry_error(shapes, center):
     assert json.loads(out.stderr)["error"]["type"] == "geometry"
 
 
+def test_polygon_center_of_three_coordinates_is_config_error(shapes, capsys):
+    assert run(RunConfig(command="perimeter", shape=str(shapes / "tri.json"),
+                         center="0.1,0.2,0.3")) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "config", "message": "--center needs two coordinates for a polygon"}
+
+
 def test_missing_file_is_io_error(tmp_path):
     out = invoke(["perimeter", "--shape", str(tmp_path / "nope.json")])
     assert out.returncode == 1

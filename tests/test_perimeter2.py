@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,76 @@ def test_center_outside_raises():
 def test_non_finite_center_raises(fn, center):
     with pytest.raises(NotInteriorError):
         fn(TRI, center)
+
+
+MISSHAPEN_POINTS = [[0.1, 0.2, 0.3], 0.3, [[0.1, 0.2]], [0.1]]
+
+
+@pytest.mark.parametrize("point", MISSHAPEN_POINTS)
+@pytest.mark.parametrize("fn", [
+    self_perimeter_polygon, busemann_perimeter_polygon,
+    lambda poly, p: polygon_perimeter_subgradient(poly, p, "directed"),
+    lambda poly, p: polygon_perimeter_subgradient(poly, p, "busemann"),
+    Polygon2.interior_distance, Polygon2.contains],
+    ids=["directed", "busemann", "subgradient-directed", "subgradient-busemann",
+         "interior_distance", "contains"])
+def test_misshapen_point_is_geometry_error(fn, point):
+    with pytest.raises(GeometryError, match=r"point must have shape \(2,\), got "
+                       + re.escape(str(np.shape(point)))):
+        fn(regular_polygon(5), point)
+
+
+def _textbook_subgradient(poly, center, variant):
+    # the ray casts done the textbook way: per direction, divide only where the
+    # ray can exit (cosine > 0), then take the nearest exit
+    slack = poly.offsets - poly.normals @ np.asarray(center, dtype=float)
+    radii, exits = [], []
+    for directions in (poly.tangents, -poly.tangents):
+        cos = directions @ poly.normals.T
+        t = np.divide(slack, cos, out=np.full(cos.shape, np.inf), where=cos > 0.0)
+        j = np.argmin(t, axis=1)
+        radii.append(t[np.arange(len(t)), j])
+        exits.append(j)
+    (fwd, bwd), (j_fwd, j_bwd) = radii, exits
+    lengths, normals = poly.edge_lengths, poly.normals
+    if variant == "directed":
+        return float(np.sum(lengths / fwd)), (lengths / (fwd * slack[j_fwd])) @ normals[j_fwd]
+    chords = fwd + bwd
+    w = 2.0 * lengths / chords ** 2
+    return (float(np.sum(2.0 * lengths / chords)),
+            (w * fwd / slack[j_fwd]) @ normals[j_fwd] + (w * bwd / slack[j_bwd]) @ normals[j_bwd])
+
+
+def _assert_textbook_bits(poly, center, variant):
+    value, grad = polygon_perimeter_subgradient(poly, center, variant)
+    want_value, want_grad = _textbook_subgradient(poly, center, variant)
+    assert value.hex() == want_value.hex()
+    assert grad.dtype == want_grad.dtype and grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["directed", "busemann"])
+def test_subgradient_is_the_textbook_ray_cast_on_regular_polygons(variant):
+    # the kgon-table case: from the origin, rays tie at vertices
+    for k in range(3, 65):
+        _assert_textbook_bits(regular_polygon(k), np.zeros(2), variant)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 40), st.floats(-4.0, 0.0),
+       st.sampled_from(["directed", "busemann"]))
+def test_subgradient_is_the_textbook_ray_cast_on_random_polygons(seed, points, log_aspect,
+                                                                 variant):
+    # hulls of squeezed, rotated clouds, down to 1e-4 thin, at random interior points
+    rng = np.random.default_rng(seed)
+    cloud = rng.normal(size=(points, 2)) * [1.0, 10.0 ** log_aspect]
+    turn = rng.uniform(0.0, np.pi)
+    cloud = cloud @ np.array([[np.cos(turn), np.sin(turn)], [-np.sin(turn), np.cos(turn)]])
+    try:
+        poly = Polygon2.from_hull(cloud)
+    except GeometryError:   # a few points in a thin cloud can be nearly collinear
+        return
+    weights = rng.dirichlet(np.ones(len(poly)))
+    _assert_textbook_bits(poly, weights @ poly.vertices, variant)
 
 
 def test_triangle_perimeter_inequalities():
