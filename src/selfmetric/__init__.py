@@ -40,6 +40,7 @@ from .centers import (
     convexity_probe,
     grunbaum_bound_check,
     optimal_center_2d,
+    optimal_centers_2d,
     optimal_simplex_center,
 )
 from .alexandrov import (

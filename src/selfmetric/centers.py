@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import BarycentricPoint, GeometryError, NotInteriorError, Polygon2, _planar_point
-from .perimeter2 import (busemann_perimeter_polygon, polygon_perimeter_subgradient,
-                         self_perimeter_polygon)
+from .perimeter2 import _ray_casts, busemann_perimeter_polygon, self_perimeter_polygon
 
 GAP_TOL = 1e-13      # relative bound on the certified gap between value and minimum
 MAX_ITER = 10_000
@@ -74,59 +73,93 @@ def _perimeter(variant):
 def optimal_center_2d(poly, variant="directed", start=None):
     """Minimize the self-perimeter of a polygon over its interior base point.
 
-    Deep-cut ellipsoid method on the ellipse E = {c + A u : |u| <= 1}, which
-    starts as the disk about start (default: the centroid) through the
-    farthest vertex and always holds the minimizer x. At an interior center
-    with value f and subgradient g, x satisfies g.(x - c) <= fbest - f, and
-    f - |A'g| bounds the minimum from below; at a center outside the polygon
-    the most violated edge gives a central cut. The loop stops when the best
-    value is within GAP_TOL (relative) of the best lower bound and returns
-    the best center with its value; hitting MAX_ITER raises ConvergenceError
-    carrying the best iterate.
-
+    The one-start case of optimal_centers_2d; start defaults to the centroid.
     Returns a CenterResult; gap is the certified bound on value - minimum.
     """
     if not isinstance(poly, Polygon2):
         raise TypeError("optimal_center_2d expects a Polygon2")
+    return optimal_centers_2d(poly, variant, [poly.centroid if start is None else start])[0]
+
+
+def optimal_centers_2d(poly, variant, starts):
+    """One certified minimization of the self-perimeter per start point, in lock step.
+
+    Deep-cut ellipsoid method on the ellipse E = {c + A u : |u| <= 1}, which
+    starts as the disk about the start through the farthest vertex and always
+    holds the minimizer x. At an interior center with value f and subgradient
+    g, x satisfies g.(x - c) <= fbest - f, and f - |A'g| bounds the minimum
+    from below; at a center outside the polygon the most violated edge gives a
+    central cut. A solve stops when its best value is within GAP_TOL
+    (relative) of its best lower bound, with the best center and its value.
+
+    Every iteration casts the rays of all open solves in one `_ray_casts`
+    call; each solve keeps its own ellipse, certificate and iteration count,
+    so its result is bit for bit that of solving it alone. If MAX_ITER passes
+    with solves still open, ConvergenceError carries the best iterate of the
+    first of them.
+
+    Returns a list of CenterResult, one per start, in order.
+    """
+    if not isinstance(poly, Polygon2):
+        raise TypeError("optimal_centers_2d expects a Polygon2")
     _perimeter(variant)   # rejects an unknown variant
-    start = poly.centroid if start is None else _planar_point(start)
-    if not poly.interior_distance(start) > 0.0:   # NaN for a NaN/inf start
-        raise NotInteriorError("start point is not strictly inside the polygon")
-    # the center (x, y) and the factor A = [[a00, a01], [a10, a11]] of E are
-    # Python floats; A is kept as a factor, not as A A', so rounding cannot
-    # make E indefinite
-    x, y = start.tolist()
-    a00 = a11 = math.sqrt(np.max(np.sum((poly.vertices - start) ** 2, axis=1)))
-    a01 = a10 = 0.0
-    best, fbest, lower = start, math.inf, -math.inf
+    starts = [_planar_point(start) for start in starts]
+    if not starts:
+        raise GeometryError("need at least one start point")
+    # one row per solve: the center (x, y) and the factor A = [[a00, a01],
+    # [a10, a11]] of E as Python floats; A is kept as a factor, not as A A',
+    # so rounding cannot make E indefinite
+    ellipses = []
+    for start in starts:
+        if not poly.interior_distance(start) > 0.0:   # NaN for a NaN/inf start
+            raise NotInteriorError("start point is not strictly inside the polygon")
+        radius = math.sqrt(np.max(np.sum((poly.vertices - start) ** 2, axis=1)))
+        ellipses.append([*start.tolist(), radius, 0.0, 0.0, radius])
+    best = list(starts)
+    fbest = [math.inf] * len(starts)
+    lower = [-math.inf] * len(starts)
+    results = [None] * len(starts)
+    live = list(range(len(starts)))
     for iterations in range(1, MAX_ITER + 1):
-        p = np.array((x, y))
-        try:
-            f, g = polygon_perimeter_subgradient(poly, p, variant)
-        except NotInteriorError:
-            # outside the polygon: a central cut along the most violated edge
-            f, g = None, poly.normals[np.argmax(poly.normals @ p - poly.offsets)]
-        g0, g1 = g.tolist()
-        v0, v1 = a00 * g0 + a10 * g1, a01 * g0 + a11 * g1      # A'g
-        width, depth = math.hypot(v0, v1), 0.0
-        if f is not None:
-            if f < fbest:
-                best, fbest = p, f
-            # f - width is the least value the linear bound at p allows on E
-            lower = max(lower, f - width)
-            if fbest - lower <= GAP_TOL * fbest:
-                return CenterResult(best, fbest, iterations, variant, fbest - lower)
-            depth = (f - fbest) / width
-        u0, u1 = v0 / width, v1 / width
-        s0, s1 = a00 * u0 + a01 * u1, a10 * u0 + a11 * u1      # step = A u
-        move = (1.0 + 2.0 * depth) / 3.0
-        x, y = x - move * s0, y - move * s1
-        shrink = 1.0 - math.sqrt((1.0 - depth) / (3.0 * (1.0 + depth)))
-        scale = math.sqrt(4.0 / 3.0 * (1.0 - depth ** 2))
-        a00, a01 = scale * (a00 - shrink * (s0 * u0)), scale * (a01 - shrink * (s0 * u1))
-        a10, a11 = scale * (a10 - shrink * (s1 * u0)), scale * (a11 - shrink * (s1 * u1))
-    raise ConvergenceError(f"no certificate in {MAX_ITER} iterations (gap {fbest - lower:.3e})",
-                           CenterResult(best, fbest, MAX_ITER, variant, fbest - lower))
+        values, subgradients, inside = _ray_casts(
+            poly, np.array([ellipses[i][:2] for i in live]), variant)
+        still = []
+        for i, f, g, interior in zip(live, values.tolist(), subgradients.tolist(),
+                                     inside.tolist()):
+            x, y, a00, a01, a10, a11 = ellipses[i]
+            if not interior:
+                # outside the polygon: a central cut along the most violated edge
+                violation = poly.normals @ np.array((x, y)) - poly.offsets
+                g = poly.normals[np.argmax(violation)].tolist()
+            g0, g1 = g
+            v0, v1 = a00 * g0 + a10 * g1, a01 * g0 + a11 * g1      # A'g
+            width, depth = math.hypot(v0, v1), 0.0
+            if interior:
+                if f < fbest[i]:
+                    best[i], fbest[i] = np.array((x, y)), f
+                # f - width is the least value the linear bound at (x, y) allows on E
+                lower[i] = max(lower[i], f - width)
+                if fbest[i] - lower[i] <= GAP_TOL * fbest[i]:
+                    results[i] = CenterResult(best[i], fbest[i], iterations, variant,
+                                              fbest[i] - lower[i])
+                    continue
+                depth = (f - fbest[i]) / width
+            u0, u1 = v0 / width, v1 / width
+            s0, s1 = a00 * u0 + a01 * u1, a10 * u0 + a11 * u1      # step = A u
+            move = (1.0 + 2.0 * depth) / 3.0
+            shrink = 1.0 - math.sqrt((1.0 - depth) / (3.0 * (1.0 + depth)))
+            scale = math.sqrt(4.0 / 3.0 * (1.0 - depth ** 2))
+            ellipses[i] = [x - move * s0, y - move * s1,
+                           scale * (a00 - shrink * (s0 * u0)), scale * (a01 - shrink * (s0 * u1)),
+                           scale * (a10 - shrink * (s1 * u0)), scale * (a11 - shrink * (s1 * u1))]
+            still.append(i)
+        live = still
+        if not live:
+            return results
+    i = live[0]
+    gap = fbest[i] - lower[i]
+    raise ConvergenceError(f"no certificate in {MAX_ITER} iterations (gap {gap:.3e})",
+                           CenterResult(best[i], fbest[i], MAX_ITER, variant, gap))
 
 
 def grunbaum_bound_check(poly):

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .alexandrov import GRID_NODES, ClosureError, FourierDensityError, SurfaceMeasure, reconstruct
-from .centers import ConvergenceError, optimal_center_2d
+# optimal_center_2d has no caller here; perfbench/tracing.py rebinds this name
+from .centers import ConvergenceError, optimal_center_2d, optimal_centers_2d
 from .geometry import (GeometryError, Polygon2, PolytopeN, RadiusProfile,
                        regular_polygon)
 from .perimeter2 import (MIN_NODES, busemann_perimeter_polygon, kgon_self_perimeter,
@@ -178,14 +179,13 @@ def _cmd_center(cfg):
     if not isinstance(body, Polygon2):
         raise ValueError('center optimization needs a shape of type "polygon2"')
 
-    def solve(i):
-        run_seed = cfg.seed + i
-        start = body.centroid if i == 0 else _interior_start(body, np.random.default_rng(run_seed))
-        res = optimal_center_2d(body, cfg.variant, start=start)
-        return [run_seed, float(res.optimum[0]), float(res.optimum[1]),
-                res.value, res.iterations]
-
-    rows = [solve(i) for i in range(cfg.restarts)]
+    # restart i starts from the centroid (i = 0) or a point drawn with seed + i;
+    # all restarts are solved together, in lock step
+    starts = [body.centroid] + [_interior_start(body, np.random.default_rng(cfg.seed + i))
+                                for i in range(1, cfg.restarts)]
+    results = optimal_centers_2d(body, cfg.variant, starts)
+    rows = [[cfg.seed + i, float(res.optimum[0]), float(res.optimum[1]), res.value, res.iterations]
+            for i, res in enumerate(results)]
     _write_csv(cfg.out, ["seed", "optimum_x", "optimum_y", "value", "iterations"], rows)
     if cfg.out is not None:
         best = min(rows, key=lambda r: r[3])

@@ -298,7 +298,9 @@ class RadiusProfile:
     Derivatives are evaluated analytically from the coefficients; finite
     differences are never used. Positivity of r is enforced on a dense grid at
     construction; the convexity margin r^2 + 2 r'^2 - r r'' is advisory only
-    (a warning), because near-limit shapes fail it by harmless amounts.
+    (a warning), because near-limit shapes fail it by harmless amounts. Both
+    checks sample PROFILE_GRID nodes, so a profile with a harmonic |k| >=
+    PROFILE_GRID / 2 that passes them gets a warning that they cannot resolve it.
     """
 
     def __init__(self, ks, coeffs, check=True):
@@ -310,8 +312,15 @@ class RadiusProfile:
             if np.min(r) <= 0.0:
                 raise GeometryError("radius profile is not strictly positive")
             margin = self.convexity_margin()
+            k_max = int(np.max(np.abs(self.ks)))
             if margin < -REL_TOL * float(np.max(r)) ** 2:
                 warnings.warn(f"radius profile fails the convexity check (margin {margin:.3e})",
+                              stacklevel=2)
+            elif k_max >= PROFILE_GRID // 2:
+                # a harmonic at or past the grid's Nyquist index aliases there,
+                # so passing on the nodes says nothing about the profile between them
+                warnings.warn(f"the {PROFILE_GRID}-node validity check cannot resolve harmonic "
+                              f"|k| = {k_max} (it resolves |k| < {PROFILE_GRID // 2})",
                               stacklevel=2)
 
     @classmethod

@@ -57,38 +57,63 @@ def busemann_perimeter_polygon(poly, center):
 def polygon_perimeter_subgradient(poly, center, variant):
     """(value, subgradient) of a polygon's self-perimeter as a function of its center.
 
+    The one-point case of `_ray_casts`; raises NotInteriorError unless the
+    center is strictly inside the polygon.
+    """
+    values, subgradients, inside = _ray_casts(poly, _planar_point(center)[None], variant)
+    if not inside[0]:
+        raise NotInteriorError("center is not strictly inside the polygon")
+    return float(values[0]), subgradients[0]
+
+
+def _ray_casts(poly, points, variant):
+    """(values, subgradients, inside) of a polygon's self-perimeter at each row of points (R, 2).
+
     The ray radius r_i of edge i leaves through edge j, so r_i = s_j / (n_j.t_i)
     with slack s_j = h_j - n_j.p, and d r_i / dp = -r_i n_j / s_j. Where several
     exit edges tie (a crease of the convex objective) any of them gives a valid
-    subgradient.
+    subgradient. inside (R,) flags the rows strictly inside the polygon; the
+    values and subgradients of the other rows are meaningless, and they raise
+    no floating-point warning.
+
+    Each row gets the IEEE operations of a one-point cast, on the same operands
+    and in the same order: numpy runs a stacked matmul as one gemv per item, the
+    kernel of a matvec, while a 2-D points @ normals.T would go through gemm,
+    which fuses its multiply-adds differently. So a row's bits do not depend on
+    the other rows.
     """
     if variant not in ("directed", "busemann"):
         raise GeometryError(f"variant must be directed or busemann, got {variant!r}")
-    p = _planar_point(center)
     k = len(poly)
     cosines = poly.exit_cosines if variant == "busemann" else poly.exit_cosines[:k]
-    # the slacks stay one matvec: numpy's BLAS fuses its multiply-adds, so an
-    # element-wise form would round differently. An infinite center makes
-    # 0 * inf = NaN slacks, which "not > 0" rejects; past that check every
-    # slack is positive, so only a +0.0 cosine divides, giving +inf
-    with np.errstate(invalid="ignore", divide="ignore"):
-        slack = poly.offsets - poly.normals @ p
-        if not slack.min() > 0.0:
-            raise NotInteriorError("center is not strictly inside the polygon")
-        t = np.divide(slack, cosines)
-    exits = t.argmin(axis=1)
-    radii = t[np.arange(len(t)), exits]
     lengths, normals = poly.edge_lengths, poly.normals
-    fwd, j_fwd = radii[:k], exits[:k]
-    if variant == "directed":
-        value = float((lengths / fwd).sum())
-        return value, (lengths / (fwd * slack[j_fwd])) @ normals[j_fwd]
-    bwd, j_bwd = radii[k:], exits[k:]
-    chords = fwd + bwd
-    value = float((2.0 * lengths / chords).sum())
-    w = 2.0 * lengths / chords ** 2
-    return value, ((w * fwd / slack[j_fwd]) @ normals[j_fwd]
-                   + (w * bwd / slack[j_bwd]) @ normals[j_bwd])
+    # a point outside, or not finite, makes negative, NaN or infinite slacks;
+    # for a row inside every slack is positive, so only a +0.0 cosine divides,
+    # giving +inf
+    with np.errstate(all="ignore"):
+        slack = poly.offsets - (normals @ points[:, :, None])[:, :, 0]
+        inside = slack.min(axis=1) > 0.0
+        t = slack[:, None, :] / cosines
+        exits = t.argmin(axis=2)
+        rows = np.arange(len(points))[:, None]
+        radii = t[rows, np.arange(len(cosines)), exits]
+        at_exit = slack[rows, exits]
+        fwd, j_fwd = radii[:, :k], exits[:, :k]
+        if variant == "directed":
+            values = (lengths / fwd).sum(axis=1)
+            return values, _weighted_normals(lengths / (fwd * at_exit), normals, j_fwd), inside
+        bwd, j_bwd = radii[:, k:], exits[:, k:]
+        chords = fwd + bwd
+        values = (2.0 * lengths / chords).sum(axis=1)
+        w = 2.0 * lengths / chords ** 2
+        subgradients = (_weighted_normals(w * fwd / at_exit[:, :k], normals, j_fwd)
+                        + _weighted_normals(w * bwd / at_exit[:, k:], normals, j_bwd))
+    return values, subgradients, inside
+
+
+def _weighted_normals(weights, normals, exits):
+    """Row r is weights[r] @ normals[exits[r]], one gemv per row."""
+    return (weights[:, None, :] @ normals[exits])[:, 0]
 
 
 def smooth_density(profile, theta):

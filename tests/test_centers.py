@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 from common import random_polygon
 from selfmetric import centers
-from selfmetric.centers import (GAP_TOL, ConvergenceError, convexity_probe,
-                                grunbaum_bound_check, optimal_center_2d, optimal_simplex_center)
-from selfmetric.geometry import GeometryError, Polygon2, regular_polygon
-from selfmetric.perimeter2 import busemann_perimeter_polygon, self_perimeter_polygon
+from selfmetric.centers import (GAP_TOL, CenterResult, ConvergenceError, convexity_probe,
+                                grunbaum_bound_check, optimal_center_2d, optimal_centers_2d,
+                                optimal_simplex_center)
+from selfmetric.geometry import GeometryError, NotInteriorError, Polygon2, regular_polygon
+from selfmetric.perimeter2 import (busemann_perimeter_polygon, polygon_perimeter_subgradient,
+                                   self_perimeter_polygon)
 
 POSITION_TOL = 1e-6
 
@@ -203,3 +206,103 @@ def test_convergence_error_carries_the_best_iterate(monkeypatch, variant):
 def test_misshapen_start_is_geometry_error(start):
     with pytest.raises(GeometryError, match="point must have shape"):
         optimal_center_2d(regular_polygon(5), start=start)
+
+
+def _sequential_solve(poly, variant, start):
+    # the one-start ellipsoid loop as it was before restarts ran in lock step:
+    # the reference the lock-step solver must match bit for bit
+    x, y = start.tolist()
+    a00 = a11 = math.sqrt(np.max(np.sum((poly.vertices - start) ** 2, axis=1)))
+    a01 = a10 = 0.0
+    best, fbest, lower = start, math.inf, -math.inf
+    for iterations in range(1, centers.MAX_ITER + 1):
+        p = np.array((x, y))
+        try:
+            f, g = polygon_perimeter_subgradient(poly, p, variant)
+        except NotInteriorError:
+            f, g = None, poly.normals[np.argmax(poly.normals @ p - poly.offsets)]
+        g0, g1 = g.tolist()
+        v0, v1 = a00 * g0 + a10 * g1, a01 * g0 + a11 * g1
+        width, depth = math.hypot(v0, v1), 0.0
+        if f is not None:
+            if f < fbest:
+                best, fbest = p, f
+            lower = max(lower, f - width)
+            if fbest - lower <= GAP_TOL * fbest:
+                return CenterResult(best, fbest, iterations, variant, fbest - lower)
+            depth = (f - fbest) / width
+        u0, u1 = v0 / width, v1 / width
+        s0, s1 = a00 * u0 + a01 * u1, a10 * u0 + a11 * u1
+        move = (1.0 + 2.0 * depth) / 3.0
+        x, y = x - move * s0, y - move * s1
+        shrink = 1.0 - math.sqrt((1.0 - depth) / (3.0 * (1.0 + depth)))
+        scale = math.sqrt(4.0 / 3.0 * (1.0 - depth ** 2))
+        a00, a01 = scale * (a00 - shrink * (s0 * u0)), scale * (a01 - shrink * (s0 * u1))
+        a10, a11 = scale * (a10 - shrink * (s1 * u0)), scale * (a11 - shrink * (s1 * u1))
+    raise ConvergenceError(f"no certificate in {centers.MAX_ITER} iterations "
+                           f"(gap {fbest - lower:.3e})",
+                           CenterResult(best, fbest, centers.MAX_ITER, variant, fbest - lower))
+
+
+def _assert_same_result(got, want):
+    assert got.optimum.tobytes() == want.optimum.tobytes()
+    assert (got.value, got.iterations, got.gap, got.variant) == \
+        (want.value, want.iterations, want.gap, want.variant)
+    assert type(got.value) is float
+
+
+@st.composite
+def polygons_with_starts(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    poly = _ellipse_polygon(rng, draw(st.integers(3, 64)), draw(st.booleans()))
+    poly = Polygon2(10.0 ** draw(st.floats(-3.0, 3.0)) * poly.vertices)
+    starts = rng.dirichlet(np.ones(len(poly)), size=draw(st.integers(1, 5))) @ poly.vertices
+    return poly, [poly.centroid, *starts]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(polygons_with_starts(), st.sampled_from(["directed", "busemann"]))
+def test_lock_step_solves_are_the_sequential_solves_bit_for_bit(drawn, variant):
+    poly, starts = drawn
+    results = optimal_centers_2d(poly, variant, starts)
+    assert len(results) == len(starts)
+    for got, start in zip(results, starts):
+        _assert_same_result(got, _sequential_solve(poly, variant, start))
+    _assert_same_result(optimal_center_2d(poly, variant, starts[-1]), results[-1])
+
+
+@pytest.mark.parametrize("variant", ["directed", "busemann"])
+def test_lock_step_convergence_error_is_the_first_failing_restart(monkeypatch, variant):
+    rng = np.random.default_rng(11)
+    poly = _ellipse_polygon(rng, 17, True)
+    starts = [poly.centroid, *(rng.dirichlet(np.ones(17), size=5) @ poly.vertices)]
+    counts = [_sequential_solve(poly, variant, s).iterations for s in starts]
+    # restart 0 certifies on the last iteration allowed; a later one does not
+    limit = counts[0]
+    first = next(i for i, n in enumerate(counts) if n > limit)
+    assert first > 0
+    monkeypatch.setattr(centers, "MAX_ITER", limit)
+    for i in range(first):
+        _assert_same_result(_sequential_solve(poly, variant, starts[i]),
+                            optimal_center_2d(poly, variant, starts[i]))
+    with pytest.raises(ConvergenceError) as want:
+        _sequential_solve(poly, variant, starts[first])
+    with pytest.raises(ConvergenceError) as got:
+        optimal_centers_2d(poly, variant, starts)
+    assert str(got.value) == str(want.value)
+    _assert_same_result(got.value.best, want.value.best)
+
+
+def test_lock_step_checks_every_start_first(monkeypatch):
+    poly = regular_polygon(6)
+    monkeypatch.setattr(centers, "_ray_casts", None)   # no iteration may start
+    with pytest.raises(GeometryError, match="need at least one start point"):
+        optimal_centers_2d(poly, "directed", [])
+    with pytest.raises(GeometryError, match=r"point must have shape \(2,\), got \(3,\)"):
+        optimal_centers_2d(poly, "directed", [poly.centroid, [0.1, 0.2, 0.3]])
+    for bad in ([2.0, 0.0], [np.nan, 0.0], poly.vertices[1]):
+        with pytest.raises(NotInteriorError, match="^start point is not strictly inside the "
+                           "polygon$"):
+            optimal_centers_2d(poly, "busemann", [poly.centroid, [0.1, 0.1], bad])
+    with pytest.raises(GeometryError, match="variant must be one of"):
+        optimal_centers_2d(poly, "both", [poly.centroid])

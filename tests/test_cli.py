@@ -102,6 +102,42 @@ def test_center_rows_converge(shapes):
     assert [r.split(",")[0] for r in lines[1:]] == ["5", "6", "7"]
 
 
+# `center --restarts 5` on affine-regular polygons, byte for byte as the
+# restarts printed when they were solved one after another
+CENTER_PINS = {
+    "hept": ([[1.610146, -0.454651], [1.096441, 0.172014], [-0.054651, 0.292638],
+              [-0.976335, -0.18361], [-0.974563, -0.898106], [-0.05067, -1.312821],
+              [1.099633, -1.115465]], "directed", 11,
+             "seed,optimum_x,optimum_y,value,iterations\n"
+             "11,0.25000043656542575,-0.50000022025720448,6.5730075274338056,73\n"
+             "12,0.25000057618574567,-0.50000024638285956,6.5730075274338109,97\n"
+             "13,0.25000051791109024,-0.50000023892806744,6.573007527433794,97\n"
+             "14,0.25000045861580733,-0.50000040332218998,6.5730075274338189,97\n"
+             "15,0.25000033827808543,-0.50000029122987255,6.5730075274337931,98\n",
+             "best center (0.250000338278, -0.50000029123) value 6.57300752743\n"),
+    "pent": ([[-1.037367, 3.383769], [-1.990075, 2.777285], [-1.574533, 1.09662],
+              [-0.365006, 0.664395], [-0.03302, 2.077931]], "busemann", 29,
+             "seed,optimum_x,optimum_y,value,iterations\n"
+             "29,-1.0000010443803731,2.0000005430624559,6.9098300562498389,68\n"
+             "30,-1.0000006672742638,1.9999999239145114,6.9098300562498149,84\n"
+             "31,-1.0000005882721614,1.9999999505828023,6.9098300562498256,86\n"
+             "32,-1.0000008851231221,2.0000005410223509,6.9098300562498292,88\n"
+             "33,-1.0000005980938604,1.9999997426706149,6.9098300562498496,86\n",
+             "best center (-1.00000066727, 1.99999992391) value 6.90983005625\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENTER_PINS))
+def test_center_restarts_are_pinned_byte_for_byte(tmp_path, capsys, name):
+    vertices, variant, seed, csv_text, best = CENTER_PINS[name]
+    shape, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+    shape.write_text(json.dumps({"type": "polygon2", "vertices": vertices}))
+    assert run(RunConfig(command="center", shape=str(shape), variant=variant, seed=seed,
+                         restarts=5, out=str(out))) == 0
+    assert out.read_bytes() == csv_text.encode()
+    assert capsys.readouterr() == (f"wrote {out}\n{best}", "")
+
+
 def test_kgon_table_values():
     out = invoke(["kgon-table", "--k-max", "6"])
     assert out.returncode == 0

@@ -9,7 +9,7 @@ from scipy.spatial import ConvexHull
 from selfmetric import geometry
 from selfmetric.alexandrov import FourierDensity, FourierDensityError
 from selfmetric.centers import optimal_center_2d
-from selfmetric.geometry import (BarycentricPoint, GeometryError, NotInteriorError,
+from selfmetric.geometry import (PROFILE_GRID, BarycentricPoint, GeometryError, NotInteriorError,
                                  Polygon2, PolytopeN, RadiusProfile, central_section,
                                  cube, fourier_eval, icosphere, interval,
                                  polygon_as_polytope, regular_polygon, uniform_grid)
@@ -308,10 +308,26 @@ def test_profile_convexity_is_advisory():
 
 def test_second_derivative_does_not_wrap():
     # int64 k**2 wraps to 0 at k = 2**32; the 2048-node check grid aliases
-    # this harmonic onto its crests, where r'' < 0, so the margin is positive
-    prof = RadiusProfile.from_coeff_pairs([(0, 1.0, 0.0), (2 ** 32, 0.001, 0.0)])
+    # this harmonic onto its crests, where r'' < 0, so the margin is positive,
+    # and the check says it cannot resolve the harmonic
+    with pytest.warns(UserWarning, match=r"cannot resolve harmonic \|k\| = 4294967296"):
+        prof = RadiusProfile.from_coeff_pairs([(0, 1.0, 0.0), (2 ** 32, 0.001, 0.0)])
     assert prof.second_derivative(0.0) == -0.002 * 2.0 ** 64
     assert prof.convexity_margin() > 1e16
+
+
+@pytest.mark.parametrize("k", [1023, 1024, 5000])
+def test_check_grid_warns_from_the_nyquist_harmonic(k):
+    # PROFILE_GRID nodes resolve |k| < PROFILE_GRID / 2; a profile that passes
+    # the check with a harmonic at or past that is flagged, a failure is not
+    pairs = [(0, 1.0, 0.0), (k, 1e-9, 0.0)]
+    if k < PROFILE_GRID // 2:
+        RadiusProfile.from_coeff_pairs(pairs)
+    else:
+        with pytest.warns(UserWarning, match=f"cannot resolve harmonic \\|k\\| = {k} "):
+            RadiusProfile.from_coeff_pairs(pairs)
+    with pytest.warns(UserWarning, match="fails the convexity check"):
+        RadiusProfile.from_coeff_pairs([(0, 1.0, 0.0), (k, 1e-3, 0.0)])
 
 
 def test_wrapped_harmonic_fails_the_convexity_check():

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from common import interior_point, random_ccs_polygon, random_polygon
 from selfmetric.geometry import (BarycentricPoint, GeometryError, NotInteriorError,
                                  Polygon2, RadiusProfile, regular_polygon)
-from selfmetric.perimeter2 import (busemann_perimeter_polygon, kgon_self_perimeter,
+from selfmetric.perimeter2 import (_ray_casts, busemann_perimeter_polygon, kgon_self_perimeter,
                                    polygon_perimeter_subgradient, self_perimeter_polygon,
                                    self_perimeter_smooth, smooth_density,
                                    triangle_perimeters)
@@ -280,3 +281,46 @@ def test_busemann_invariant_under_point_reflection():
         b = busemann_perimeter_polygon(poly, p).value
         b_ref = busemann_perimeter_polygon(reflected, p).value
         assert b == pytest.approx(b_ref, rel=1e-12)
+
+
+@st.composite
+def polygons_with_points(draw, max_points=64):
+    # hulls of squeezed, rotated clouds, down to 1e-4 thin, with 1-6 interior points
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cloud = rng.normal(size=(draw(st.integers(3, max_points)), 2))
+    cloud *= [1.0, 10.0 ** draw(st.floats(-4.0, 0.0))]
+    turn = rng.uniform(0.0, np.pi)
+    cloud = cloud @ np.array([[np.cos(turn), np.sin(turn)], [-np.sin(turn), np.cos(turn)]])
+    try:
+        poly = Polygon2.from_hull(cloud)
+    except GeometryError:   # a few points in a thin cloud can be nearly collinear
+        poly = regular_polygon(draw(st.integers(3, max_points)))
+    points = rng.dirichlet(np.ones(len(poly)), size=draw(st.integers(1, 6))) @ poly.vertices
+    return poly, points
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(polygons_with_points(), st.sampled_from(["directed", "busemann"]))
+def test_ray_cast_rows_are_the_one_point_casts_bit_for_bit(drawn, variant):
+    poly, points = drawn
+    values, grads, inside = _ray_casts(poly, points, variant)
+    assert values.shape == inside.shape == (len(points),) and grads.shape == points.shape
+    assert inside.all()
+    for value, grad, point in zip(values, grads, points):
+        want_value, want_grad = polygon_perimeter_subgradient(poly, point, variant)
+        assert float(value).hex() == want_value.hex()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["directed", "busemann"])
+def test_ray_casts_flag_rows_outside_without_warnings(variant):
+    poly = regular_polygon(7)
+    points = np.array([[0.1, -0.2], [2.0, 2.0], [np.nan, 0.2], [0.3, 0.1], [np.inf, -np.inf],
+                       poly.vertices[2], [-1e300, 1e300], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, grads, inside = _ray_casts(poly, points, variant)
+    assert inside.tolist() == [True, False, False, True, False, False, False, True]
+    for r in np.flatnonzero(inside):
+        want_value, want_grad = polygon_perimeter_subgradient(poly, points[r], variant)
+        assert values[r] == want_value and grads[r].tobytes() == want_grad.tobytes()
