@@ -22,18 +22,18 @@ import numpy as np
 
 from .alexandrov import GRID_NODES, ClosureError, FourierDensityError, SurfaceMeasure, reconstruct
 # optimal_center_2d has no caller here; perfbench/tracing.py rebinds this name
-from .centers import ConvergenceError, optimal_center_2d, optimal_centers_2d
+from .centers import ConvergenceError, _interior_point, optimal_center_2d, optimal_centers_2d
 from .geometry import (GeometryError, Polygon2, PolytopeN, RadiusProfile,
                        regular_polygon)
-from .perimeter2 import (MIN_NODES, busemann_perimeter_polygon, kgon_self_perimeter,
-                         self_perimeter_polygon, self_perimeter_smooth)
+from .perimeter2 import (MIN_NODES, VARIANTS as POLYGON_VARIANTS, busemann_perimeter_polygon,
+                         kgon_self_perimeter, self_perimeter_polygon, self_perimeter_smooth)
 from .selfvolume import (MAX_DIM_DEFAULT, FacetContribution, affine_image,
                          self_volume_recursive)
 from .shapeio import ShapeFormatError, coeff_rows, load_density, load_shape
 
 MAX_TOLERANCE = 1e-2
 SIGNS = ("plus", "minus")
-VARIANTS = {"perimeter": ("directed", "busemann", "both"), "center": ("directed", "busemann")}
+VARIANTS = {"perimeter": (*POLYGON_VARIANTS, "both"), "center": POLYGON_VARIANTS}
 
 
 @dataclass
@@ -164,16 +164,6 @@ def _cmd_volume(cfg):
     return 0
 
 
-def _interior_start(poly, rng):
-    lo = np.min(poly.vertices, axis=0)
-    hi = np.max(poly.vertices, axis=0)
-    for _ in range(10_000):
-        p = lo + rng.random(2) * (hi - lo)
-        if poly.interior_distance(p) > 1e-9 * poly.scale:
-            return p
-    raise RuntimeError("could not sample an interior start point")
-
-
 def _cmd_center(cfg):
     body = load_shape(cfg.shape)
     if not isinstance(body, Polygon2):
@@ -181,7 +171,7 @@ def _cmd_center(cfg):
 
     # restart i starts from the centroid (i = 0) or a point drawn with seed + i;
     # all restarts are solved together, in lock step
-    starts = [body.centroid] + [_interior_start(body, np.random.default_rng(cfg.seed + i))
+    starts = [body.centroid] + [_interior_point(body, np.random.default_rng(cfg.seed + i))
                                 for i in range(1, cfg.restarts)]
     results = optimal_centers_2d(body, cfg.variant, starts)
     rows = [[cfg.seed + i, float(res.optimum[0]), float(res.optimum[1]), res.value, res.iterations]

@@ -30,26 +30,18 @@ NUFFT_CROSSOVER = 0.4
 
 
 def ConvexHull(points):
-    """scipy's qhull hull of points, with scipy.spatial imported on the first call.
+    """qhull's hull of points for PolytopeN(vertices), scipy.spatial imported on first use.
 
-    A process that builds no hull (polygons given by their vertices, radius
-    profiles, densities) never loads scipy. Every hull goes through this module
-    global, so one wrapper of geometry.ConvexHull sees them all.
+    Planar bodies go through _hull_scan, so scipy loads only for a polytope built
+    from vertices. A qhull failure is a GeometryError with qhull's first line (the
+    rest holds a run-id that differs per call). Every hull goes through this global.
     """
-    from scipy.spatial import ConvexHull as qhull
-    return qhull(points)
-
-
-def _hull(points, failure):
-    """ConvexHull(points); a qhull failure becomes GeometryError(failure + qhull's
-    first line), the rest of qhull's text holding a run-id that differs per call."""
+    from scipy.spatial import ConvexHull as qhull, QhullError
     try:
-        return ConvexHull(points)
-    except RuntimeError as exc:   # QhullError's base; naming QhullError itself needs scipy
-        from scipy.spatial import QhullError
-        if not isinstance(exc, QhullError):
-            raise
-        raise GeometryError(failure + str(exc).splitlines()[0]) from exc
+        return qhull(points)
+    except QhullError as exc:
+        raise GeometryError("degenerate polytope (no full-dimensional hull): "
+                            + str(exc).splitlines()[0]) from exc
 
 
 def uniform_grid(n):
@@ -84,7 +76,9 @@ def fourier_eval(theta, ks, coeffs):
     being the NUFFT's oversampled grid. Few harmonics or few angles, and
     sparse spectra with far harmonics, stay on it and keep its exact values.
     Above the crossover the grid path takes theta = uniform_grid(n) and the
-    NUFFT every other angle set, a shifted grid included.
+    NUFFT every other angle set, a shifted grid included. Below it the grid
+    path also takes uniform_grid(n) when some |k| >= n / 2, where folding k
+    mod n keeps the phase that k * theta in floating point loses.
     """
     th = np.asarray(theta, dtype=float)
     flat = np.atleast_1d(th).ravel()
@@ -92,14 +86,14 @@ def fourier_eval(theta, ks, coeffs):
     modes = 2 * int(np.max(np.abs(ks), initial=0)) + 1
     fine = 1 << (2 * modes - 1).bit_length()   # the power of two >= 2 * modes
     nufft_ops = fine * math.log2(fine) + 2 * NUFFT_HALF_WIDTH * len(flat)
-    if len(flat) * len(ks) > NUFFT_CROSSOVER * nufft_ops:
-        n = len(flat)
-        if np.array_equal(flat, uniform_grid(n)):
-            spec = np.zeros(n, dtype=complex)
-            np.add.at(spec, ks % n, coeffs)
-            out = np.fft.ifft(spec, norm="forward").real
-        else:
-            out = _nufft_type2(flat, ks, coeffs, modes, fine)
+    n = len(flat)
+    dense = n * len(ks) <= NUFFT_CROSSOVER * nufft_ops
+    if (not dense or modes > n) and np.array_equal(flat, uniform_grid(n)):
+        spec = np.zeros(n, dtype=complex)
+        np.add.at(spec, ks % n, coeffs)
+        out = np.fft.ifft(spec, norm="forward").real
+    elif not dense:
+        out = _nufft_type2(flat, ks, coeffs, modes, fine)
     else:
         out = np.empty(flat.shape, dtype=complex)
         with np.errstate(invalid="ignore"):   # an infinite angle gives NaN, as on the NUFFT path
@@ -202,6 +196,39 @@ def _mirrored_pairs(pairs):
 # bodies
 
 
+def _hull_scan(points):
+    """Indices of the CCW hull vertices of (k, 2) points around an interior origin.
+
+    One pass of Graham's scan (Inf. Process. Lett. 1, 1972) over the points
+    sorted by angle about the origin, from the farthest point, which is a
+    vertex. A point where the boundary turns by at most COPLANAR_TOL (sine
+    of the turn) is dropped, so reflex, collinear and repeated points go.
+    Fewer than three vertices is a GeometryError.
+    """
+    order = np.arctan2(points[:, 1], points[:, 0]).argsort(kind="stable")
+    pts = points.take(order, axis=0)
+    x, y = pts[:, 0], pts[:, 1]
+    start = int((x * x + y * y).argmax())
+    xs, ys = x.tolist(), y.tolist()
+    tol2 = COPLANAR_TOL ** 2
+    hull = []
+    for i in [*range(start, len(xs)), *range(start + 1)]:
+        px, py = xs[i], ys[i]
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            ux, uy = xs[b] - xs[a], ys[b] - ys[a]
+            wx, wy = px - xs[b], py - ys[b]
+            turn = ux * wy - uy * wx
+            if turn > 0.0 and turn * turn > tol2 * (ux * ux + uy * uy) * (wx * wx + wy * wy):
+                break
+            hull.pop()
+        hull.append(i)
+    hull.pop()   # the start, visited again to close the boundary
+    if len(hull) < 3:
+        raise GeometryError("degenerate polygon: the points are collinear")
+    return order.take(hull)
+
+
 def _planar_point(point):
     """point as a float ndarray of shape (2,); GeometryError naming any other shape."""
     p = np.asarray(point, dtype=float)
@@ -261,10 +288,12 @@ class Polygon2:
 
     @classmethod
     def from_hull(cls, points):
-        """Build the CCW convex hull of an arbitrary point cloud."""
+        """The CCW hull of a (k, 2) point cloud by _hull_scan about the mean, which is
+        inside the hull of points spanning the plane; turns within COPLANAR_TOL go."""
         pts = np.asarray(points, dtype=float)
-        hull = _hull(pts, "points are degenerate, no 2d hull: ")
-        return cls(pts[hull.vertices])  # qhull returns 2d hull vertices in CCW order
+        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3 or not np.all(np.isfinite(pts)):
+            raise GeometryError(f"expected finite (k, 2) points, k >= 3, got shape {pts.shape}")
+        return cls(pts.take(_hull_scan(pts - pts.mean(axis=0)), axis=0))
 
     @property
     def area(self):
@@ -402,7 +431,7 @@ class PolytopeN:
         else:
             if len(v) < self.dim + 1:
                 raise GeometryError(f"need at least {self.dim + 1} vertices in dimension {self.dim}")
-            hull = _hull(v, "degenerate polytope (no full-dimensional hull): ")
+            hull = ConvexHull(v)
             keep = np.sort(hull.vertices)
             remap = -np.ones(len(v), dtype=int)
             remap[keep] = np.arange(len(keep))
@@ -443,40 +472,13 @@ class PolytopeN:
 
     @classmethod
     def _polygon(cls, points):
-        """Polygon hull of (k, 2) points around an interior origin, without qhull.
+        """Polygon hull of (k, 2) points around an interior origin, by _hull_scan.
 
-        One pass of Graham's scan (Inf. Process. Lett. 1, 1972) over the points
-        sorted by angle about the origin, from the farthest point, which is a
-        vertex. A point where the boundary turns by at most COPLANAR_TOL (sine
-        of the turn) is dropped, so reflex, collinear and repeated points go,
-        and edges that _merge_facets would merge come out as one. Facet rows
-        are ordered as in _merge_facets; the area is (1/2) sum h_F L_F.
+        Edges that _merge_facets would merge come out as one. Facet rows are
+        ordered as in _merge_facets; the area is (1/2) sum h_F L_F.
         """
-        order = np.arctan2(points[:, 1], points[:, 0]).argsort(kind="stable")
-        pts = points.take(order, axis=0)
-        x, y = pts[:, 0], pts[:, 1]
-        r2 = x * x + y * y
-        start = int(r2.argmax())
-        xs, ys = x.tolist(), y.tolist()
-        tol2 = COPLANAR_TOL ** 2
-        hull = []
-        for i in [*range(start, len(xs)), *range(start + 1)]:
-            px, py = xs[i], ys[i]
-            while len(hull) >= 2:
-                a, b = hull[-2], hull[-1]
-                ux, uy = xs[b] - xs[a], ys[b] - ys[a]
-                wx, wy = px - xs[b], py - ys[b]
-                turn = ux * wy - uy * wx
-                if turn > 0.0 and turn * turn > tol2 * (ux * ux + uy * uy) * (wx * wx + wy * wy):
-                    break
-                hull.pop()
-            hull.append(i)
-        hull.pop()   # the start, visited again to close the boundary
-        m = len(hull)
-        if m < 3:
-            raise GeometryError("degenerate polygon: the points are collinear")
-        hull = np.array(hull)
-        verts = pts.take(hull, axis=0)
+        verts = points.take(_hull_scan(points), axis=0)
+        m = len(verts)
         # edge i runs from vertex i to vertex i + 1 (mod m)
         edges = (np.arange(1, 2 * m + 1) // 2).reshape(m, 2)
         edges[-1, 1] = 0
@@ -495,7 +497,8 @@ class PolytopeN:
         poly.facet_offsets, poly.facet_measures = offsets.take(rows), lengths.take(rows)
         poly.volume = 0.5 * float(offsets @ lengths)
         poly.edges = edges
-        poly.scale = math.sqrt(float(r2.take(hull).max()))
+        x, y = verts[:, 0], verts[:, 1]
+        poly.scale = math.sqrt(float((x * x + y * y).max()))
         return poly
 
     def _merge_facets(self, hull, simplices):
@@ -730,7 +733,7 @@ def polygon_as_polytope(poly, center=(0.0, 0.0)):
     c = np.asarray(center, dtype=float)
     if not poly.interior_distance(c) > 0.0:   # NaN for a non-finite center
         raise NotInteriorError("center must be strictly inside the polygon")
-    return PolytopeN(poly.vertices - c)
+    return PolytopeN._polygon(poly.vertices - c)
 
 
 def icosphere(subdivisions=2):

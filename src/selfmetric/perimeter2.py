@@ -24,6 +24,7 @@ from .geometry import (
 )
 
 MIN_NODES = 64  # coarsest admissible quadrature grid
+VARIANTS = ("directed", "busemann")
 
 
 @dataclass
@@ -54,6 +55,11 @@ def busemann_perimeter_polygon(poly, center):
     return Perimeter2Result(value, "busemann", "polygon-exact")
 
 
+def _check_variant(variant):
+    if variant not in VARIANTS:
+        raise GeometryError(f"variant must be one of {VARIANTS}, got {variant!r}")
+
+
 def polygon_perimeter_subgradient(poly, center, variant):
     """(value, subgradient) of a polygon's self-perimeter as a function of its center.
 
@@ -82,8 +88,7 @@ def _ray_casts(poly, points, variant):
     which fuses its multiply-adds differently. So a row's bits do not depend on
     the other rows.
     """
-    if variant not in ("directed", "busemann"):
-        raise GeometryError(f"variant must be directed or busemann, got {variant!r}")
+    _check_variant(variant)
     k = len(poly)
     cosines = poly.exit_cosines if variant == "busemann" else poly.exit_cosines[:k]
     lengths, normals = poly.edge_lengths, poly.normals

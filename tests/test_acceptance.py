@@ -168,6 +168,20 @@ def test_criterion_09b_icosphere_ball(capsys, ball_limit):
     report(capsys, "09b", rel < 0.02, f"icosphere(3) volume {ball:.6f}, rel gap {rel:.4%}")
 
 
+def test_criterion_09d_icosphere_ladder_rate(capsys, ball_limit):
+    # P(B)/V(B) = n makes the ball's self-volume its Euclidean volume, so the
+    # icospheres must close in on 4 pi/3 at second order in the edge length,
+    # which halves per level: the error ratio of levels 2 and 3 sits near 4
+    # (measured 0.1377, 0.02776 and 0.006656 for levels 1-3: ratios 4.96, 4.17)
+    _, ball, _ = ball_limit
+    want = 4.0 * np.pi / 3.0
+    e2 = abs(self_volume_recursive(icosphere(2)).value - want)
+    ratio = e2 / abs(ball - want)
+    report(capsys, "09d", 3.5 <= ratio <= 4.5,
+           f"icosphere(2) and (3) miss 4 pi/3 by {e2:.4e} and {abs(ball - want):.4e}, "
+           f"ratio {ratio:.3f} outside [3.5, 4.5]")
+
+
 def test_criterion_09c_runtime(capsys, ball_limit):
     _, _, elapsed = ball_limit
     report(capsys, "09c", elapsed < 60.0, f"elapsed {elapsed:.2f}s")

@@ -106,6 +106,76 @@ def test_convexity_probe_counts_no_violations():
             assert report.trials == 60
 
 
+PROBE_POLYGONS = {
+    "heptagon": regular_polygon(7, phase=0.3),
+    "pentagon": Polygon2([[2.0, -0.5], [1.5, 1.2], [-0.3, 1.9], [-1.8, 0.2], [-0.4, -1.6]]),
+    "thin": Polygon2([[-3.0, -0.01], [3.0, -0.02], [2.5, 0.03], [-2.0, 0.02]]),
+}
+# the largest f(mid) - (f(p1) + f(p2)) / 2 over 40 trials and the first pair
+# drawn, recorded while the probe still evaluated each point by its own cast
+PROBE_PINS = [
+    ("heptagon", "directed", 3, "-0x1.b4a7cc2d3fa00p-6",
+     ("0x1.234e59e76f4ecp-1", "0x1.00e950ab6bfb4p-3"),
+     ("-0x1.9ca3c00888474p-1", "-0x1.4ba79dab9a8c8p-3")),
+    ("heptagon", "busemann", 11, "-0x1.7a74a8ee0de00p-6",
+     ("-0x1.7a5a9c796c565p-1", "-0x1.19a6e33f6b250p-5"),
+     ("0x1.b5b1cf5598d46p-1", "0x1.9dc76547d41f4p-3")),
+    ("pentagon", "directed", 11, "-0x1.a76e08402c780p-3",
+     ("-0x1.4fba168f7dd6ap+0", "0x1.2e06126184ac0p-3"),
+     ("-0x1.975fbba466bd8p-2", "0x1.84d7fb2b47dd0p-3")),
+    ("pentagon", "busemann", 3, "-0x1.9ba43d09ca600p-7",
+     ("0x1.3eae075b4a07fp+0", "0x1.c01198c3c4ed8p-2"),
+     ("-0x1.713b4ddca6792p+0", "-0x1.584acc9eff290p-4")),
+    ("thin", "directed", 3, "-0x1.2937a9dc47c40p-1",
+     ("-0x1.3e38b04490c3cp+1", "-0x1.0b5ea26e362a2p-7"),
+     ("0x1.cec1f0ab16938p+0", "0x1.2a744bafcd972p-7")),
+    ("thin", "busemann", 11, "-0x1.a31a9ac23b000p-9",
+     ("-0x1.1d4211cf993dap+1", "0x1.45504e9eaec10p-8"),
+     ("-0x1.9273ffed947a8p-1", "0x1.6d00b9098ba44p-8")),
+]
+
+
+@pytest.mark.parametrize("name, variant, seed, gap, p1, p2", PROBE_PINS,
+                         ids=[f"{p[0]}-{p[1]}" for p in PROBE_PINS])
+def test_convexity_probe_is_pinned(monkeypatch, name, variant, seed, gap, p1, p2):
+    poly = PROBE_POLYGONS[name]
+    casts = []
+    ray_casts = centers._ray_casts
+
+    def spy(poly, points, variant):
+        out = ray_casts(poly, points, variant)
+        casts.append((points, out[0]))
+        return out
+
+    monkeypatch.setattr(centers, "_ray_casts", spy)
+    report = convexity_probe(poly, variant, trials=40, seed=seed)
+    assert (report.variant, report.trials, report.violations) == (variant, 40, [])
+    [(points, values)] = casts   # one batched cast: every p1, every p2, every midpoint
+    assert [x.hex() for x in points[0]] == list(p1)
+    assert [x.hex() for x in points[40]] == list(p2)
+    f1, f2, fmid = values.reshape(3, 40).tolist()
+    assert max(m - 0.5 * (a + b) for a, b, m in zip(f1, f2, fmid)).hex() == gap
+    # each row is the one-point perimeter bit for bit
+    perimeter = PERIMETERS[variant]
+    assert values.tolist() == [perimeter(poly, p).value for p in points]
+
+
+def test_interior_point_keeps_the_start_draws():
+    # the draw `center` makes for restart 1 of seed 4, recorded before the
+    # probe and the CLI shared one sampler
+    p = centers._interior_point(PROBE_POLYGONS["thin"], np.random.default_rng(5))
+    assert [x.hex() for x in p.tolist()] == ["0x1.d47c079806554p+0", "0x1.4e2f6261fe13dp-6"]
+
+
+def test_interior_point_gives_up_after_max_draws():
+    class Outside:
+        def random(self, size):
+            return np.full(size, 1.0)   # the box corner (3, 0.03), outside the polygon
+
+    with pytest.raises(RuntimeError, match="could not sample an interior start point"):
+        centers._interior_point(PROBE_POLYGONS["thin"], Outside())
+
+
 def test_simplex_closed_form_centers():
     for n, want in [(2, 4.5), (3, 32.0 / 3.0)]:
         res = optimal_simplex_center(n)

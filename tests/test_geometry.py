@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -251,15 +253,33 @@ def test_every_hull_goes_through_the_module_binding(monkeypatch):
     calls = _count_hulls(monkeypatch)
     cube(3)
     assert calls == [8]
-    Polygon2.from_hull(RNG.normal(size=(30, 2)))
-    assert calls == [8, 30]
+    # planar bodies go through the scan: no qhull for a hull of points, a
+    # polygon as a polytope, its self-volume or a section of a 3-D body
+    poly = Polygon2.from_hull(RNG.normal(size=(30, 2)))
+    self_volume_recursive(polygon_as_polytope(poly, poly.centroid))
+    central_section(cube(3), [0.3, -0.2, 1.0])
+    assert calls == [8, 8]
+
+
+@pytest.mark.parametrize("build", [
+    Polygon2.from_hull,
+    lambda points: PolytopeN._polygon(np.array(points, dtype=float) - 1.5),
+], ids=["from-hull", "polygon"])
+@pytest.mark.parametrize("points", [[[0, 0], [1, 1], [2, 2], [3, 3]],
+                                    [[0, 0], [1, 1], [0, 0], [1, 1]],
+                                    [[0, 0], [3, 3], [1, 1 + 1e-9], [2, 2]]],
+                         ids=["collinear", "repeated", "turn-below-tolerance"])
+def test_scan_rejects_collinear_points_without_qhull(build, points, monkeypatch):
+    calls = _count_hulls(monkeypatch)
+    with pytest.raises(GeometryError, match="^degenerate polygon: the points are collinear$"):
+        build(points)
+    assert calls == []
 
 
 @pytest.mark.parametrize("build, points, prefix", [
-    (Polygon2.from_hull, [[0, 0], [1, 1], [2, 2], [3, 3]], "points are degenerate, no 2d hull: "),
     (PolytopeN, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
      "degenerate polytope (no full-dimensional hull): "),
-], ids=["collinear", "coplanar"])
+], ids=["coplanar"])
 def test_qhull_failure_is_prefix_and_first_qhull_line(build, points, prefix, monkeypatch):
     from scipy.spatial import QhullError
     with pytest.raises(QhullError) as qhull:
@@ -330,6 +350,15 @@ def test_check_grid_warns_from_the_nyquist_harmonic(k):
         RadiusProfile.from_coeff_pairs([(0, 1.0, 0.0), (k, 1e-3, 0.0)])
 
 
+def test_huge_harmonic_on_the_grid_keeps_its_phase(nufft_calls):
+    # k theta in floating point loses the phase of k = 2**63 - 1; k mod n does not
+    k, n = 2 ** 63 - 1, 2048
+    got = fourier_eval(uniform_grid(n), [-k, 0, k], [0.0005, 1.0, 0.0005])
+    phase = (k % n) * np.arange(n) % n
+    assert np.max(np.abs(got - (1.0 + 0.001 * np.cos(2.0 * np.pi * phase / n)))) <= 1e-15
+    assert nufft_calls == []
+
+
 def test_wrapped_harmonic_fails_the_convexity_check():
     # (2**63 - 1)**2 = 1 mod 2**64: in int64, r'' read as -2c cos(k theta)
     with pytest.warns(UserWarning, match="fails the convexity check"):
@@ -393,12 +422,24 @@ NAN, INF = float("nan"), float("inf")
     (lambda: optimal_center_2d(regular_polygon(5), start=[INF, INF]), NotInteriorError),
     (lambda: polygon_as_polytope(regular_polygon(4), (NAN, 0.0)), NotInteriorError),
     (lambda: polygon_as_polytope(regular_polygon(4), (INF, INF)), NotInteriorError),
+    (lambda: Polygon2.from_hull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [NAN, 0.5]]), GeometryError),
+    (lambda: Polygon2.from_hull([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [INF, -INF]]), GeometryError),
 ], ids=["profile", "profile-inf", "profile-pairs", "profile-samples", "density",
         "density-pairs", "bary", "bary-inf", "triangle", "simplex", "center", "center-inf",
-        "polygon-polytope", "polygon-polytope-inf"])
+        "polygon-polytope", "polygon-polytope-inf", "from-hull", "from-hull-inf"])
 def test_non_finite_input_raises(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("points", [np.zeros((4, 3)), np.zeros(6), np.zeros((2, 2)),
+                                    np.zeros((0, 2)), [[0.0, 0.0], [1.0, 0.0], [0.0, NAN]]],
+                         ids=["three-columns", "flat", "two-points", "empty", "nan"])
+def test_from_hull_rejects_misshapen_or_non_finite_points_before_the_scan(points, monkeypatch):
+    monkeypatch.setattr(geometry, "_hull_scan", None)   # the scan may not start
+    with pytest.raises(GeometryError, match=r"^expected finite \(k, 2\) points, k >= 3, "
+                                            r"got shape \(.*\)$"):
+        Polygon2.from_hull(points)
 
 
 @pytest.mark.parametrize("rows", [[(4, 0.05, 0.0), (4, 0.05, 0.0)],
@@ -588,6 +629,50 @@ def test_angular_polygon_matches_qhull(cloud):
     assert got.scale == want.scale
     # the facet rows are qhull's, in the same order
     assert np.allclose(got.facet_normals, want.facet_normals, rtol=0.0, atol=1e-14 * kappa)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(polygon_clouds(), st.sampled_from([0.0, 1.0, -1e3]))
+def test_from_hull_keeps_qhull_vertices(cloud, shift):
+    # qhull stays the reference here; the scan sorts about the cloud's mean
+    cloud = cloud + shift
+    got = Polygon2.from_hull(cloud)
+    want = cloud[ConvexHull(cloud).vertices]
+    assert sorted(map(tuple, got.vertices.tolist())) == sorted(map(tuple, want.tolist()))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(polygon_clouds(), st.floats(0.05, 0.95), st.floats(0.05, 0.95))
+def test_polygon_as_polytope_matches_qhull(cloud, s, t):
+    poly = Polygon2.from_hull(cloud)
+    # a centre between the centroid and a point on the segment of two vertices
+    a, b = poly.vertices[0], poly.vertices[len(poly) // 2]
+    c = poly.centroid + s * (a + t * (b - a) - poly.centroid)
+    got, want = polygon_as_polytope(poly, c), PolytopeN(poly.vertices - c)
+    assert len(got.facet_offsets) == len(want.facet_offsets) == len(got.vertices)
+    kappa = want.scale * np.sum(want.facet_measures) / want.volume
+    rel = 1e-13 * max(1.0, kappa / 100.0)
+    assert got.volume == pytest.approx(want.volume, rel=rel)
+    assert got.scale == want.scale
+    # the facet rows are qhull's, in the same order
+    assert np.allclose(got.facet_normals, want.facet_normals, rtol=0.0, atol=1e-14 * kappa)
+    assert np.allclose(got.facet_offsets, want.facet_offsets, rtol=0.0, atol=1e-14 * want.scale)
+    assert np.allclose(got.facet_measures, want.facet_measures, rtol=1e-13 * kappa, atol=0.0)
+
+
+def test_planar_bodies_load_no_scipy():
+    script = """
+import sys
+import numpy as np
+from selfmetric.geometry import Polygon2, polygon_as_polytope
+from selfmetric.selfvolume import self_volume_recursive
+poly = Polygon2.from_hull(np.random.default_rng(3).normal(size=(40, 2)))
+value = self_volume_recursive(polygon_as_polytope(poly, poly.centroid)).value
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"), value > 0)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "True"]
 
 
 def test_segment_degeneracy_is_relative():

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from common import interior_point, random_ccs_polygon, random_polygon
 from selfmetric.geometry import (BarycentricPoint, GeometryError, NotInteriorError,
-                                 Polygon2, RadiusProfile, regular_polygon)
-from selfmetric.perimeter2 import (_ray_casts, busemann_perimeter_polygon, kgon_self_perimeter,
-                                   polygon_perimeter_subgradient, self_perimeter_polygon,
-                                   self_perimeter_smooth, smooth_density,
+                                 Polygon2, RadiusProfile, regular_polygon, uniform_grid)
+from selfmetric.perimeter2 import (VARIANTS, _ray_casts, busemann_perimeter_polygon,
+                                   kgon_self_perimeter, polygon_perimeter_subgradient,
+                                   self_perimeter_polygon, self_perimeter_smooth, smooth_density,
                                    triangle_perimeters)
 
 TRI = Polygon2([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -247,6 +247,24 @@ def test_smooth_matches_dense_inscribed_polygon():
     assert approx == pytest.approx(smooth, abs=1e-5)
 
 
+def test_inscribed_kgons_converge_to_the_smooth_perimeter():
+    # r = 1 + 0.02 cos 3t + 0.015 sin 2t is convex and not centrally symmetric:
+    # the exact ray casts of its inscribed k-gons must approach the quadrature
+    # of the FFT path at second order (errors 5.5e-4 to 9.0e-6, ratios 3.2-4.5)
+    prof = RadiusProfile([-3, -2, 0, 2, 3], [0.01, 0.0075j, 1.0, -0.0075j, 0.01])
+    smooth = self_perimeter_smooth(prof, nodes=4096).value
+    assert smooth == pytest.approx(6.290084726179761, rel=1e-14)
+    errors = []
+    for k in (128, 256, 512, 1024):
+        theta = uniform_grid(k)
+        r = prof(theta)
+        poly = Polygon2(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+        errors.append(self_perimeter_polygon(poly, np.zeros(2)).value - smooth)
+    assert 0.0 < errors[-1] < 1e-5
+    ratios = np.array(errors[:-1]) / errors[1:]
+    assert np.all((3.0 <= ratios) & (ratios <= 5.0)), ratios
+
+
 def test_smooth_node_floor():
     disk = RadiusProfile([0], [1.0])
     with pytest.raises(GeometryError):
@@ -324,3 +342,14 @@ def test_ray_casts_flag_rows_outside_without_warnings(variant):
     for r in np.flatnonzero(inside):
         want_value, want_grad = polygon_perimeter_subgradient(poly, points[r], variant)
         assert values[r] == want_value and grads[r].tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: _ray_casts(regular_polygon(5), np.zeros((1, 2)), v),
+    lambda v: polygon_perimeter_subgradient(regular_polygon(5), np.zeros(2), v),
+], ids=["ray-casts", "subgradient"])
+def test_unknown_variant_is_geometry_error(call):
+    assert VARIANTS == ("directed", "busemann")
+    with pytest.raises(GeometryError, match=r"^variant must be one of \('directed', 'busemann'\), "
+                                            r"got 'both'$"):
+        call("both")
