@@ -32,7 +32,8 @@ from .geometry import (GeometryError, NotInteriorError, PolytopeN, RadiusProfile
                        _conjugate_symmetric, _mirrored_pairs, central_section, fourier_eval,
                        uniform_grid)
 from .perimeter2 import smooth_density
-from .selfvolume import MAX_DIM_DEFAULT, section_self_volume, self_volume_recursive  # noqa: F401
+from .selfvolume import (MAX_DIM_DEFAULT, _facet_sum, _facet_terms,  # noqa: F401
+                         self_volume_recursive)
 
 GRID_NODES = 4096        # default circle resolution; divisible by 4
 CUSP_GUARD = 2           # grid nodes dropped on each side of a slope-field cusp
@@ -352,15 +353,14 @@ class SurfaceMeasure:
         # one section per facet, no +-normal memo: on ill-conditioned bodies the
         # two sections of a +-pair differ by rounding, which the mass carries
         normals = poly.facet_normals
-        sec_measure, sec_volume = np.array([section_self_volume(poly, u, (i,))
-                                            for i, u in enumerate(normals)]).T
+        sec_measure, sec_volume, _ = _facet_terms(poly, (), range(len(normals)))
         self._densities = sec_volume / sec_measure
         masses = (self._densities * poly.facet_measures).tolist()
         self.dim = poly.dim
         self.rows = tuple(map(FacetDensityRow, range(len(normals)), normals.copy(),
                               poly.facet_measures.tolist(), sec_measure.tolist(),
                               self._densities.tolist(), masses))
-        self.total_mass = float(sum(masses))
+        self.total_mass = _facet_sum(masses)
         self._normals = normals
         self._offsets = poly.facet_offsets
 

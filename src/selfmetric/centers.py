@@ -31,7 +31,7 @@ MAX_ITER = 10_000
 def __getattr__(name):
     # centers.minimize exists only for perfbench/tracing.py, which patches it;
     # no solve calls it. scipy.optimize loads on that first access, and the
-    # binding goes when the library carries its own tracer (ROADMAP item 2)
+    # binding goes when the library carries its own tracer (ROADMAP item 4)
     if name == "minimize":
         from scipy.optimize import minimize
         globals()["minimize"] = minimize

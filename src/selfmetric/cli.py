@@ -136,14 +136,19 @@ def _cmd_perimeter(cfg):
             fn = self_perimeter_polygon if variant == "directed" else busemann_perimeter_polygon
             res = fn(body, center)
             rows.append([body_id, variant, res.method, res.value, None])
-    elif isinstance(body, RadiusProfile):
-        if cfg.variant not in ("directed", "both"):
-            raise ValueError("smooth profiles support only the directed variant")
-        res = self_perimeter_smooth(body, nodes=cfg.nodes)
-        rows.append([body_id, "directed", res.method, res.value, res.node_count])
     else:
-        measure = SurfaceMeasure(body, max_dim=cfg.max_dim)
-        rows.append([body_id, "directed", "surface-measure", measure.total_mass, None])
+        # a profile or a polytope has one perimeter: the directed one, about the origin
+        kind = "smooth profiles" if isinstance(body, RadiusProfile) else "polytopes"
+        if cfg.variant not in ("directed", "both"):
+            raise ValueError(f"{kind} support only the directed variant")
+        if cfg.center is not None:
+            raise ValueError(f"--center applies only to polygons, not to {kind}")
+        if isinstance(body, RadiusProfile):
+            res = self_perimeter_smooth(body, nodes=cfg.nodes)
+            rows.append([body_id, "directed", res.method, res.value, res.node_count])
+        else:
+            measure = SurfaceMeasure(body, max_dim=cfg.max_dim)
+            rows.append([body_id, "directed", "surface-measure", measure.total_mass, None])
     _write_csv(cfg.out, ["body_id", "variant", "method", "value", "nodes"], rows)
     return 0
 
@@ -253,7 +258,7 @@ def _ccs_hull(points):
     return PolytopeN(np.vstack([points, -points]))
 
 
-def _climb(points, value, rng, steps, sign, max_dim):
+def _climb(points, value, rng, steps, sign):
     # local hill climb on the self-volume over CCS vertex perturbations from
     # points, whose self-volume is value; sign +1 maximizes, -1 minimizes
     best_pts, best = points, value
@@ -263,7 +268,7 @@ def _climb(points, value, rng, steps, sign, max_dim):
         cand = best_pts.copy()
         cand[j] = cand[j] + 0.1 * rng.normal(size=cand.shape[1])
         try:
-            value = self_volume_recursive(_ccs_hull(cand), max_dim=max_dim).value
+            value = self_volume_recursive(_ccs_hull(cand)).value
         except (GeometryError, ValueError):
             rejected += 1
             continue
@@ -280,14 +285,14 @@ def _cmd_conjecture_search(cfg):
         for _ in range(50):
             pts = rng.normal(size=(n + 1 + int(rng.integers(0, 3)), n))
             try:
-                start = self_volume_recursive(_ccs_hull(pts), max_dim=cfg.max_dim).value
+                start = self_volume_recursive(_ccs_hull(pts)).value
                 break
             except (GeometryError, ValueError) as exc:
                 failure = exc
         else:
             raise failure
-        hi, rej_hi = _climb(pts, start, rng, cfg.steps, +1, cfg.max_dim)
-        lo, rej_lo = _climb(pts, start, rng, cfg.steps, -1, cfg.max_dim)
+        hi, rej_hi = _climb(pts, start, rng, cfg.steps, +1)
+        lo, rej_lo = _climb(pts, start, rng, cfg.steps, -1)
         return hi, lo, rej_hi + rej_lo
 
     results = [trial(t) for t in range(cfg.trials)]
@@ -405,7 +410,6 @@ def build_parser():
     p.add_argument("--dim", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--steps", type=int)
-    p.add_argument("--max-dim", dest="max_dim", type=int)
 
     return parser
 

@@ -18,6 +18,7 @@ import numpy as np
 REL_TOL = 1e-9        # relative tolerance for collinearity / degeneracy decisions
 COPLANAR_TOL = 1e-8   # hull pieces whose unit normals agree this closely form one facet
 PROFILE_GRID = 2048   # dense grid used to validate radius profiles
+MAX_PLANAR = 1e150    # largest |coordinate| of a polygon: its squares and areas stay finite
 _EVAL_CHUNK = 256     # angle chunk for Fourier evaluation, keeps temporaries small
 _GATHER_CHUNK = 1024  # angle chunk of the NUFFT gather (2w values per angle)
 NUFFT_HALF_WIDTH = 16  # w: the NUFFT gathers 2w fine-grid values per angle
@@ -203,8 +204,10 @@ def _hull_scan(points):
     sorted by angle about the origin, from the farthest point, which is a
     vertex. A point where the boundary turns by at most COPLANAR_TOL (sine
     of the turn) is dropped, so reflex, collinear and repeated points go.
-    Fewer than three vertices is a GeometryError.
+    Fewer than three vertices is a GeometryError. The points are first scaled
+    by a power of two, exactly, so that no square below overflows or underflows.
     """
+    points = np.ldexp(points, -math.frexp(float(np.abs(points).max()))[1])
     order = np.arctan2(points[:, 1], points[:, 0]).argsort(kind="stable")
     pts = points.take(order, axis=0)
     x, y = pts[:, 0], pts[:, 1]
@@ -229,6 +232,18 @@ def _hull_scan(points):
     return order.take(hull)
 
 
+def _planar_points(points):
+    """points as a finite float (k, 2) array with k >= 3 and no |coordinate| above
+    MAX_PLANAR, or a GeometryError naming the shape or the magnitude."""
+    v = np.asarray(points, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3 or not np.all(np.isfinite(v)):
+        raise GeometryError(f"expected finite (k, 2) points, k >= 3, got shape {v.shape}")
+    big = float(np.abs(v).max())
+    if big > MAX_PLANAR:
+        raise GeometryError(f"coordinates of magnitude {big:.3g} exceed {MAX_PLANAR:g}")
+    return v
+
+
 def _planar_point(point):
     """point as a float ndarray of shape (2,); GeometryError naming any other shape."""
     p = np.asarray(point, dtype=float)
@@ -245,11 +260,7 @@ class Polygon2:
     """
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise GeometryError(f"expected an (m, 2) vertex array with m >= 3, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise GeometryError("polygon vertices must be finite")
+        v = _planar_points(vertices)
         edges = np.roll(v, -1, axis=0) - v
         lengths = np.linalg.norm(edges, axis=1)
         if np.any(lengths == 0.0):
@@ -290,9 +301,7 @@ class Polygon2:
     def from_hull(cls, points):
         """The CCW hull of a (k, 2) point cloud by _hull_scan about the mean, which is
         inside the hull of points spanning the plane; turns within COPLANAR_TOL go."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3 or not np.all(np.isfinite(pts)):
-            raise GeometryError(f"expected finite (k, 2) points, k >= 3, got shape {pts.shape}")
+        pts = _planar_points(points)
         return cls(pts.take(_hull_scan(pts - pts.mean(axis=0)), axis=0))
 
     @property
@@ -304,10 +313,13 @@ class Polygon2:
     @property
     def centroid(self):
         """Area centroid (always strictly interior for a convex polygon)."""
-        v = self.vertices
+        # on the vertices scaled by a power of two, exactly: (v + w) @ c holds cubes
+        # of coordinates, which overflow from about 1e102
+        e = math.frexp(self.scale)[1]
+        v = np.ldexp(self.vertices, -e)
         w = np.roll(v, -1, axis=0)
         c = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-        return (v + w).T @ c / (6.0 * self.area)
+        return np.ldexp((v + w).T @ c / (3.0 * float(np.sum(c))), e)
 
     def interior_distance(self, point):
         """Smallest slack over the edge halfplanes; positive iff strictly interior, NaN if

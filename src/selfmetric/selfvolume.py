@@ -53,46 +53,49 @@ class SelfVolumeResult:
     facet_contributions: list[FacetContribution] = field(default_factory=list)
 
 
-def section_self_volume(poly, normal, chain=()):
-    """(measure, self-volume) of the central section of poly orthogonal to normal.
-
-    chain names the facet indices that led to this section, for error reporting.
-    """
-    try:
-        section = central_section(poly, normal)
-    except DegenerateSectionError as exc:
-        raise DegenerateSectionError(
-            f"degenerate section at facet chain {chain}: {exc}") from exc
-    return section.volume, _omega(section, chain)
-
-
-def _facet_terms(poly, chain):
-    """Per-facet (section measure, section self-volume, contribution) arrays.
-
-    section(nu) == section(-nu) through the origin, so facet i reuses the
-    section of the first facet j < i antipodal to it (max |u_i + u_j| <
-    ANTIPODE_TOL); the others are built in facet order. chain carries the
-    facet indices descended so far, for error reporting.
-    """
-    u = poly.facet_normals
+def _antipodes(u):
+    """± representatives of unit facet normals u: facet i maps to the first facet
+    j <= i with max |u_i + u_j| < ANTIPODE_TOL, whose central section it shares."""
     # u_i . u_j near -1 preselects the pairs, but cannot decide: normals within
     # about 1.5e-8 of each other tie in the dot product
     i, j = np.nonzero(u @ u.T < ANTIPODE_TOL - 1.0)
     near = (np.abs(u[i] + u[j]) < ANTIPODE_TOL).all(axis=1)
-    rep = list(range(len(u)))
-    for a, b in zip(i[near].tolist(), j[near].tolist()):
-        rep[a] = min(rep[a], b)
-    sections = {k: section_self_volume(poly, u[k], chain + (k,)) for k in sorted(set(rep))}
+    rep = np.arange(len(u))
+    np.minimum.at(rep, i[near], j[near])
+    return rep.tolist()
+
+
+def _facet_terms(poly, chain, rep):
+    """Per-facet (section measure, section self-volume, contribution) arrays.
+
+    Facet i reads the central section built for facet rep[i]; one section is
+    built per distinct rep, in facet order. chain carries the facet indices
+    descended so far, for error reporting.
+    """
+    sections = {}
+    for k in sorted(set(rep)):
+        try:
+            section = central_section(poly, poly.facet_normals[k])
+        except DegenerateSectionError as exc:
+            raise DegenerateSectionError(
+                f"degenerate section at facet chain {chain + (k,)}: {exc}") from exc
+        sections[k] = section.volume, _omega(section, chain + (k,))
     sec_measure, sec_omega = np.array([sections[k] for k in rep]).T
     return sec_measure, sec_omega, poly.facet_measures * sec_omega / sec_measure
+
+
+def _facet_sum(values):
+    """values added in facet order, uncompensated (np.sum is pairwise, and sum()
+    compensated from Python 3.12), so a value keeps its bits on every interpreter."""
+    return reduce(add, values, 0.0)
 
 
 def _omega(poly, chain):
     """Self-volume of a polytope with the origin strictly inside."""
     if poly.dim == 1:
         return 2.0
-    # in facet order, uncompensated: np.sum is pairwise, sum() compensated from 3.12
-    return reduce(add, _facet_terms(poly, chain)[2].tolist(), 0.0) / poly.dim
+    rep = _antipodes(poly.facet_normals)
+    return _facet_sum(_facet_terms(poly, chain, rep)[2].tolist()) / poly.dim
 
 
 def self_volume_recursive(poly, max_dim=MAX_DIM_DEFAULT):
@@ -117,9 +120,9 @@ def self_volume_recursive(poly, max_dim=MAX_DIM_DEFAULT):
         raise NotInteriorError("self-volume needs the origin strictly inside the polytope")
     if poly.dim == 1:
         return SelfVolumeResult(2.0, 1)
-    terms = [t.tolist() for t in _facet_terms(poly, ())]
+    terms = [t.tolist() for t in _facet_terms(poly, (), _antipodes(poly.facet_normals))]
     rows = list(map(FacetContribution, itertools.count(), poly.facet_measures.tolist(), *terms))
-    return SelfVolumeResult(reduce(add, terms[2], 0.0) / poly.dim, poly.dim, rows)
+    return SelfVolumeResult(_facet_sum(terms[2]) / poly.dim, poly.dim, rows)
 
 
 def hypercube_self_volume(n):

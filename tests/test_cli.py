@@ -253,6 +253,34 @@ def test_polygon_center_of_three_coordinates_is_config_error(shapes, capsys):
     assert err == {"type": "config", "message": "--center needs two coordinates for a polygon"}
 
 
+@pytest.mark.parametrize("shape, fields, message", [
+    ("cube3.json", {"variant": "busemann"}, "polytopes support only the directed variant"),
+    ("disk.json", {"variant": "busemann"}, "smooth profiles support only the directed variant"),
+    ("cube3.json", {"center": "0.5,0.5"}, "--center applies only to polygons, not to polytopes"),
+    ("cube3.json", {"center": "0,0,0", "variant": "both"},
+     "--center applies only to polygons, not to polytopes"),
+    ("disk.json", {"center": "0.5,0.5"},
+     "--center applies only to polygons, not to smooth profiles"),
+], ids=["polytope-busemann", "profile-busemann", "polytope-center", "polytope-center-3d",
+        "profile-center"])
+def test_perimeter_flags_a_body_cannot_honour_are_config_errors(shapes, capsys, shape, fields,
+                                                                message):
+    assert run(RunConfig(command="perimeter", shape=str(shapes / shape), **fields)) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == {"type": "config", "message": message}
+
+
+@pytest.mark.parametrize("shape", ["cube3.json", "disk.json"])
+def test_perimeter_directed_and_both_give_one_row_off_polygons(shapes, capsys, shape):
+    outputs = []
+    for variant in ("directed", "both"):
+        assert run(RunConfig(command="perimeter", shape=str(shapes / shape), variant=variant)) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[1].split(",")[1] == "directed"
+
+
 def test_missing_file_is_io_error(tmp_path):
     out = invoke(["perimeter", "--shape", str(tmp_path / "nope.json")])
     assert out.returncode == 1
@@ -326,11 +354,12 @@ def test_parser_defaults_match_run_config():
     assert RunConfig(command="invariance-check").trials == 20
 
 
-# every subcommand that reads neither --seed nor --tolerance rejects them
+# every subcommand that reads neither --seed nor --tolerance rejects them, and
+# conjecture-search, whose dimension validate() caps at 4, takes no --max-dim
 @pytest.mark.parametrize("name,flag", [
     *((name, flag) for name in ("perimeter", "volume", "kgon-table", "alexandrov")
       for flag in ("--seed", "--tolerance")),
-    ("center", "--tolerance")])
+    ("center", "--tolerance"), ("conjecture-search", "--max-dim")])
 def test_parser_rejects_unread_flags(name, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(_argv(name) + [flag, "1"])

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 
@@ -218,6 +219,40 @@ def test_square_area_and_centroid():
     assert np.allclose(sq.centroid, [1.0, 1.0])
     assert sq.interior_distance([1.0, 1.0]) == pytest.approx(1.0, abs=1e-14)
     assert sq.contains([0.5, 0.5]) and not sq.contains([3.0, 0.5])
+
+
+# integer points, interior, repeated and collinear ones among them: scaled by
+# 1e+-100 or 1e-120 they keep every turn's sign, so the hull keeps its vertices
+_CLOUD = np.array([[-2, -2], [0, -2], [2, -2], [2, 0], [2, 2], [1, 2], [0, 2], [-2, 2],
+                   [-2, 1], [-2, -1], [0, 0], [1, 1], [-1, 0], [2, 2]], dtype=float)
+_PENTAGON = np.array([[-2, -2], [2, -2], [2, 1], [0, 2], [-2, 1]], dtype=float)
+_UNIT_SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e100, 1e-100, 1e-120])
+def test_planar_builders_keep_their_vertices_at_extreme_scales(s):
+    hull = Polygon2.from_hull(_CLOUD * s)
+    assert np.array_equal(hull.vertices, Polygon2.from_hull(_CLOUD).vertices * s)
+    body = polygon_as_polytope(Polygon2(_PENTAGON * s))
+    assert np.array_equal(body.vertices, polygon_as_polytope(Polygon2(_PENTAGON)).vertices * s)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e200, 1e308])
+@pytest.mark.parametrize("build", [Polygon2, Polygon2.from_hull,
+                                   lambda v: polygon_as_polytope(Polygon2(v))],
+                         ids=["polygon", "from-hull", "polygon-as-polytope"])
+def test_planar_builders_name_a_magnitude_whose_squares_overflow(build, s):
+    message = f"coordinates of magnitude {s:.3g} exceed 1e+150"
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        build(_UNIT_SQUARE * s)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e150, 1e-150])
+def test_centroid_at_extreme_scales(s):
+    assert Polygon2(_UNIT_SQUARE * s).centroid == pytest.approx([0.5 * s, 0.5 * s], rel=1e-15)
 
 
 def test_polygon_rejects_degenerate_input():
