@@ -19,6 +19,7 @@ REL_TOL = 1e-9        # relative tolerance for collinearity / degeneracy decisio
 COPLANAR_TOL = 1e-8   # hull pieces whose unit normals agree this closely form one facet
 PROFILE_GRID = 2048   # dense grid used to validate radius profiles
 MAX_PLANAR = 1e150    # largest |coordinate| of a polygon: its squares and areas stay finite
+MIN_PLANAR = 1e-150   # least largest |coordinate| of a polygon: its squares stay normal
 _EVAL_CHUNK = 256     # angle chunk for Fourier evaluation, keeps temporaries small
 _GATHER_CHUNK = 1024  # angle chunk of the NUFFT gather (2w values per angle)
 NUFFT_HALF_WIDTH = 16  # w: the NUFFT gathers 2w fine-grid values per angle
@@ -209,10 +210,9 @@ def _hull_scan(points):
     """
     points = np.ldexp(points, -math.frexp(float(np.abs(points).max()))[1])
     order = np.arctan2(points[:, 1], points[:, 0]).argsort(kind="stable")
-    pts = points.take(order, axis=0)
-    x, y = pts[:, 0], pts[:, 1]
-    start = int((x * x + y * y).argmax())
-    xs, ys = x.tolist(), y.tolist()
+    xs, ys = points.take(order, axis=0).T.tolist()
+    squares = [x * x + y * y for x, y in zip(xs, ys)]
+    start = squares.index(max(squares))
     tol2 = COPLANAR_TOL ** 2
     hull = []
     for i in [*range(start, len(xs)), *range(start + 1)]:
@@ -232,15 +232,29 @@ def _hull_scan(points):
     return order.take(hull)
 
 
+@functools.lru_cache(maxsize=256)
+def _cycle(m):
+    """The edges of an m-gon, (i, i + 1 mod m), as a read-only (m, 2) array, with
+    the array of their second ends and both ends as tuples; shared by every m-gon."""
+    edges = (np.arange(1, 2 * m + 1) // 2).reshape(m, 2)
+    edges[-1, 1] = 0
+    nxt = edges[:, 1].copy()
+    edges.flags.writeable = nxt.flags.writeable = False
+    return edges, nxt, *map(tuple, edges.T.tolist())
+
+
 def _planar_points(points):
-    """points as a finite float (k, 2) array with k >= 3 and no |coordinate| above
-    MAX_PLANAR, or a GeometryError naming the shape or the magnitude."""
+    """points as a finite float (k, 2) array with k >= 3 whose largest |coordinate|
+    lies in [MIN_PLANAR, MAX_PLANAR], or a GeometryError naming the shape or the
+    magnitude."""
     v = np.asarray(points, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3 or not np.all(np.isfinite(v)):
         raise GeometryError(f"expected finite (k, 2) points, k >= 3, got shape {v.shape}")
     big = float(np.abs(v).max())
     if big > MAX_PLANAR:
         raise GeometryError(f"coordinates of magnitude {big:.3g} exceed {MAX_PLANAR:g}")
+    if big < MIN_PLANAR:
+        raise GeometryError(f"coordinates of magnitude {big:.3g} fall below {MIN_PLANAR:g}")
     return v
 
 
@@ -443,6 +457,14 @@ class PolytopeN:
         else:
             if len(v) < self.dim + 1:
                 raise GeometryError(f"need at least {self.dim + 1} vertices in dimension {self.dim}")
+            # the largest |coordinate| M within 10^(+-150 / (d - 1)) keeps a facet's
+            # Gram determinant, about M^(2(d - 1)), within 1e+-300, and qhull in range
+            big = float(np.abs(v).max())
+            e = 150.0 / (self.dim - 1)
+            if not 10.0 ** -e <= big <= 10.0 ** e:
+                raise GeometryError(f"coordinates of magnitude {big:.3g} lie outside "
+                                    f"[{10.0 ** -e:.3g}, {10.0 ** e:.3g}], the range of a "
+                                    f"{self.dim}-D polytope")
             hull = ConvexHull(v)
             keep = np.sort(hull.vertices)
             remap = -np.ones(len(v), dtype=int)
@@ -490,11 +512,8 @@ class PolytopeN:
         ordered as in _merge_facets; the area is (1/2) sum h_F L_F.
         """
         verts = points.take(_hull_scan(points), axis=0)
-        m = len(verts)
-        # edge i runs from vertex i to vertex i + 1 (mod m)
-        edges = (np.arange(1, 2 * m + 1) // 2).reshape(m, 2)
-        edges[-1, 1] = 0
-        e = verts.take(edges[:, 1], axis=0) - verts
+        edges, nxt, firsts, seconds = _cycle(len(verts))
+        e = verts.take(nxt, axis=0) - verts
         lengths = np.hypot(e[:, 0], e[:, 1])
         # outward normal of a CCW edge is its direction rotated -90 degrees
         normals = e[:, ::-1] * _ROTATE_CW / lengths[:, None]
@@ -509,8 +528,9 @@ class PolytopeN:
         poly.facet_offsets, poly.facet_measures = offsets.take(rows), lengths.take(rows)
         poly.volume = 0.5 * float(offsets @ lengths)
         poly.edges = edges
-        x, y = verts[:, 0], verts[:, 1]
-        poly.scale = math.sqrt(float((x * x + y * y).max()))
+        xs, ys = verts.T.tolist()
+        poly.scale = math.sqrt(max([x * x + y * y for x, y in zip(xs, ys)]))
+        poly._lists = xs, ys, firsts, seconds
         return poly
 
     def _merge_facets(self, hull, simplices):
@@ -535,9 +555,8 @@ class PolytopeN:
             np.minimum.at(label, j, label[i])
         rep = label == np.arange(nf)
         group = (np.cumsum(rep) - 1)[label]
-        normals = eqs[rep, :-1]
-        # 1-d norms: a row-wise norm(axis=1) rounds differently in the last bit
-        normals = normals / np.array([np.linalg.norm(u) for u in normals])[:, None]
+        u = eqs[rep, :-1]
+        normals = u / np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
         offsets = -eqs[rep, -1]
         # (d-1)-measure of each simplex from the Gram determinant of its edge vectors
         span = self.vertices[simplices[:, 1:]] - self.vertices[simplices[:, :1]]
@@ -565,6 +584,13 @@ class PolytopeN:
     def _origin_inside(self):
         # computed on first use, once per polytope: the facet rows never change
         return float(np.min(self.facet_offsets)) > REL_TOL * self.scale
+
+    @functools.cached_property
+    def _lists(self):
+        # a polygon's vertices by coordinate and its edges by end, as lists,
+        # read by every chord; _polygon sets them, qhull's polygons build them
+        # on their first chord
+        return (*self.vertices.T.tolist(), *self.edges.T.tolist())
 
     def interior_distance(self, point):
         """Smallest slack over the facet halfspaces; NaN for a non-finite point."""
@@ -632,38 +658,32 @@ def _pivoted_basis(nu):
     nu is normalised once more, then the axes are taken most orthogonal first:
     w = e_axis - sum_b (e_axis . b) b over the basis so far, kept if |w| > 1e-8.
     The one-hot dot product e_axis . b is b[axis], and 0.0 - s equals e_axis - s
-    off the axis, zero signs included. The dot products w . w stay on numpy
-    (BLAS may fuse their multiply-adds), so every bit matches the textbook form.
+    off the axis, zero signs included. The loop runs on Python floats, whose
+    + - * / are numpy's elementwise operations; the dot products w . w stay on
+    numpy (BLAS may fuse their multiply-adds), so every bit matches the
+    textbook form.
     """
     norm = math.sqrt(nu.dot(nu))
+    nu = [x / norm for x in nu.tolist()]
     d = len(nu)
-    if d == 2:
-        # the loop below in closed form: np.argsort takes the axis of the
-        # smaller |nu_i| first, the first one on a tie, and |w|^2 >= 1/2 keeps it
-        x, y = nu.tolist()
-        x, y = x / norm, y / norm
-        axis, c = (0, x) if abs(x) <= abs(y) else (1, y)
-        w = [0.0 - c * x, 0.0 - c * y]
-        w[axis] = 1.0 - c * c
+    basis = []
+    # most orthogonal axes first, ties in axis order (sorted is stable; numpy's
+    # default sort kind may dispatch to a SIMD sort that does not keep ties)
+    for axis in sorted(range(d), key=lambda i: abs(nu[i])):
+        c = nu[axis]
+        s = [c * x for x in nu]
+        for b in basis:
+            c = b[axis]
+            s = [si + c * bi for si, bi in zip(s, b)]
+        w = [0.0 - si for si in s]
+        w[axis] = 1.0 - s[axis]
         wa = np.array(w)
         norm = math.sqrt(wa.dot(wa))
-        return np.array([[w[0] / norm], [w[1] / norm]])
-    nu = nu / norm
-    basis = [nu]
-    # most orthogonal axes first, ties in axis order: numpy's default sort
-    # kind may dispatch to a SIMD sort that does not keep ties in order
-    for axis in np.abs(nu).argsort(kind="stable").tolist():
-        s = nu[axis] * nu
-        for b in basis[1:]:
-            s = s + b[axis] * b
-        w = 0.0 - s
-        w[axis] = 1.0 - s[axis]
-        norm = math.sqrt(w.dot(w))
         if norm > 1e-8:
-            basis.append(w / norm)
-            if len(basis) == d:
+            basis.append([x / norm for x in w])
+            if len(basis) == d - 1:
                 break
-    return np.array(basis[1:]).T.copy()
+    return np.array(list(zip(*basis)))
 
 
 def central_section(poly, normal):
@@ -674,9 +694,9 @@ def central_section(poly, normal):
     The section's points are the polytope's vertices on the hyperplane and the
     crossings of its edges, projected on a _pivoted_basis frame. The builder
     depends on the section's dimension: a chord of a polygon is the segment
-    between the extreme projections, a section of a 3-D body is a polygon by
-    angular sort about the origin (PolytopeN._polygon, no qhull), and higher
-    sections go through the qhull-backed PolytopeN constructor.
+    between the extreme projections (_chord), a section of a 3-D body is a
+    polygon by angular sort about the origin (PolytopeN._polygon, no qhull),
+    and higher sections go through the qhull-backed PolytopeN constructor.
     """
     if not isinstance(poly, PolytopeN):
         raise TypeError("central_section expects a PolytopeN")
@@ -689,6 +709,8 @@ def central_section(poly, normal):
     verts = poly.vertices
     heights = verts @ nu
     tol = REL_TOL * poly.scale
+    if d == 2:
+        return _chord(poly, nu, heights.tolist(), tol)
     # +1 above the hyperplane, -1 below, 0 on it; an edge crosses when its
     # two ends lie on opposite sides
     side = np.subtract(heights > tol, heights < -tol, dtype=np.int8)
@@ -706,12 +728,48 @@ def central_section(poly, normal):
         raise DegenerateSectionError("hyperplane misses the polytope interior")
     proj = pts @ _pivoted_basis(nu)
     try:
-        if d == 2:
-            coords = proj.ravel().tolist()
-            return PolytopeN._segment(min(coords), max(coords))
         if d == 3:
             return PolytopeN._polygon(proj)
         return PolytopeN(proj)
+    except GeometryError as exc:
+        raise DegenerateSectionError(f"section is not full-dimensional: {exc}") from exc
+
+
+def _chord(poly, nu, heights, tol):
+    """central_section of a polygon: the segment between the extreme projections.
+
+    The generic code's side test, crossing selection and interpolation, and
+    _pivoted_basis's loop in 2-D, in the same order on the same operands, on
+    Python floats over the polygon's cached vertex and edge lists: their
+    + - * / are numpy's elementwise operations. numpy keeps the products
+    (vertices @ nu, the frame's two dot products and points @ frame), whose
+    multiply-adds BLAS may fuse.
+    """
+    xs, ys, firsts, seconds = poly._lists
+    # the vertices on the line (|height| <= tol), then the crossings of the
+    # edges whose ends lie beyond tol on opposite sides
+    pts = [(xs[i], ys[i]) for i, h in enumerate(heights) if -tol <= h <= tol] \
+        if min(map(abs, heights)) <= tol else []
+    below = -tol
+    for a, b in zip(firsts, seconds):
+        ha, hb = heights[a], heights[b]
+        if ha > tol and hb < below or ha < below and hb > tol:
+            t = ha / (ha - hb)
+            xa, ya = xs[a], ys[a]
+            pts.append((xa + t * (xs[b] - xa), ya + t * (ys[b] - ya)))
+    if len(pts) < 2:
+        raise DegenerateSectionError("hyperplane misses the polytope interior")
+    # the frame: nu normalised once more, then the axis of the smaller |nu_i|
+    # (the first on a tie) less its projection on nu
+    norm = math.sqrt(nu.dot(nu))
+    x, y = nu.tolist()
+    x, y = x / norm, y / norm
+    w = [1.0 - x * x, 0.0 - x * y] if abs(x) <= abs(y) else [0.0 - y * x, 1.0 - y * y]
+    wa = np.array(w)
+    norm = math.sqrt(wa.dot(wa))
+    coords = (np.array(pts) @ np.array([[w[0] / norm], [w[1] / norm]])).ravel().tolist()
+    try:
+        return PolytopeN._segment(min(coords), max(coords))
     except GeometryError as exc:
         raise DegenerateSectionError(f"section is not full-dimensional: {exc}") from exc
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from selfmetric.cli import RunConfig, build_parser, run
+from selfmetric.geometry import cube
 
 MODULE_CMD = [sys.executable, "-m", "selfmetric"]
 
@@ -86,6 +87,18 @@ def test_volume_rejects_polygon(shapes):
     assert out.returncode == 1
     err = json.loads(out.stderr)
     assert err["error"]["type"] == "config"
+
+
+def test_volume_of_a_huge_polytope_is_a_geometry_error(tmp_path):
+    # qhull killed the process (SIGSEGV) on the 4-D cube scaled by 1e155
+    verts = (cube(4).vertices * 1e155).tolist()
+    shape = tmp_path / "cube4.json"
+    shape.write_text(json.dumps({"type": "polytope", "dim": 4, "vertices": verts}))
+    out = invoke(["volume", "--shape", str(shape)])
+    assert out.returncode == 1
+    err = json.loads(out.stderr)["error"]
+    assert err["type"] == "geometry"
+    assert err["message"].startswith("coordinates of magnitude 1e+155 lie outside ")
 
 
 def test_center_rows_converge(shapes):

@@ -255,6 +255,60 @@ def test_centroid_at_extreme_scales(s):
     assert Polygon2(_UNIT_SQUARE * s).centroid == pytest.approx([0.5 * s, 0.5 * s], rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e-160, 1e-200])
+@pytest.mark.parametrize("build", [Polygon2, Polygon2.from_hull,
+                                   lambda v: polygon_as_polytope(Polygon2(v))],
+                         ids=["polygon", "from-hull", "polygon-as-polytope"])
+def test_planar_builders_name_a_magnitude_whose_squares_are_subnormal(build, s):
+    # at 1e-160 the edge lengths lost five digits to subnormal squares, and at
+    # 1e-170 the square read as having a repeated vertex
+    message = f"coordinates of magnitude {s:.3g} fall below 1e-150"
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        build(_UNIT_SQUARE * s)
+
+
+def _window(d):
+    e = 150.0 / (d - 1)
+    return 10.0 ** -e, 10.0 ** e
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("edge", [0, 1], ids=["low", "high"])
+def test_polytope_builds_just_inside_its_coordinate_window(d, edge):
+    s = _window(d)[edge]
+    value = self_volume_recursive(PolytopeN(cube(d).vertices * s)).value
+    # the low 5-D edge carries qhull's flat-simplex noise (ROADMAP item 2),
+    # which cube(5) shows at most scales
+    rel = 1e-9 if (d, edge) == (5, 0) else 1.6e-14
+    assert value == pytest.approx(2.0 ** d, rel=rel)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("edge", [0, 1], ids=["low", "high"])
+def test_polytope_rejects_just_outside_its_coordinate_window(d, edge):
+    lo, hi = _window(d)
+    s = math.nextafter((lo, hi)[edge], (0.0, math.inf)[edge])
+    message = (f"coordinates of magnitude {s:.3g} lie outside [{lo:.3g}, {hi:.3g}], "
+               f"the range of a {d}-D polytope")
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        PolytopeN(cube(d).vertices * s)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d, s", [(3, 1e80), (3, 1e155), (4, 1e55), (4, 1e155), (4, 1e300),
+                                  (3, 1e-150), (4, 1e-60), (5, 1e-60)])
+def test_polytope_names_magnitudes_that_broke_qhull_or_the_facet_measures(d, s):
+    # before the window: qhull precision errors (3-D from 1e80, 4-D from 1e55),
+    # numpy warnings in the facet measures, a crash of qhull from 1e155 in 4-D,
+    # and self-volumes of 0.0 for small cubes
+    message = f"coordinates of magnitude {s:.3g} lie outside "
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}"):
+        PolytopeN(cube(d).vertices * s)
+
+
 def test_polygon_rejects_degenerate_input():
     with pytest.raises(GeometryError):
         Polygon2([[0, 0], [1, 0]])

@@ -269,9 +269,10 @@ def test_sections_are_built_for_the_pinned_normals(name, kind, monkeypatch):
         SECTION_NORMALS[name, kind]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the 2x2 Gram determinant of each "
-                   "square facet, about 1e-320, is subnormal before its sqrt; "
-                   "|det([edges; normal])| / (d-1)! keeps it exact")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: 1e-80 lies below the 3-D coordinate "
+                   "window [1e-75, 1e75], so PolytopeN raises GeometryError (there the 2x2 Gram "
+                   "determinant of each square facet, about 1e-320, is subnormal before its "
+                   "sqrt); |det([edges; normal])| / (d-1)! keeps it exact and widens the window")
 def test_self_volume_is_scale_invariant_at_1e_minus_80():
     res = self_volume_recursive(PolytopeN(cube(3).vertices * 1e-80))
     assert [c.facet_measure for c in res.facet_contributions] == \
