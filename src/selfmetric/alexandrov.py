@@ -29,8 +29,8 @@ import numpy as np
 # central_section and self_volume_recursive are not called here: they stay
 # as module bindings because perfbench/tracing.py patches them in this module
 from .geometry import (GeometryError, NotInteriorError, PolytopeN, RadiusProfile,  # noqa: F401
-                       _conjugate_symmetric, _mirrored_pairs, central_section, fourier_eval,
-                       uniform_grid)
+                       _conjugate_symmetric, _exit_cosines, _exits, _mirrored_pairs,
+                       central_section, fourier_eval, uniform_grid)
 from .perimeter2 import smooth_density
 from .selfvolume import (MAX_DIM_DEFAULT, _facet_sum, _facet_terms,  # noqa: F401
                          self_volume_recursive)
@@ -155,6 +155,15 @@ def solve_phi0(phi_p, nodes=GRID_NODES):
     return Phi0Result(-mid, False, g)
 
 
+def _aligned_shift(phi_p, nodes):
+    """solve_phi0 of the aligned part phi_p; FourierDensityError if phi_p is zero."""
+    p0 = solve_phi0(phi_p, nodes)
+    if p0.trivial:
+        raise FourierDensityError(
+            "no quarter-turn-aligned harmonics: the leading slope field is identically zero")
+    return p0
+
+
 def _snap_small(values):
     # zeros of the shifted density that land on grid nodes carry O(1e-16)
     # float noise; sqrt amplifies it to 1e-8, enough to break quarter-turn
@@ -192,11 +201,7 @@ def leading_order(phi, sign=1, nodes=GRID_NODES, phi0=None):
     theta = circle_grid(nodes)
     phi_p, _ = split_harmonics(phi)
     if phi0 is None:
-        p0 = solve_phi0(phi_p, nodes)
-        if p0.trivial:
-            raise FourierDensityError(
-                "no quarter-turn-aligned harmonics: the leading slope field is identically zero")
-        phi0 = p0.value
+        phi0 = _aligned_shift(phi_p, nodes).value
     s = _snap_small(phi_p.evaluate(theta) + float(phi0))
     slope = sign * np.sign(s) * np.sqrt((2.0 / 3.0) * np.abs(s))
     gap = abs(float(np.sum(slope))) * (2.0 * np.pi / nodes)
@@ -288,10 +293,7 @@ def reconstruct(phi, sign=1, nodes=GRID_NODES):
         zero = np.zeros_like(theta)
         return ReconstructionResult(zero, zero.copy(), sign, unit, 0.0, 0.0, 0.0, theta, ())
     phi_p, _ = split_harmonics(phi)
-    p0 = solve_phi0(phi_p, nodes)
-    if p0.trivial:
-        raise FourierDensityError(
-            "no quarter-turn-aligned harmonics: the leading slope field is identically zero")
+    p0 = _aligned_shift(phi_p, nodes)
     z1 = leading_order(phi, sign=sign, nodes=nodes, phi0=p0.value)
     ks2, c2 = second_order(phi)
     z2 = fourier_eval(theta, ks2, c2)
@@ -383,10 +385,8 @@ class SurfaceMeasure:
             dirs = np.where(extreme, dirs / big, dirs)
             norms = np.linalg.norm(dirs, axis=1, keepdims=True)
         dirs = dirs / norms
-        den = dirs @ self._normals.T
+        # the slack at the origin is the offset; at the exit facet the cosine is positive
+        den = _exit_cosines(dirs @ self._normals.T)
         with np.errstate(divide="ignore"):
-            t = np.where(den > 0.0, self._offsets / den, np.inf)
-        hit = np.argmin(t, axis=1)
-        idx = np.arange(len(dirs))
-        r = t[idx, hit]
-        return self._densities[hit] * r ** (self.dim - 1) / den[idx, hit]
+            [r], [hit], _ = _exits(self._offsets[None], den)
+        return self._densities[hit] * r ** (self.dim - 1) / den[np.arange(len(dirs)), hit]

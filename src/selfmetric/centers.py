@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (REL_TOL, BarycentricPoint, GeometryError, NotInteriorError, Polygon2,
-                       _planar_point)
+from .geometry import REL_TOL, BarycentricPoint, GeometryError, NotInteriorError, Polygon2, _point
 # self_perimeter_polygon and busemann_perimeter_polygon are not called here:
 # they stay as module bindings because perfbench/tracing.py patches them in this module
 from .perimeter2 import (_check_variant, _ray_casts, busemann_perimeter_polygon,  # noqa: F401
@@ -69,14 +68,14 @@ class ConvergenceError(RuntimeError):
 
 def _interior_point(poly, rng):
     """A point drawn uniformly from the polygon's bounding box until one lies
-    farther than REL_TOL * scale inside; RuntimeError after 10,000 draws."""
+    farther than REL_TOL * scale inside; GeometryError after 10,000 draws."""
     lo = np.min(poly.vertices, axis=0)
     hi = np.max(poly.vertices, axis=0)
     for _ in range(10_000):
         p = lo + rng.random(2) * (hi - lo)
         if poly.interior_distance(p) > REL_TOL * poly.scale:
             return p
-    raise RuntimeError("could not sample an interior start point")
+    raise GeometryError("could not sample an interior start point")
 
 
 def optimal_center_2d(poly, variant="directed", start=None):
@@ -97,7 +96,7 @@ def optimal_centers_2d(poly, variant, starts):
     starts as the disk about the start through the farthest vertex and always
     holds the minimizer x. At an interior center with value f and subgradient
     g, x satisfies g.(x - c) <= fbest - f, and f - |A'g| bounds the minimum
-    from below; at a center outside the polygon the most violated edge gives a
+    from below; at a center outside the polygon the edge of least slack gives a
     central cut. A solve stops when its best value is within GAP_TOL
     (relative) of its best lower bound, with the best center and its value.
 
@@ -112,7 +111,7 @@ def optimal_centers_2d(poly, variant, starts):
     if not isinstance(poly, Polygon2):
         raise TypeError("optimal_centers_2d expects a Polygon2")
     _check_variant(variant)
-    starts = [_planar_point(start) for start in starts]
+    starts = [_point(start, 2) for start in starts]
     if not starts:
         raise GeometryError("need at least one start point")
     # one row per solve: the center (x, y) and the factor A = [[a00, a01],
@@ -130,16 +129,15 @@ def optimal_centers_2d(poly, variant, starts):
     results = [None] * len(starts)
     live = list(range(len(starts)))
     for iterations in range(1, MAX_ITER + 1):
-        values, subgradients, inside = _ray_casts(
+        values, subgradients, inside, slack = _ray_casts(
             poly, np.array([ellipses[i][:2] for i in live]), variant)
         still = []
-        for i, f, g, interior in zip(live, values.tolist(), subgradients.tolist(),
-                                     inside.tolist()):
+        for i, f, g, interior, slacks in zip(live, values.tolist(), subgradients.tolist(),
+                                             inside.tolist(), slack):
             x, y, a00, a01, a10, a11 = ellipses[i]
             if not interior:
                 # outside the polygon: a central cut along the most violated edge
-                violation = poly.normals @ np.array((x, y)) - poly.offsets
-                g = poly.normals[np.argmax(violation)].tolist()
+                g = poly.normals[slacks.argmin()].tolist()
             g0, g1 = g
             v0, v1 = a00 * g0 + a10 * g1, a01 * g0 + a11 * g1      # A'g
             width, depth = math.hypot(v0, v1), 0.0
@@ -208,7 +206,7 @@ def convexity_probe(poly, variant="directed", trials=100, seed=0):
     trials = int(trials)
     drawn = np.array([_interior_point(poly, rng) for _ in range(2 * trials)]).reshape(-1, 2)
     p1, p2 = drawn[0::2], drawn[1::2]
-    values, _, _ = _ray_casts(poly, np.vstack([p1, p2, 0.5 * (p1 + p2)]), variant)
+    values = _ray_casts(poly, np.vstack([p1, p2, 0.5 * (p1 + p2)]), variant)[0]
     f1, f2, fmid = values.reshape(3, -1).tolist()
     report = ConvexityReport(variant, trials)
     for a, b, lhs, fa, fb in zip(p1, p2, fmid, f1, f2):

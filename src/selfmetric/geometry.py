@@ -258,12 +258,39 @@ def _planar_points(points):
     return v
 
 
-def _planar_point(point):
-    """point as a float ndarray of shape (2,); GeometryError naming any other shape."""
+def _point(point, dim):
+    """point as a float ndarray of shape (dim,); GeometryError naming any other shape."""
     p = np.asarray(point, dtype=float)
-    if p.shape != (2,):
-        raise GeometryError(f"point must have shape (2,), got {p.shape}")
+    if p.shape != (dim,):
+        raise GeometryError(f"point must have shape ({dim},), got {p.shape}")
     return p
+
+
+def _slack(normals, offsets, points):
+    """Slacks h - nu.p of the facet rows at a point (d,), or at each row of points (R, d).
+
+    numpy runs the stacked product as one gemv per point, as for one point (a 2-D
+    points @ normals.T would run gemm, which fuses multiply-adds differently), so
+    a point's slacks keep their bits in any stack. Callers hold the np.errstate
+    that a point outside, or not finite, needs."""
+    return offsets - (normals @ points[..., None])[..., 0]
+
+
+def _exit_cosines(cosines):
+    """cosines with every entry <= 0 set to +0.0, in place, as _exits reads them."""
+    cosines[cosines <= 0.0] = 0.0
+    return cosines
+
+
+def _exits(slack, cosines):
+    """(radius, exit facet, its slack), each (R, c), of rays from points with facet slacks
+    slack (R, m) along directions with _exit_cosines (c, m): the least slack / cosine,
+    the first on a tie. A positive slack over a +0.0 cosine is +inf, so no ray exits
+    through a facet it does not move towards; callers hold the np.errstate."""
+    t = slack[:, None, :] / cosines
+    exits = t.argmin(axis=2)
+    rows = np.arange(len(slack))[:, None]
+    return t[rows, np.arange(len(cosines)), exits], exits, slack[rows, exits]
 
 
 class Polygon2:
@@ -303,13 +330,11 @@ class Polygon2:
         """Exit cosines of the perimeter's ray casts, shape (2k, k) for k edges, built once.
 
         Row i < k is n_j . t_i against every edge normal n_j, for the ray along the
-        edge tangent t_i; row k + i is n_j . (-t_i), for the reversed ray. A ray
-        exits only through an edge whose cosine is positive, so every other entry
-        is +0.0: a positive slack divided by it is +inf.
+        edge tangent t_i; row k + i is n_j . (-t_i), for the reversed ray; as _exits
+        reads them, every cosine <= 0 is +0.0.
         """
-        table = np.vstack([self.tangents @ self.normals.T, -self.tangents @ self.normals.T])
-        table[table <= 0.0] = 0.0
-        return table
+        return _exit_cosines(np.vstack([self.tangents @ self.normals.T,
+                                        -self.tangents @ self.normals.T]))
 
     @classmethod
     def from_hull(cls, points):
@@ -338,9 +363,8 @@ class Polygon2:
     def interior_distance(self, point):
         """Smallest slack over the edge halfplanes; positive iff strictly interior, NaN if
         the point is not finite."""
-        p = _planar_point(point)
         with np.errstate(invalid="ignore"):
-            return float(np.min(self.offsets - self.normals @ p))
+            return float(np.min(_slack(self.normals, self.offsets, _point(point, 2))))
 
     def contains(self, point):
         return self.interior_distance(point) > 0.0
@@ -435,6 +459,11 @@ _SEGMENT_EDGES = _frozen([[0, 1]])
 _ROTATE_CW = _frozen([1.0, -1.0])   # (y, x) * this = (y, -x): (x, y) turned by -90 degrees
 
 
+def _row_order(normals):
+    """The order of facet rows: by normal rounded to 12 digits, in coordinate order."""
+    return np.lexsort(normals.round(12).T[::-1])
+
+
 class PolytopeN:
     """Convex polytope in R^d from its vertices; facets derived by convex hull.
 
@@ -519,8 +548,7 @@ class PolytopeN:
         normals = e[:, ::-1] * _ROTATE_CW / lengths[:, None]
         nv = normals * verts
         offsets = nv[:, 0] + nv[:, 1]
-        key = normals.round(12)
-        rows = np.lexsort((key[:, 1], key[:, 0]))
+        rows = _row_order(normals)
         poly = cls.__new__(cls)
         poly.dim = 2
         poly.vertices = verts
@@ -564,7 +592,7 @@ class PolytopeN:
         simplex_measures = np.sqrt(np.maximum(det, 0.0)) / math.factorial(self.dim - 1)
         measures = np.zeros(len(offsets))
         np.add.at(measures, group, simplex_measures)
-        order = np.lexsort(np.round(normals, 12).T[::-1])
+        order = _row_order(normals)
         return normals[order], offsets[order], measures[order]
 
     def __len__(self):
@@ -594,9 +622,9 @@ class PolytopeN:
 
     def interior_distance(self, point):
         """Smallest slack over the facet halfspaces; NaN for a non-finite point."""
-        p = np.asarray(point, dtype=float)
+        p = _point(point, self.dim)
         with np.errstate(invalid="ignore"):
-            return float(np.min(self.facet_offsets - self.facet_normals @ p))
+            return float(np.min(_slack(self.facet_normals, self.facet_offsets, p)))
 
 
 class BarycentricPoint:
@@ -726,11 +754,14 @@ def central_section(poly, normal):
         pts = np.vstack([verts[side == 0], pts])
     if len(pts) < d:
         raise DegenerateSectionError("hyperplane misses the polytope interior")
-    proj = pts @ _pivoted_basis(nu)
+    return _full_dimensional(PolytopeN._polygon if d == 3 else PolytopeN,
+                             pts @ _pivoted_basis(nu))
+
+
+def _full_dimensional(build, *args):
+    """The section build(*args), a GeometryError from it raised as DegenerateSectionError."""
     try:
-        if d == 3:
-            return PolytopeN._polygon(proj)
-        return PolytopeN(proj)
+        return build(*args)
     except GeometryError as exc:
         raise DegenerateSectionError(f"section is not full-dimensional: {exc}") from exc
 
@@ -768,29 +799,26 @@ def _chord(poly, nu, heights, tol):
     wa = np.array(w)
     norm = math.sqrt(wa.dot(wa))
     coords = (np.array(pts) @ np.array([[w[0] / norm], [w[1] / norm]])).ravel().tolist()
-    try:
-        return PolytopeN._segment(min(coords), max(coords))
-    except GeometryError as exc:
-        raise DegenerateSectionError(f"section is not full-dimensional: {exc}") from exc
+    return _full_dimensional(PolytopeN._segment, min(coords), max(coords))
 
 
 # ---------------------------------------------------------------------------
 # stock shapes
 
 
-def regular_polygon(k, circumradius=1.0, phase=0.0):
-    """Regular k-gon centered at the origin with a vertex at angle phase."""
+def regular_polygon(k, phase=0.0):
+    """Regular k-gon inscribed in the unit circle with a vertex at angle phase."""
     if k < 3:
         raise GeometryError("a polygon needs k >= 3 vertices")
     ang = phase + 2.0 * np.pi * np.arange(k) / k
-    return Polygon2(circumradius * np.column_stack([np.cos(ang), np.sin(ang)]))
+    return Polygon2(np.column_stack([np.cos(ang), np.sin(ang)]))
 
 
-def cube(n, half_side=1.0):
-    """Hypercube [-h, h]^n as a PolytopeN."""
+def cube(n):
+    """Hypercube [-1, 1]^n as a PolytopeN."""
     if n < 1:
         raise GeometryError("dimension must be >= 1")
-    corners = np.array(list(itertools.product((-half_side, half_side), repeat=n)), dtype=float)
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)), dtype=float)
     return PolytopeN(corners)
 
 

@@ -19,7 +19,9 @@ from .geometry import (
     NotInteriorError,
     Polygon2,
     RadiusProfile,
-    _planar_point,
+    _exits,
+    _point,
+    _slack,
     uniform_grid,
 )
 
@@ -66,54 +68,45 @@ def polygon_perimeter_subgradient(poly, center, variant):
     The one-point case of `_ray_casts`; raises NotInteriorError unless the
     center is strictly inside the polygon.
     """
-    values, subgradients, inside = _ray_casts(poly, _planar_point(center)[None], variant)
+    values, subgradients, inside, _ = _ray_casts(poly, _point(center, 2)[None], variant)
     if not inside[0]:
         raise NotInteriorError("center is not strictly inside the polygon")
     return float(values[0]), subgradients[0]
 
 
 def _ray_casts(poly, points, variant):
-    """(values, subgradients, inside) of a polygon's self-perimeter at each row of points (R, 2).
+    """(values, subgradients, inside, slack) of a polygon's self-perimeter at each row
+    of points (R, 2).
 
     The ray radius r_i of edge i leaves through edge j, so r_i = s_j / (n_j.t_i)
     with slack s_j = h_j - n_j.p, and d r_i / dp = -r_i n_j / s_j. Where several
     exit edges tie (a crease of the convex objective) any of them gives a valid
-    subgradient. inside (R,) flags the rows strictly inside the polygon; the
-    values and subgradients of the other rows are meaningless, and they raise
-    no floating-point warning.
-
-    Each row gets the IEEE operations of a one-point cast, on the same operands
-    and in the same order: numpy runs a stacked matmul as one gemv per item, the
-    kernel of a matvec, while a 2-D points @ normals.T would go through gemm,
-    which fuses its multiply-adds differently. So a row's bits do not depend on
-    the other rows.
+    subgradient. slack (R, k) holds the edge slacks of each row, and inside (R,)
+    flags the rows strictly inside the polygon, where every slack is positive;
+    the values and subgradients of the other rows are meaningless, and they
+    raise no floating-point warning. Each row gets the IEEE operations of a
+    one-point cast (see geometry._slack), so its bits do not depend on the others.
     """
     _check_variant(variant)
     k = len(poly)
     cosines = poly.exit_cosines if variant == "busemann" else poly.exit_cosines[:k]
     lengths, normals = poly.edge_lengths, poly.normals
-    # a point outside, or not finite, makes negative, NaN or infinite slacks;
-    # for a row inside every slack is positive, so only a +0.0 cosine divides,
-    # giving +inf
     with np.errstate(all="ignore"):
-        slack = poly.offsets - (normals @ points[:, :, None])[:, :, 0]
+        slack = _slack(normals, poly.offsets, points)
         inside = slack.min(axis=1) > 0.0
-        t = slack[:, None, :] / cosines
-        exits = t.argmin(axis=2)
-        rows = np.arange(len(points))[:, None]
-        radii = t[rows, np.arange(len(cosines)), exits]
-        at_exit = slack[rows, exits]
+        radii, exits, at_exit = _exits(slack, cosines)
         fwd, j_fwd = radii[:, :k], exits[:, :k]
         if variant == "directed":
             values = (lengths / fwd).sum(axis=1)
-            return values, _weighted_normals(lengths / (fwd * at_exit), normals, j_fwd), inside
-        bwd, j_bwd = radii[:, k:], exits[:, k:]
-        chords = fwd + bwd
-        values = (2.0 * lengths / chords).sum(axis=1)
-        w = 2.0 * lengths / chords ** 2
-        subgradients = (_weighted_normals(w * fwd / at_exit[:, :k], normals, j_fwd)
-                        + _weighted_normals(w * bwd / at_exit[:, k:], normals, j_bwd))
-    return values, subgradients, inside
+            subgradients = _weighted_normals(lengths / (fwd * at_exit), normals, j_fwd)
+        else:
+            bwd, j_bwd = radii[:, k:], exits[:, k:]
+            chords = fwd + bwd
+            values = (2.0 * lengths / chords).sum(axis=1)
+            w = 2.0 * lengths / chords ** 2
+            subgradients = (_weighted_normals(w * fwd / at_exit[:, :k], normals, j_fwd)
+                            + _weighted_normals(w * bwd / at_exit[:, k:], normals, j_bwd))
+    return values, subgradients, inside, slack
 
 
 def _weighted_normals(weights, normals, exits):

@@ -41,7 +41,10 @@ def _require(cond, message, field):
 def _number(x, field):
     _require(isinstance(x, (int, float)) and not isinstance(x, bool),
              f"expected a number, got {type(x).__name__}", field)
-    v = float(x)
+    try:
+        v = float(x)
+    except OverflowError as exc:   # an integer beyond the float range
+        raise ShapeFormatError("number is out of the float range", field) from exc
     _require(np.isfinite(v), "number is not finite", field)
     return v
 
@@ -148,14 +151,14 @@ def density_to_dict(phi):
     return {"coeffs": coeff_rows(phi), "epsilon": phi.epsilon}
 
 
-def bodies_equal(a, b, tol=1e-12):
-    """Vertex-order-insensitive equality of two bodies of the same kind."""
+def bodies_equal(a, b):
+    """Vertex-order-insensitive equality of two bodies of the same kind, to 1e-12."""
     if type(a) is not type(b):
         return False
     if isinstance(a, RadiusProfile):
         if not np.array_equal(a.ks, b.ks):
             return False
-        return bool(np.max(np.abs(a.coeffs - b.coeffs)) <= tol)
+        return bool(np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12)
     va = np.array(sorted(a.vertices.tolist()))
     vb = np.array(sorted(b.vertices.tolist()))
-    return va.shape == vb.shape and bool(np.max(np.abs(va - vb)) <= tol)
+    return va.shape == vb.shape and bool(np.max(np.abs(va - vb)) <= 1e-12)

@@ -374,6 +374,32 @@ def test_surface_measure_rescales_extreme_directions(scale):
     assert np.array_equal(sm.evaluate([[scale, scale, 0.0], [1.0, 2.0, 3.0]]), plain)
 
 
+def _where_density(sm, directions):
+    # the exit rule as evaluate spelled it before geometry._exits: divide only
+    # where the cosine is positive, infinity elsewhere, then the nearest exit
+    dirs = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    den = dirs @ sm._normals.T
+    with np.errstate(divide="ignore"):
+        t = np.where(den > 0.0, sm._offsets / den, np.inf)
+    hit = np.argmin(t, axis=1)
+    idx = np.arange(len(dirs))
+    return sm._densities[hit] * t[idx, hit] ** (sm.dim - 1) / den[idx, hit]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.integers(2, 4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_surface_density_keeps_the_where_form_bit_for_bit(dim, box, seed):
+    rng = np.random.default_rng(seed)
+    if box:   # axis directions run parallel to facets: cosines of exactly +-0.0
+        body = cube(dim)
+    else:
+        pts = rng.normal(size=(dim + 3, dim))
+        body = PolytopeN(np.vstack([pts, -pts]))
+    sm = SurfaceMeasure(body)
+    dirs = np.vstack([np.eye(dim), -np.eye(dim), rng.normal(size=(48, dim))])
+    assert sm.evaluate(dirs).tobytes() == _where_density(sm, dirs).tobytes()
+
+
 def test_surface_measure_max_dim_bounds_the_section_dimension():
     assert SurfaceMeasure(cube(4), max_dim=3).total_mass == pytest.approx(4.0 * 16.0, rel=1e-12)
     with pytest.raises(GeometryError):

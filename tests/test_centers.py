@@ -12,8 +12,8 @@ from selfmetric.centers import (GAP_TOL, CenterResult, ConvergenceError, convexi
                                 grunbaum_bound_check, optimal_center_2d, optimal_centers_2d,
                                 optimal_simplex_center)
 from selfmetric.geometry import GeometryError, NotInteriorError, Polygon2, regular_polygon
-from selfmetric.perimeter2 import (busemann_perimeter_polygon, polygon_perimeter_subgradient,
-                                   self_perimeter_polygon)
+from selfmetric.perimeter2 import (_ray_casts, busemann_perimeter_polygon,
+                                   polygon_perimeter_subgradient, self_perimeter_polygon)
 
 POSITION_TOL = 1e-6
 
@@ -160,6 +160,23 @@ def test_convexity_probe_is_pinned(monkeypatch, name, variant, seed, gap, p1, p2
     assert values.tolist() == [perimeter(poly, p).value for p in points]
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 12), st.integers(1, 5),
+       st.sampled_from(["directed", "busemann"]))
+def test_outside_cut_edge_is_the_most_violated_edge(seed, size, rows, variant):
+    # the solve cuts a center outside along the least slack of its cast row; that
+    # row must be the violation N p - h negated, and its argmin the violation's argmax
+    rng = np.random.default_rng(seed)
+    poly = random_polygon(rng, size)
+    points = rng.normal(scale=2.0, size=(rows, 2))   # most fall outside
+    slack = _ray_casts(poly, points, variant)[3]
+    assert slack.shape == (rows, len(poly))
+    for center, row in zip(points, slack):
+        violation = poly.normals @ center - poly.offsets
+        assert np.array_equal(-row, violation)
+        assert row.argmin() == np.argmax(violation)
+
+
 def test_interior_point_keeps_the_start_draws():
     # the draw `center` makes for restart 1 of seed 4, recorded before the
     # probe and the CLI shared one sampler
@@ -172,7 +189,7 @@ def test_interior_point_gives_up_after_max_draws():
         def random(self, size):
             return np.full(size, 1.0)   # the box corner (3, 0.03), outside the polygon
 
-    with pytest.raises(RuntimeError, match="could not sample an interior start point"):
+    with pytest.raises(GeometryError, match="could not sample an interior start point"):
         centers._interior_point(PROBE_POLYGONS["thin"], Outside())
 
 

@@ -250,6 +250,46 @@ def test_out_of_range_harmonic_is_shape_format_error(tmp_path, capsys, command, 
     assert err["type"] == "shape-format" and err["field"] == "coeffs[1][0]"
 
 
+HUGE = 10 ** 400   # a JSON integer that no float can hold
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("perimeter", {"type": "polygon2", "vertices": [[0, 0], [HUGE, 0], [0, 1]]}, "vertices[1][0]"),
+    ("volume", {"type": "polytope", "dim": 3, "vertices": [[1, 0, 0], [0, 1, 0], [0, 0, HUGE],
+                                                           [-1, -1, -1]]}, "vertices[2][2]"),
+    ("perimeter", {"type": "radius_profile", "coeffs": [[0, HUGE, 0.0]]}, "coeffs[0][1]"),
+    ("alexandrov", {"coeffs": [[4, 0.5, 0.0]], "epsilon": HUGE}, "epsilon"),
+], ids=["polygon-vertex", "polytope-vertex", "profile-coefficient", "density-epsilon"])
+def test_number_beyond_the_float_range_is_shape_format_error(tmp_path, capsys, command, doc,
+                                                             field):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    key = "phi" if command == "alexandrov" else "shape"
+    assert run(RunConfig(command=command, **{key: str(path)})) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert json.loads(out.err)["error"] == {
+        "type": "shape-format", "message": "number is out of the float range", "field": field}
+
+
+def test_unsampleable_sliver_is_geometry_error(tmp_path, capsys):
+    # a 2 x 2e-7 rectangle turned by 45 degrees fills about 1e-7 of its bounding
+    # box, so restart 1 finds no start point in 10,000 draws; restart 0, the
+    # centroid, needs none
+    c = np.sqrt(0.5)
+    corners = [(-1.0, -1e-7), (1.0, -1e-7), (1.0, 1e-7), (-1.0, 1e-7)]
+    path = tmp_path / "sliver.json"
+    path.write_text(json.dumps({"type": "polygon2",
+                                "vertices": [[c * (x - y), c * (x + y)] for x, y in corners]}))
+    assert run(RunConfig(command="center", shape=str(path), restarts=1)) == 0
+    capsys.readouterr()
+    assert run(RunConfig(command="center", shape=str(path), restarts=2)) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert json.loads(out.err)["error"] == {
+        "type": "geometry", "message": "could not sample an interior start point"}
+
+
 @pytest.mark.parametrize("center", ["nan,0.2", "inf,0.2"])
 def test_non_finite_polygon_center_is_geometry_error(shapes, center):
     out = invoke(["perimeter", "--shape", str(shapes / "tri.json"), "--center", center,

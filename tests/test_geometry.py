@@ -464,6 +464,31 @@ def test_cube_facets():
     assert c.interior_distance(np.zeros(3)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("point", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [[0.0, 0.0, 0.0]], 0.3])
+def test_polytope_misshapen_point_is_geometry_error(point):
+    with pytest.raises(GeometryError, match=r"^point must have shape \(3,\), got "
+                       + re.escape(str(np.shape(point))) + "$"):
+        cube(3).interior_distance(point)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(2, 5), st.integers(3, 64), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_slack_is_the_matvec_bit_for_bit(d, m, rows, seed):
+    # every point query reads geometry._slack; a point's row must be the 1-D
+    # matvec h - N p bit for bit, alone or stacked with other points
+    rng = np.random.default_rng(seed)
+    normals = rng.normal(size=(m, d))
+    normals /= np.sqrt(np.sum(normals * normals, axis=1))[:, None]
+    offsets = rng.uniform(0.1, 2.0, m)
+    points = rng.normal(size=(rows, d))
+    stacked = geometry._slack(normals, offsets, points)
+    assert stacked.shape == (rows, m)
+    for point, row in zip(points, stacked):
+        want = (offsets - normals @ point).tobytes()
+        assert row.tobytes() == want
+        assert geometry._slack(normals, offsets, point).tobytes() == want
+
+
 def test_icosphere_facet_count():
     assert len(icosphere(0).facets) == 20
     assert len(icosphere(2).facets) == 320
@@ -677,6 +702,13 @@ def test_collinear_section_raises():
         central_section(flat, [0.0, 0.0, 1.0])
     with pytest.raises(GeometryError):
         PolytopeN._polygon(np.array([[-1.0, 0.0], [1.0, 0.0], [0.5, 0.0], [-1.0, 0.0]]))
+    # a consistent body: the octahedron with its y vertices at +-2e-9 holds the
+    # origin, and the plane z = 0 cuts it in a rhombus too thin for the scan
+    thin = PolytopeN([[1, 0, 0], [-1, 0, 0], [0, 2e-9, 0], [0, -2e-9, 0], [0, 0, 1], [0, 0, -1]])
+    assert thin.origin_interior()
+    with pytest.raises(geometry.DegenerateSectionError, match="^section is not full-dimensional: "
+                       "degenerate polygon: the points are collinear$"):
+        central_section(thin, [0.0, 0.0, 1.0])
 
 
 @st.composite
