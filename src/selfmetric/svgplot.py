@@ -37,7 +37,9 @@ def polar_svg(profile, title=""):
         'stroke="#ccc" stroke-width="1"/>',
         f'<circle cx="{half}" cy="{half}" r="{scale:.2f}" '
         'fill="none" stroke="#999" stroke-dasharray="4 4" stroke-width="1"/>',
-        f'<path d="{_path(list(zip(xs, ys)))}" fill="none" stroke="#1f5fa8" stroke-width="2"/>',
+        # Python floats format as numpy's float64 scalars do, at half the cost
+        f'<path d="{_path(list(zip(xs.tolist(), ys.tolist())))}" fill="none" '
+        'stroke="#1f5fa8" stroke-width="2"/>',
     ]
     if title:
         safe = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

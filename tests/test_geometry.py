@@ -44,21 +44,32 @@ def _symmetric_spectrum(rng, positive_ks):
     return ks, np.concatenate([np.conj(c[::-1]), [rng.normal()], c])
 
 
-@pytest.fixture
-def nufft_calls(monkeypatch):
-    """Angle counts of the calls that took the NUFFT path."""
+def _angle_counts(monkeypatch, kernel):
+    """Angle counts of the calls that took geometry.<kernel>."""
     calls = []
-    nufft = geometry._nufft_type2
+    inner = getattr(geometry, kernel)
 
     def spy(theta, *args):
         calls.append(len(theta))
-        return nufft(theta, *args)
+        return inner(theta, *args)
 
-    monkeypatch.setattr(geometry, "_nufft_type2", spy)
+    monkeypatch.setattr(geometry, kernel, spy)
     return calls
 
 
-def test_fourier_eval_paths_on_both_sides_of_the_crossover(nufft_calls):
+@pytest.fixture
+def nufft_calls(monkeypatch):
+    """Angle counts of the calls that took the NUFFT path."""
+    return _angle_counts(monkeypatch, "_nufft_type2")
+
+
+@pytest.fixture
+def horner_calls(monkeypatch):
+    """Angle counts of the calls that took Horner's rule."""
+    return _angle_counts(monkeypatch, "_horner")
+
+
+def test_fourier_eval_paths_on_both_sides_of_the_crossover(nufft_calls, horner_calls):
     rng = np.random.default_rng(5)
     theta = rng.uniform(0.0, 2.0 * np.pi, 200)
     # few harmonics: the dense loop, bit for bit
@@ -72,11 +83,17 @@ def test_fourier_eval_paths_on_both_sides_of_the_crossover(nufft_calls):
     assert len(ks) == 31 and np.max(np.abs(ks)) == 100_000
     assert np.array_equal(fourier_eval(theta[:64], ks, coeffs),
                           _dense_reference(theta[:64], ks, coeffs))
-    assert nufft_calls == []
+    assert nufft_calls == [] and horner_calls == []
+    # max |k| = 2w = 32, above the crossover: Horner's rule
+    ks, coeffs = _symmetric_spectrum(rng, np.arange(1, 33))
+    got = fourier_eval(theta, ks, coeffs)
+    assert horner_calls == [200] and nufft_calls == []
+    err = np.max(np.abs(got - _dense_reference(theta, ks, coeffs)))
+    assert err <= 1e-12 * np.sum(np.abs(coeffs))
     # many harmonics: the NUFFT
     ks, coeffs = _symmetric_spectrum(rng, np.arange(1, 65))
     got = fourier_eval(theta, ks, coeffs)
-    assert nufft_calls == [200]
+    assert nufft_calls == [200] and horner_calls == [200]
     err = np.max(np.abs(got - _dense_reference(theta, ks, coeffs)))
     assert err <= 1e-12 * np.sum(np.abs(coeffs))
 
@@ -127,6 +144,38 @@ def test_fourier_eval_agrees_with_the_dense_sum(case):
         assert isinstance(got, float)
     assert np.shape(got) == np.shape(theta)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(coeffs))
+
+
+@st.composite
+def horner_cases(draw):
+    """Any complex coefficients on repeated ks, max |k| <= 32, above the crossover.
+
+    At least 20 terms on at least 130 angles put every case above the
+    crossover; some angles may be NaN or infinite.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kmax = draw(st.integers(1, 2 * geometry.NUFFT_HALF_WIDTH))
+    ks = rng.integers(-kmax, kmax + 1, size=draw(st.integers(20, 80)))
+    ks[0] = draw(st.sampled_from([-kmax, kmax]))
+    coeffs = rng.normal(size=len(ks)) + 1j * rng.normal(size=len(ks))
+    theta = rng.uniform(-50.0, 50.0, draw(st.sampled_from([130, 600, 2048])))
+    bad = rng.choice(len(theta), size=draw(st.integers(0, 3)), replace=False)
+    theta[bad] = rng.choice([np.nan, np.inf, -np.inf], size=len(bad))
+    return theta, ks, coeffs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(horner_cases())
+def test_horner_folds_any_spectrum(case):
+    theta, ks, coeffs = case
+    with pytest.MonkeyPatch.context() as mp:
+        horner_calls = _angle_counts(mp, "_horner")
+        got = fourier_eval(theta, ks, coeffs)
+    assert horner_calls == [len(theta)]
+    good = np.isfinite(theta)
+    assert np.array_equal(np.isnan(got), ~good)
+    want = _dense_reference(theta[good], ks, coeffs)
+    assert np.max(np.abs(got[good] - want)) <= 1e-12 * np.sum(np.abs(coeffs))
 
 
 def _chunked_dense_reference(theta, ks, coeffs):
@@ -184,32 +233,30 @@ def test_fourier_eval_on_the_grid_agrees_with_the_dense_sum(case):
     assert np.max(np.abs(got[rows] - exact)) <= 1e-13 * total
 
 
-def test_smooth_density_on_the_grid_keeps_one_nufft_call(monkeypatch):
-    rng = np.random.default_rng(24)
-    pos = np.arange(1, 25)
-    c = 0.02 * (rng.normal(size=24) + 1j * rng.normal(size=24)) / pos ** 2
+@pytest.mark.parametrize("kernel, kmax", [("_horner", 24), ("_nufft_type2", 40)])
+def test_smooth_density_on_the_grid_makes_one_off_grid_call(monkeypatch, kernel, kmax):
+    rng = np.random.default_rng(kmax)
+    pos = np.arange(1, kmax + 1)
+    c = 0.02 * (rng.normal(size=kmax) + 1j * rng.normal(size=kmax)) / pos ** 2
     profile = RadiusProfile(np.concatenate([-pos[::-1], [0], pos]),
                             np.concatenate([np.conj(c[::-1]), [1.0], c]))
-    evals, nufft_angles = [], []
-    fourier, nufft = geometry.fourier_eval, geometry._nufft_type2
+    evals = []
+    fourier = geometry.fourier_eval
 
     def spy_eval(theta, *args):
         evals.append(np.array(theta))
         return fourier(theta, *args)
 
-    def spy_nufft(theta, *args):
-        nufft_angles.append(np.array(theta))
-        return nufft(theta, *args)
-
     monkeypatch.setattr(geometry, "fourier_eval", spy_eval)
-    monkeypatch.setattr(geometry, "_nufft_type2", spy_nufft)
+    calls = {name: _angle_counts(monkeypatch, name) for name in ("_horner", "_nufft_type2")}
     grid = uniform_grid(2048)
     density = smooth_density(profile, grid)
-    # r and r' on the grid, then r at theta + alpha: only the last takes the NUFFT
+    # r and r' on the grid, then r at theta + alpha: only the last leaves it,
+    # for Horner's rule up to max |k| = 2w = 32 and for the NUFFT above
     assert len(evals) == 3
     assert np.array_equal(evals[0], grid) and np.array_equal(evals[1], grid)
-    assert len(nufft_angles) == 1 and np.array_equal(nufft_angles[0], evals[2])
     assert not np.array_equal(evals[2], grid)
+    assert calls == {name: [2048] if name == kernel else [] for name in calls}
     assert np.all(np.isfinite(density)) and np.all(density > 0.0)
 
 

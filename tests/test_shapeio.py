@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -108,3 +109,12 @@ def test_polar_svg_structure():
     assert "a &lt; b" in svg
     assert "stroke-dasharray" in svg   # unit circle
     assert "<text" not in polar_svg(prof)
+
+
+def test_polar_svg_bytes_are_pinned():
+    # sha256 of the document as numpy scalars formatted it; Python floats must match
+    prof = RadiusProfile.from_coeff_pairs([(0, 1.0, 0.0), (2, 0.02, 0.01), (3, 0.005, -0.0025)])
+    svg = polar_svg(prof, title="r & <profile>")
+    assert len(svg) == 11710
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "11fcb6074e76b410b2b66b2077de6f67f1c03e63be3d75a0f35ec51efa2e95da")

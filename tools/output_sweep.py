@@ -9,8 +9,12 @@ probe with its own perfbench code, then runs every job once through its own
 `selfmetric.cli.run`, untimed, with paths relative to a fresh directory. The
 sweep compares the input and output files byte for byte, and the exit code
 and full stderr job by job, and it reports the jobs that fail this
-checkout's output checks (golden digests included). It exits 1 on any
-difference or failed check.
+checkout's output checks (golden digests included). For each differing
+CSV or JSON output it also prints the largest relative difference of its
+numbers, read as perfbench/oracle.py reads them and scaled by the base
+output's largest magnitude, as oracle.digest_mismatch scales a short digest
+(null where the other side lacks the file or the counts of numbers differ).
+It exits 1 on any difference or failed check.
 """
 
 import argparse
@@ -59,7 +63,22 @@ def _differences(a, b, rel=""):
     return found
 
 
+def _deviation(base_path, this_path):
+    """Largest |x - y| / max |y| over the numbers of two outputs, y the base's; None
+    when either is missing or not CSV or JSON, or their counts of numbers differ."""
+    import oracle
+    if not (base_path.endswith((".csv", ".json")) and os.path.isfile(base_path)
+            and os.path.isfile(this_path)):
+        return None
+    want, got = (oracle._numbers(oracle.read_output(p), []) for p in (base_path, this_path))
+    if len(want) != len(got):
+        return None
+    scale = max([abs(y) for y in want] + [1e-300])
+    return max([abs(x - y) for x, y in zip(got, want)], default=0.0) / scale
+
+
 def sweep(base, workloads, seeds, work):
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))   # this checkout's oracle, for _deviation
     ok = True
     for workload in workloads:
         for seed in seeds:
@@ -79,8 +98,11 @@ def sweep(base, workloads, seeds, work):
                 jobs.append(f"job counts {len(base_recs)} != {len(this_recs)}")
             failed = [r["id"] for r in this_recs if r["problems"]]
             ok = ok and not (files or jobs or failed)
+            deviations = {f: _deviation(os.path.join(base_dir, f), os.path.join(this_dir, f))
+                          for f in files}
             print(json.dumps({"workload": workload, "seed": seed, "jobs": len(this_recs),
-                              "files_differing": files, "exit_or_stderr_differing": jobs,
+                              "files_differing": files, "largest_rel_difference": deviations,
+                              "exit_or_stderr_differing": jobs,
                               "failing_checks": failed}), flush=True)
     return ok
 
