@@ -32,8 +32,7 @@ from .geometry import (GeometryError, NotInteriorError, PolytopeN, RadiusProfile
                        _conjugate_symmetric, _exit_cosines, _exits, _mirrored_pairs,
                        central_section, fourier_eval, uniform_grid)
 from .perimeter2 import smooth_density
-from .selfvolume import (MAX_DIM_DEFAULT, _facet_sum, _facet_terms,  # noqa: F401
-                         self_volume_recursive)
+from .selfvolume import _check_dim, _facet_sum, _facet_terms, self_volume_recursive  # noqa: F401
 
 GRID_NODES = 4096        # default circle resolution; divisible by 4
 CUSP_GUARD = 2           # grid nodes dropped on each side of a slope-field cusp
@@ -280,11 +279,11 @@ def reconstruct(phi, sign=1, nodes=GRID_NODES):
     """Solve the inverse problem to two perturbative orders.
 
     eps = 0 returns the unit disk with zero residual. Otherwise the aligned
-    part must be nonzero (FourierDensityError if not). Both sign branches are
-    valid: they share phi0 and zeta2, and their zeta1 are exact negatives. For
-    real aligned coefficients zeta1 is odd up to rounding, so the branches are
-    mirror images under theta -> -theta at leading order only; zeta2 is the
-    same on both and need not be even.
+    part must be nonzero and exp(sqrt(eps) zeta1 + eps zeta2) finite, else
+    FourierDensityError. Both sign branches are valid and share phi0 and
+    zeta2; their zeta1 are exact negatives. For real aligned coefficients
+    zeta1 is odd up to rounding, so the branches are mirror images under
+    theta -> -theta at leading order only; zeta2 need not be even.
     """
     theta = circle_grid(nodes)
     eps = phi.epsilon
@@ -297,7 +296,10 @@ def reconstruct(phi, sign=1, nodes=GRID_NODES):
     z1 = leading_order(phi, sign=sign, nodes=nodes, phi0=p0.value)
     ks2, c2 = second_order(phi)
     z2 = fourier_eval(theta, ks2, c2)
-    samples = np.exp(np.sqrt(eps) * z1 + eps * z2)
+    with np.errstate(over="ignore"):
+        samples = np.exp(np.sqrt(eps) * z1 + eps * z2)
+    if not np.all(np.isfinite(samples)):
+        raise FourierDensityError(f"epsilon {eps:g} overflows the reconstructed radius")
     notes = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -339,19 +341,17 @@ class SurfaceMeasure:
     The density over the radial projection of facet F to the unit sphere is
     the constant c_F = (self-volume of the central section parallel to F) /
     (measure of that section), times the Jacobian r^{n-1} / <theta, normal>.
-    Total mass equals dim times the self-volume of the polytope.
+    Total mass is dim times the self-volume, with the same MAX_DIM check.
     """
 
-    def __init__(self, poly, max_dim=MAX_DIM_DEFAULT):
+    def __init__(self, poly):
         if not isinstance(poly, PolytopeN):
             raise TypeError("SurfaceMeasure expects a PolytopeN")
         if poly.dim < 2:
             raise GeometryError("surface measure needs dimension at least 2")
+        _check_dim(poly)
         if not poly.origin_interior():
             raise NotInteriorError("surface measure needs the origin strictly inside")
-        if poly.dim - 1 > max_dim:
-            raise GeometryError(f"section dimension {poly.dim - 1} exceeds max_dim={max_dim}; "
-                                "pass max_dim explicitly to override")
         # one section per facet, no +-normal memo: on ill-conditioned bodies the
         # two sections of a +-pair differ by rounding, which the mass carries
         normals = poly.facet_normals

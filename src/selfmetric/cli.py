@@ -27,8 +27,7 @@ from .geometry import (GeometryError, Polygon2, PolytopeN, RadiusProfile,
                        regular_polygon)
 from .perimeter2 import (MIN_NODES, VARIANTS as POLYGON_VARIANTS, busemann_perimeter_polygon,
                          kgon_self_perimeter, self_perimeter_polygon, self_perimeter_smooth)
-from .selfvolume import (MAX_DIM_DEFAULT, FacetContribution, affine_image,
-                         self_volume_recursive)
+from .selfvolume import FacetContribution, affine_image, self_volume_recursive
 from .shapeio import ShapeFormatError, coeff_rows, load_density, load_shape
 
 MAX_TOLERANCE = 1e-2
@@ -49,7 +48,6 @@ class RunConfig:
     nodes: int = None        # GRID_NODES for alexandrov, else 512
     tolerance: float = 1e-6
     seed: int = 0
-    max_dim: int = MAX_DIM_DEFAULT
     restarts: int = 5
     k_max: int = 16
     epsilon: float = None
@@ -147,7 +145,7 @@ def _cmd_perimeter(cfg):
             res = self_perimeter_smooth(body, nodes=cfg.nodes)
             rows.append([body_id, "directed", res.method, res.value, res.node_count])
         else:
-            measure = SurfaceMeasure(body, max_dim=cfg.max_dim)
+            measure = SurfaceMeasure(body)
             rows.append([body_id, "directed", "surface-measure", measure.total_mass, None])
     _write_csv(cfg.out, ["body_id", "variant", "method", "value", "nodes"], rows)
     return 0
@@ -157,7 +155,7 @@ def _cmd_volume(cfg):
     body = load_shape(cfg.shape)
     if not isinstance(body, PolytopeN):
         raise ValueError('volume needs a shape of type "polytope" with the origin interior')
-    res = self_volume_recursive(body, max_dim=cfg.max_dim)
+    res = self_volume_recursive(body)
     # the CSV header is FacetContribution's fields; the JSON keys name the first "index"
     header = [f.name for f in fields(FacetContribution)]
     rows = list(map(attrgetter(*header), res.facet_contributions))
@@ -224,7 +222,7 @@ def _cmd_invariance_check(cfg):
     body = load_shape(cfg.shape)
     if not isinstance(body, PolytopeN):
         raise ValueError('invariance check needs a shape of type "polytope"')
-    base = self_volume_recursive(body, max_dim=cfg.max_dim).value
+    base = self_volume_recursive(body).value
     n = body.dim
 
     def trial(t):
@@ -233,7 +231,7 @@ def _cmd_invariance_check(cfg):
             mat = rng.normal(size=(n, n))
             if abs(np.linalg.det(mat)) > 1e-3:
                 break
-        value = self_volume_recursive(affine_image(body, mat), max_dim=cfg.max_dim).value
+        value = self_volume_recursive(affine_image(body, mat)).value
         return [t, value, abs(value - base) / abs(base)]
 
     rows = [trial(t) for t in range(cfg.trials)]
@@ -375,11 +373,9 @@ def build_parser():
     p.add_argument("--center", help="x,y base point (polygons; default centroid)")
     p.add_argument("--variant", choices=VARIANTS["perimeter"])
     p.add_argument("--nodes", type=int)
-    p.add_argument("--max-dim", dest="max_dim", type=int)
 
     p = add("volume", "recursive self-volume of a polytope")
     p.add_argument("--shape", required=True)
-    p.add_argument("--max-dim", dest="max_dim", type=int)
     p.add_argument("--csv", dest="facet_csv", help="also write the facet breakdown CSV")
 
     p = add("center", "perimeter-minimizing interior point of a polygon")
@@ -402,7 +398,6 @@ def build_parser():
     p.add_argument("--tolerance", type=float)
     p.add_argument("--shape", required=True)
     p.add_argument("--trials", type=int)
-    p.add_argument("--max-dim", dest="max_dim", type=int)
 
     p = add("conjecture-search", "random search for extremal CCS self-volumes")
     p.add_argument("--seed", type=int)

@@ -33,7 +33,7 @@ from .geometry import (
 )
 
 ANTIPODE_TOL = 1e-12     # facets with max |u_i + u_j| below this share a section
-MAX_DIM_DEFAULT = 5      # recursion cost grows fast with dimension
+MAX_DIM = 5              # above it, qhull's simplices of a section's facet can overlap
 PRODUCT_VERTEX_GUARD = 100_000
 
 
@@ -98,13 +98,19 @@ def _omega(poly, chain):
     return _facet_sum(_facet_terms(poly, chain, rep)[2].tolist()) / poly.dim
 
 
-def self_volume_recursive(poly, max_dim=MAX_DIM_DEFAULT):
+def _check_dim(poly):
+    """GeometryError for a body above MAX_DIM, the one limit of the section recursion."""
+    if poly.dim > MAX_DIM:
+        raise GeometryError(
+            f"dimension {poly.dim} exceeds the section recursion's limit of {MAX_DIM}")
+
+
+def self_volume_recursive(poly):
     """Self-volume of a PolytopeN by the central-section recursion.
 
     Parameters
     ----------
-    poly : PolytopeN with the origin strictly interior.
-    max_dim : recursion guard; raise this explicitly for dimensions above 5.
+    poly : PolytopeN of dimension at most MAX_DIM with the origin strictly interior.
 
     Returns
     -------
@@ -113,9 +119,7 @@ def self_volume_recursive(poly, max_dim=MAX_DIM_DEFAULT):
     """
     if not isinstance(poly, PolytopeN):
         raise TypeError("self_volume_recursive expects a PolytopeN")
-    if poly.dim > max_dim:
-        raise GeometryError(
-            f"dimension {poly.dim} exceeds max_dim={max_dim}; pass max_dim explicitly to override")
+    _check_dim(poly)
     if not poly.origin_interior():
         raise NotInteriorError("self-volume needs the origin strictly inside the polytope")
     if poly.dim == 1:

@@ -400,7 +400,3 @@ def test_surface_density_keeps_the_where_form_bit_for_bit(dim, box, seed):
     assert sm.evaluate(dirs).tobytes() == _where_density(sm, dirs).tobytes()
 
 
-def test_surface_measure_max_dim_bounds_the_section_dimension():
-    assert SurfaceMeasure(cube(4), max_dim=3).total_mass == pytest.approx(4.0 * 16.0, rel=1e-12)
-    with pytest.raises(GeometryError):
-        SurfaceMeasure(cube(4), max_dim=2)

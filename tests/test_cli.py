@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from selfmetric.cli import RunConfig, build_parser, run
-from selfmetric.geometry import cube
+from selfmetric.geometry import cube, polygon_as_polytope, regular_polygon
+from selfmetric.selfvolume import cartesian_product
+from selfmetric.shapeio import save_shape
 
 MODULE_CMD = [sys.executable, "-m", "selfmetric"]
 
@@ -101,6 +103,25 @@ def test_volume_of_a_huge_polytope_is_a_geometry_error(tmp_path):
     assert err["message"].startswith("coordinates of magnitude 1e+155 lie outside ")
 
 
+SIX_D = {"cube6": lambda: cube(6),
+         "triangle-x-cube4": lambda: cartesian_product(
+             polygon_as_polytope(regular_polygon(3)), cube(4))}
+
+
+# above MAX_DIM = 5 qhull's simplices of a section's facet can overlap (triangle x
+# 4-cube would read a surface mass of 432.4 for 432), so both commands refuse 6-D
+@pytest.mark.parametrize("name", SIX_D)
+def test_six_dimensional_volume_and_perimeter_are_one_geometry_error(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    save_shape(SIX_D[name](), path)
+    for command in ("volume", "perimeter"):
+        assert run(RunConfig(command=command, shape=str(path))) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert json.loads(out.err)["error"] == {
+            "type": "geometry", "message": "dimension 6 exceeds the section recursion's limit of 5"}
+
+
 def test_center_rows_converge(shapes):
     out = invoke(["center", "--shape", str(shapes / "tri.json"),
                   "--restarts", "3", "--seed", "5"])
@@ -191,6 +212,17 @@ def test_alexandrov_needs_aligned_harmonic(tmp_path):
     out = invoke(["alexandrov", "--phi", str(bad)])
     assert out.returncode == 1
     assert json.loads(out.stderr)["error"]["type"] == "density"
+
+
+def test_alexandrov_epsilon_that_overflows_the_radius_is_density_error(shapes):
+    # exp(sqrt(eps) zeta1 + eps zeta2) overflows at eps = 1e7: one density line and
+    # no numpy warning line
+    out = invoke(["alexandrov", "--phi", str(shapes / "phi4.json"),
+                  "--nodes", "512", "--epsilon", "1e7"])
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.count("\n") == 1
+    assert json.loads(out.stderr)["error"] == {
+        "type": "density", "message": "epsilon 1e+07 overflows the reconstructed radius"}
 
 
 def test_invariance_check_passes(shapes):
@@ -407,12 +439,12 @@ def test_parser_defaults_match_run_config():
     assert RunConfig(command="invariance-check").trials == 20
 
 
-# every subcommand that reads neither --seed nor --tolerance rejects them, and
-# conjecture-search, whose dimension validate() caps at 4, takes no --max-dim
+# every subcommand that reads neither --seed nor --tolerance rejects them, and no
+# subcommand takes --max-dim: the section recursion's one limit is selfvolume.MAX_DIM
 @pytest.mark.parametrize("name,flag", [
     *((name, flag) for name in ("perimeter", "volume", "kgon-table", "alexandrov")
       for flag in ("--seed", "--tolerance")),
-    ("center", "--tolerance"), ("conjecture-search", "--max-dim")])
+    ("center", "--tolerance"), *((name, "--max-dim") for name in REQUIRED)])
 def test_parser_rejects_unread_flags(name, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(_argv(name) + [flag, "1"])
