@@ -17,7 +17,7 @@ from selfmetric.geometry import (GeometryError, NotInteriorError, PolytopeN,
                                  RadiusProfile, cube, interval,
                                  polygon_as_polytope, regular_polygon)
 from selfmetric.perimeter2 import self_perimeter_smooth
-from selfmetric.selfvolume import self_volume_recursive
+from selfmetric.selfvolume import MAX_DIM, cartesian_product, self_volume_recursive
 
 COS4 = FourierDensity.from_pairs([(4, 0.5, 0.0)], 0.01)   # cos(4 theta)
 
@@ -400,3 +400,11 @@ def test_surface_density_keeps_the_where_form_bit_for_bit(dim, box, seed):
     assert sm.evaluate(dirs).tobytes() == _where_density(sm, dirs).tobytes()
 
 
+def test_surface_measure_max_dim_bounds_the_section_dimension():
+    # MAX_DIM bounds the body, so its sections stay at most MAX_DIM - 1 dimensional;
+    # the 6-D triangle x 4-cube, whose surface mass is 432, is refused, not read as 432.4
+    assert MAX_DIM == 5
+    assert SurfaceMeasure(cube(4)).total_mass == pytest.approx(4.0 * 16.0, rel=1e-12)
+    six = cartesian_product(polygon_as_polytope(regular_polygon(3)), cube(4))
+    with pytest.raises(GeometryError, match="dimension 6 exceeds"):
+        SurfaceMeasure(six)
