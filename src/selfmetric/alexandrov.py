@@ -173,15 +173,11 @@ def _snap_small(values):
 
 def cusp_exclusion_mask(s):
     """Boolean mask dropping CUSP_GUARD nodes on each side of every sign change of s."""
-    s = np.asarray(s, dtype=float)
-    n = len(s)
-    sgn = np.sign(s)
-    mask = np.ones(n, dtype=bool)
-    flips = np.nonzero(sgn != np.roll(sgn, -1))[0]
-    for j in flips:
-        for d in range(1 - CUSP_GUARD, CUSP_GUARD + 1):
-            mask[(j + d) % n] = False
-    return mask
+    sgn = np.sign(np.asarray(s, dtype=float))
+    # node j flips when its sign differs from node j + 1's; nodes j + 1 - CUSP_GUARD
+    # to j + CUSP_GUARD, cyclically, are dropped
+    flip = sgn != np.roll(sgn, -1)
+    return ~np.any([np.roll(flip, d) for d in range(1 - CUSP_GUARD, CUSP_GUARD + 1)], axis=0)
 
 
 def leading_order(phi, sign=1, nodes=GRID_NODES, phi0=None):
@@ -279,11 +275,12 @@ def reconstruct(phi, sign=1, nodes=GRID_NODES):
     """Solve the inverse problem to two perturbative orders.
 
     eps = 0 returns the unit disk with zero residual. Otherwise the aligned
-    part must be nonzero and exp(sqrt(eps) zeta1 + eps zeta2) finite, else
-    FourierDensityError. Both sign branches are valid and share phi0 and
-    zeta2; their zeta1 are exact negatives. For real aligned coefficients
-    zeta1 is odd up to rounding, so the branches are mirror images under
-    theta -> -theta at leading order only; zeta2 need not be even.
+    part must be nonzero, exp(sqrt(eps) zeta1 + eps zeta2) finite and its
+    unprojected profile positive, else FourierDensityError. Both sign branches
+    are valid and share phi0 and zeta2; their zeta1 are exact negatives. For
+    real aligned coefficients zeta1 is odd up to rounding, so the branches are
+    mirror images under theta -> -theta at leading order only; zeta2 need not
+    be even.
     """
     theta = circle_grid(nodes)
     eps = phi.epsilon
@@ -313,7 +310,11 @@ def reconstruct(phi, sign=1, nodes=GRID_NODES):
         # error of a hard cutoff would mask the expansion's own defect
         full = RadiusProfile.from_samples(samples, k_max=nodes // 2 - 1, check=False)
     notes.extend(str(w.message) for w in caught)
-    _, density = forward_measure(full, nodes)
+    try:
+        _, density = forward_measure(full, nodes)
+    except GeometryError as exc:
+        raise FourierDensityError(
+            f"epsilon {eps:g} lies outside the perturbative range: {exc}") from exc
     resid_fn = np.log(density) - eps * (phi.evaluate(theta) + p0.value)
     s = _snap_small(phi_p.evaluate(theta) + p0.value)
     keep = cusp_exclusion_mask(s)

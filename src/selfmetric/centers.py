@@ -27,15 +27,9 @@ GAP_TOL = 1e-13      # relative bound on the certified gap between value and min
 MAX_ITER = 10_000
 
 
-def __getattr__(name):
-    # centers.minimize exists only for perfbench/tracing.py, which patches it;
-    # no solve calls it. scipy.optimize loads on that first access, and the
-    # binding goes when the library carries its own tracer (ROADMAP item 4)
-    if name == "minimize":
-        from scipy.optimize import minimize
-        globals()["minimize"] = minimize
-        return minimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# no solve calls a general-purpose minimizer: the binding exists only for
+# perfbench/tracing.py, which patches it, and goes with ROADMAP item 5b
+minimize = None
 
 
 @dataclass

@@ -44,7 +44,7 @@ class RunConfig:
     out: str = None
     facet_csv: str = None
     center: str = None
-    variant: str = "directed"
+    variant: str = None      # the body's own: busemann for polytopes, else directed
     nodes: int = None        # GRID_NODES for alexandrov, else 512
     tolerance: float = 1e-6
     seed: int = 0
@@ -70,7 +70,7 @@ class RunConfig:
         if cmd in ("invariance-check", "conjecture-search") \
                 and not 0.0 < self.tolerance <= MAX_TOLERANCE:
             raise ValueError(f"tolerance must lie in (0, {MAX_TOLERANCE}], got {self.tolerance}")
-        if cmd in VARIANTS and self.variant not in VARIANTS[cmd]:
+        if cmd in VARIANTS and self.variant not in (None, *VARIANTS[cmd]):
             *head, last = VARIANTS[cmd]
             raise ValueError(f"variant must be {', '.join(head)} or {last}")
         if cmd == "alexandrov" and self.sign not in SIGNS:
@@ -129,24 +129,29 @@ def _cmd_perimeter(cfg):
         center = _parse_point(cfg.center) if cfg.center else body.centroid
         if cfg.center and len(center) != 2:
             raise ValueError("--center needs two coordinates for a polygon")
-        variants = ("directed", "busemann") if cfg.variant == "both" else (cfg.variant,)
+        variants = ("directed", "busemann") if cfg.variant == "both" else (cfg.variant or "directed",)
         for variant in variants:
             fn = self_perimeter_polygon if variant == "directed" else busemann_perimeter_polygon
             res = fn(body, center)
             rows.append([body_id, variant, res.method, res.value, None])
     else:
-        # a profile or a polytope has one perimeter: the directed one, about the origin
-        kind = "smooth profiles" if isinstance(body, RadiusProfile) else "polytopes"
-        if cfg.variant not in ("directed", "both"):
-            raise ValueError(f"{kind} support only the directed variant")
+        # a profile or a polytope has one perimeter, about the origin: a profile's is
+        # the directed one; a polytope's is its surface mass, the central-section
+        # perimeter, which in the plane is Busemann's
+        if isinstance(body, RadiusProfile):
+            kind, variant = "smooth profiles", "directed"
+        else:
+            kind, variant = "polytopes", "busemann"
+        if cfg.variant not in (None, variant, "both"):
+            raise ValueError(f"{kind} support only the {variant} variant")
         if cfg.center is not None:
             raise ValueError(f"--center applies only to polygons, not to {kind}")
         if isinstance(body, RadiusProfile):
             res = self_perimeter_smooth(body, nodes=cfg.nodes)
-            rows.append([body_id, "directed", res.method, res.value, res.node_count])
+            rows.append([body_id, variant, res.method, res.value, res.node_count])
         else:
             measure = SurfaceMeasure(body)
-            rows.append([body_id, "directed", "surface-measure", measure.total_mass, None])
+            rows.append([body_id, variant, "surface-measure", measure.total_mass, None])
     _write_csv(cfg.out, ["body_id", "variant", "method", "value", "nodes"], rows)
     return 0
 
@@ -176,7 +181,7 @@ def _cmd_center(cfg):
     # all restarts are solved together, in lock step
     starts = [body.centroid] + [_interior_point(body, np.random.default_rng(cfg.seed + i))
                                 for i in range(1, cfg.restarts)]
-    results = optimal_centers_2d(body, cfg.variant, starts)
+    results = optimal_centers_2d(body, cfg.variant or "directed", starts)
     rows = [[cfg.seed + i, float(res.optimum[0]), float(res.optimum[1]), res.value, res.iterations]
             for i, res in enumerate(results)]
     _write_csv(cfg.out, ["seed", "optimum_x", "optimum_y", "value", "iterations"], rows)

@@ -715,35 +715,27 @@ def _pivoted_basis(nu):
     """Orthonormal basis of the hyperplane orthogonal to the unit vector nu
     (pivoted Gram-Schmidt), as the columns of a C-ordered (d, d - 1) array.
 
-    nu is normalised once more, then the axes are taken most orthogonal first:
-    w = e_axis - sum_b (e_axis . b) b over the basis so far, kept if |w| > 1e-8.
-    The one-hot dot product e_axis . b is b[axis], and 0.0 - s equals e_axis - s
-    off the axis, zero signs included. The loop runs on Python floats, whose
-    + - * / are numpy's elementwise operations; the dot products w . w stay on
-    numpy (BLAS may fuse their multiply-adds), so every bit matches the
-    textbook form.
+    nu is normalised once more, then the axes are taken most orthogonal first,
+    ties in axis order: w = e_axis - sum_b (e_axis . b) b over nu and the basis
+    so far, kept if |w| > 1e-8. The one-hot dot product e_axis . b is b[axis],
+    and 0.0 - s equals e_axis - s off the axis, zero signs included.
     """
-    norm = math.sqrt(nu.dot(nu))
-    nu = [x / norm for x in nu.tolist()]
+    nu = nu / math.sqrt(nu.dot(nu))
     d = len(nu)
     basis = []
-    # most orthogonal axes first, ties in axis order (sorted is stable; numpy's
-    # default sort kind may dispatch to a SIMD sort that does not keep ties)
-    for axis in sorted(range(d), key=lambda i: abs(nu[i])):
-        c = nu[axis]
-        s = [c * x for x in nu]
+    # numpy's default sort kind may dispatch to a SIMD sort that does not keep ties
+    for axis in np.abs(nu).argsort(kind="stable").tolist():
+        s = nu[axis] * nu
         for b in basis:
-            c = b[axis]
-            s = [si + c * bi for si, bi in zip(s, b)]
-        w = [0.0 - si for si in s]
+            s = s + b[axis] * b
+        w = 0.0 - s
         w[axis] = 1.0 - s[axis]
-        wa = np.array(w)
-        norm = math.sqrt(wa.dot(wa))
+        norm = math.sqrt(w.dot(w))
         if norm > 1e-8:
-            basis.append([x / norm for x in w])
+            basis.append(w / norm)
             if len(basis) == d - 1:
                 break
-    return np.array(list(zip(*basis)))
+    return np.array(basis).T.copy()
 
 
 def central_section(poly, normal):

@@ -184,6 +184,29 @@ def test_cusp_mask_single_crossing_pair():
     assert dropped == {6, 7, 8, 9, 14, 15, 0, 1}
 
 
+def _loop_cusp_mask(s):
+    # the per-flip loop the rolled form replaced
+    n = len(s)
+    sgn = np.sign(s)
+    mask = np.ones(n, dtype=bool)
+    for j in np.nonzero(sgn != np.roll(sgn, -1))[0]:
+        for d in range(1 - alexandrov.CUSP_GUARD, alexandrov.CUSP_GUARD + 1):
+            mask[(j + d) % n] = False
+    return mask
+
+
+def test_cusp_mask_matches_the_per_flip_loop():
+    rng = np.random.default_rng(23)
+    cases = [np.where(rng.random(n) < p, -1.0, 1.0) * rng.random(n)
+             for n in (1, 2, 3, 5, 8, 16, 64) for p in (0.05, 0.5, 0.95)]
+    # flips at index 0 and at n - 1 (wrapping to 0), adjacent flips and zeros
+    cases += [np.array([-1.0] + [1.0] * 9), np.array([1.0] * 9 + [-1.0]),
+              np.array([1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0]),
+              np.array([0.0, 1.0, 0.0, -1.0, -1.0, -1.0, 1.0, 1.0]), np.ones(12)]
+    for s in cases:
+        assert np.array_equal(cusp_exclusion_mask(s), _loop_cusp_mask(s)), s
+
+
 def test_forward_density_of_disk_is_one():
     theta, dens = forward_measure(RadiusProfile([0], [1.0]), nodes=256)
     assert np.allclose(dens, 1.0, atol=1e-14)

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -393,3 +397,26 @@ def test_lock_step_checks_every_start_first(monkeypatch):
             optimal_centers_2d(poly, "busemann", [poly.centroid, [0.1, 0.1], bad])
     with pytest.raises(GeometryError, match="variant must be one of"):
         optimal_centers_2d(poly, "both", [poly.centroid])
+
+
+_TRACED_SOLVE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracing import Tracer
+from selfmetric import centers
+from selfmetric.geometry import regular_polygon
+with Tracer() as tracer:
+    centers.optimal_center_2d(regular_polygon(5))
+print(json.dumps({"solves": tracer.counts["centers.iterations"] > 0,
+                  "optimize": [m for m in sys.modules if m.startswith("scipy.optimize")]}))
+"""
+
+
+def test_traced_centre_solve_loads_no_scipy_optimize():
+    # the benchmark tracer patches centers.minimize, a plain binding no solve calls
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    proc = subprocess.run([sys.executable, "-c", _TRACED_SOLVE, perfbench],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"solves": True, "optimize": []}

@@ -66,7 +66,7 @@ def test_perimeter_polytope_surface_measure(shapes):
     out = invoke(["perimeter", "--shape", str(shapes / "cube3.json")])
     assert out.returncode == 0
     row = out.stdout.strip().splitlines()[1].split(",")
-    assert row[2] == "surface-measure"
+    assert row[1:3] == ["busemann", "surface-measure"]
     assert float(row[3]) == pytest.approx(24.0, rel=1e-12)
 
 
@@ -225,6 +225,19 @@ def test_alexandrov_epsilon_that_overflows_the_radius_is_density_error(shapes):
         "type": "density", "message": "epsilon 1e+07 overflows the reconstructed radius"}
 
 
+@pytest.mark.parametrize("epsilon, text", [("1e3", "1000"), ("1e4", "10000")])
+def test_alexandrov_epsilon_that_makes_the_radius_nonpositive_is_density_error(shapes, epsilon,
+                                                                               text):
+    # the unprojected fit of exp(sqrt(eps) zeta1 + eps zeta2) on 512 nodes dips below 0
+    out = invoke(["alexandrov", "--phi", str(shapes / "phi4.json"),
+                  "--nodes", "512", "--epsilon", epsilon])
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.count("\n") == 1
+    assert json.loads(out.stderr)["error"] == {
+        "type": "density", "message": f"epsilon {text} lies outside the perturbative range: "
+                                      "boundary density needs a strictly positive radius"}
+
+
 def test_invariance_check_passes(shapes):
     out = invoke(["invariance-check", "--shape", str(shapes / "cube3.json"),
                   "--trials", "6", "--tolerance", "1e-6"])
@@ -339,14 +352,14 @@ def test_polygon_center_of_three_coordinates_is_config_error(shapes, capsys):
 
 
 @pytest.mark.parametrize("shape, fields, message", [
-    ("cube3.json", {"variant": "busemann"}, "polytopes support only the directed variant"),
+    ("cube3.json", {"variant": "directed"}, "polytopes support only the busemann variant"),
     ("disk.json", {"variant": "busemann"}, "smooth profiles support only the directed variant"),
     ("cube3.json", {"center": "0.5,0.5"}, "--center applies only to polygons, not to polytopes"),
     ("cube3.json", {"center": "0,0,0", "variant": "both"},
      "--center applies only to polygons, not to polytopes"),
     ("disk.json", {"center": "0.5,0.5"},
      "--center applies only to polygons, not to smooth profiles"),
-], ids=["polytope-busemann", "profile-busemann", "polytope-center", "polytope-center-3d",
+], ids=["polytope-directed", "profile-busemann", "polytope-center", "polytope-center-3d",
         "profile-center"])
 def test_perimeter_flags_a_body_cannot_honour_are_config_errors(shapes, capsys, shape, fields,
                                                                 message):
@@ -356,14 +369,33 @@ def test_perimeter_flags_a_body_cannot_honour_are_config_errors(shapes, capsys, 
     assert json.loads(out.err)["error"] == {"type": "config", "message": message}
 
 
-@pytest.mark.parametrize("shape", ["cube3.json", "disk.json"])
-def test_perimeter_directed_and_both_give_one_row_off_polygons(shapes, capsys, shape):
+@pytest.mark.parametrize("shape, own", [("cube3.json", "busemann"), ("disk.json", "directed")],
+                         ids=["cube3.json", "disk.json"])
+def test_perimeter_own_variant_and_both_give_one_row_off_polygons(shapes, capsys, shape, own):
+    # a polytope's surface mass is the central-section perimeter, Busemann's in the
+    # plane; a radius profile's is the directed one
     outputs = []
-    for variant in ("directed", "both"):
+    for variant in (None, own, "both"):
         assert run(RunConfig(command="perimeter", shape=str(shapes / shape), variant=variant)) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    assert outputs[0].splitlines()[1].split(",")[1] == "directed"
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].splitlines()[1].split(",")[1] == own
+
+
+def test_planar_polytope_perimeter_is_the_busemann_one(tmp_path):
+    # the triangle (0,0), (1,0), (0,1) about (0.3, 0.2), as a polytope and as a polygon
+    verts = [[-0.3, -0.2], [0.7, -0.2], [-0.3, 0.8]]
+    (tmp_path / "tri.json").write_text(json.dumps({"type": "polytope", "dim": 2,
+                                                   "vertices": verts}))
+    (tmp_path / "tri2.json").write_text(json.dumps({"type": "polygon2", "vertices": verts}))
+    polytope = invoke(["perimeter", "--shape", str(tmp_path / "tri.json")])
+    polygon = invoke(["perimeter", "--shape", str(tmp_path / "tri2.json"), "--center", "0,0",
+                      "--variant", "both"])
+    assert polytope.returncode == polygon.returncode == 0
+    assert polytope.stdout.splitlines()[1] == "tri,busemann,surface-measure,9.3571428571428577,"
+    rows = [line.split(",") for line in polygon.stdout.splitlines()[1:]]
+    assert [r[1] for r in rows] == ["directed", "busemann"]
+    assert rows[0][3] == "10.333333333333334" and rows[1][3] == "9.3571428571428577"
 
 
 def test_missing_file_is_io_error(tmp_path):

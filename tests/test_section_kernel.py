@@ -1,9 +1,10 @@
 """The section kernel's bit contract.
 
-`central_section` cuts a polygon by a chord kernel on Python floats,
-`_pivoted_basis` runs its loop on Python floats and `PolytopeN` takes its facet
-normal lengths in one stacked product. Each must give the bits of the textbook
-numpy form it replaced; those forms are kept here as references.
+`central_section` cuts a polygon by a chord kernel on Python floats, and
+`PolytopeN` takes its facet normal lengths in one stacked product. Each must
+give the bits of the textbook numpy form it replaced; those forms are kept here
+as references. `_pivoted_basis` is the textbook pivoted Gram-Schmidt itself; its
+reference also keeps the 2-D closed form of the chord kernel's frame.
 """
 
 import math
