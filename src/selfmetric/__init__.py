@@ -27,6 +27,7 @@ from .perimeter2 import (
 from .selfvolume import (
     FacetContribution,
     SelfVolumeResult,
+    SurfaceMeasure,
     affine_image,
     cartesian_product,
     hypercube_self_volume,
@@ -49,7 +50,6 @@ from .alexandrov import (
     FourierDensityError,
     Phi0Result,
     ReconstructionResult,
-    SurfaceMeasure,
     circle_grid,
     forward_measure,
     leading_order,

@@ -26,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# central_section and self_volume_recursive are not called here: they stay
-# as module bindings because perfbench/tracing.py patches them in this module
-from .geometry import (GeometryError, NotInteriorError, PolytopeN, RadiusProfile,  # noqa: F401
-                       _conjugate_symmetric, _exit_cosines, _exits, _mirrored_pairs,
-                       central_section, fourier_eval, uniform_grid)
+# central_section, self_volume_recursive and SurfaceMeasure are not used here:
+# they stay as module bindings because perfbench/tracing.py patches them in this module
+from .geometry import (GeometryError, RadiusProfile, _conjugate_symmetric,  # noqa: F401
+                       _mirrored_pairs, central_section, fourier_eval, uniform_grid)
 from .perimeter2 import smooth_density
-from .selfvolume import _check_dim, _facet_sum, _facet_terms, self_volume_recursive  # noqa: F401
+from .selfvolume import SurfaceMeasure, self_volume_recursive  # noqa: F401
 
 GRID_NODES = 4096        # default circle resolution; divisible by 4
 CUSP_GUARD = 2           # grid nodes dropped on each side of a slope-field cusp
@@ -41,11 +40,10 @@ BALANCE_TOL = 1e-12      # bisection target for the signed square-root balance
 CLOSURE_TOL = 1e-6       # allowed periodicity gap of the integrated slope field
 
 __all__ = [
-    "FourierDensity", "Phi0Result", "ReconstructionResult", "FacetDensityRow",
-    "SurfaceMeasure", "FourierDensityError", "ClosureError", "circle_grid", "split_harmonics",
-    "sqrt_imbalance", "solve_phi0", "leading_order", "second_order",
-    "shift_eigenvalue", "quarter_shift_difference", "forward_measure",
-    "reconstruct",
+    "FourierDensity", "Phi0Result", "ReconstructionResult", "FourierDensityError",
+    "ClosureError", "circle_grid", "split_harmonics", "sqrt_imbalance", "solve_phi0",
+    "leading_order", "second_order", "shift_eigenvalue", "quarter_shift_difference",
+    "forward_measure", "reconstruct",
 ]
 
 
@@ -318,76 +316,11 @@ def reconstruct(phi, sign=1, nodes=GRID_NODES):
     resid_fn = np.log(density) - eps * (phi.evaluate(theta) + p0.value)
     s = _snap_small(phi_p.evaluate(theta) + p0.value)
     keep = cusp_exclusion_mask(s)
+    if not np.any(keep):
+        raise FourierDensityError(f"{nodes} nodes are too few: every node lies within "
+                                  f"CUSP_GUARD = {CUSP_GUARD} nodes of a cusp")
     residual = float(np.max(np.abs(resid_fn[keep])))
     classical = keep & (s > 0.0)
     residual_classical = float(np.max(np.abs(resid_fn[classical]))) if np.any(classical) else residual
     return ReconstructionResult(z1, z2, sign, radius, residual, residual_classical,
                                 p0.value, theta, tuple(notes))
-
-
-@dataclass
-class FacetDensityRow:
-    """Per-facet slice of the self-surface measure of a polytope."""
-    facet_index: int
-    normal: np.ndarray
-    facet_measure: float
-    section_measure: float
-    density: float       # self-volume of the central section / its measure
-    cell_mass: float     # density * facet measure
-
-
-class SurfaceMeasure:
-    """Self-surface measure of a polytope, resolved per facet.
-
-    The density over the radial projection of facet F to the unit sphere is
-    the constant c_F = (self-volume of the central section parallel to F) /
-    (measure of that section), times the Jacobian r^{n-1} / <theta, normal>.
-    Total mass is dim times the self-volume, with the same MAX_DIM check.
-    """
-
-    def __init__(self, poly):
-        if not isinstance(poly, PolytopeN):
-            raise TypeError("SurfaceMeasure expects a PolytopeN")
-        if poly.dim < 2:
-            raise GeometryError("surface measure needs dimension at least 2")
-        _check_dim(poly)
-        if not poly.origin_interior():
-            raise NotInteriorError("surface measure needs the origin strictly inside")
-        # one section per facet, no +-normal memo: on ill-conditioned bodies the
-        # two sections of a +-pair differ by rounding, which the mass carries
-        normals = poly.facet_normals
-        sec_measure, sec_volume, _ = _facet_terms(poly, (), range(len(normals)))
-        self._densities = sec_volume / sec_measure
-        masses = (self._densities * poly.facet_measures).tolist()
-        self.dim = poly.dim
-        self.rows = tuple(map(FacetDensityRow, range(len(normals)), normals.copy(),
-                              poly.facet_measures.tolist(), sec_measure.tolist(),
-                              self._densities.tolist(), masses))
-        self.total_mass = _facet_sum(masses)
-        self._normals = normals
-        self._offsets = poly.facet_offsets
-
-    def evaluate(self, directions):
-        """Density at unit directions (m x dim array); rays must leave through a facet."""
-        dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-        if dirs.ndim != 2 or dirs.shape[1] != self.dim:
-            raise GeometryError(f"directions must have shape (m, {self.dim}), got {dirs.shape}")
-        if not np.all(np.isfinite(dirs)):
-            raise GeometryError("directions must be finite")
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-        # as geometry._unit: only a row whose norm underflows to 0 or overflows
-        # is first divided by its max |v|; every other row keeps its bits
-        extreme = ~((norms > 0.0) & (norms < np.inf))
-        if np.any(extreme):
-            big = np.max(np.abs(dirs), axis=1, keepdims=True)
-            if np.any(big <= 0.0):
-                raise GeometryError("zero direction")
-            dirs = np.where(extreme, dirs / big, dirs)
-            norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-        dirs = dirs / norms
-        # the slack at the origin is the offset; at the exit facet the cosine is positive
-        den = _exit_cosines(dirs @ self._normals.T)
-        with np.errstate(divide="ignore"):
-            [r], [hit], _ = _exits(self._offsets[None], den)
-        return self._densities[hit] * r ** (self.dim - 1) / den[np.arange(len(dirs)), hit]

@@ -20,14 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .alexandrov import GRID_NODES, ClosureError, FourierDensityError, SurfaceMeasure, reconstruct
+from .alexandrov import GRID_NODES, ClosureError, FourierDensityError, reconstruct
 # optimal_center_2d has no caller here; perfbench/tracing.py rebinds this name
 from .centers import ConvergenceError, _interior_point, optimal_center_2d, optimal_centers_2d
 from .geometry import (GeometryError, Polygon2, PolytopeN, RadiusProfile,
                        regular_polygon)
 from .perimeter2 import (MIN_NODES, VARIANTS as POLYGON_VARIANTS, busemann_perimeter_polygon,
                          kgon_self_perimeter, self_perimeter_polygon, self_perimeter_smooth)
-from .selfvolume import FacetContribution, affine_image, self_volume_recursive
+from .selfvolume import FacetContribution, SurfaceMeasure, affine_image, self_volume_recursive
 from .shapeio import ShapeFormatError, coeff_rows, load_density, load_shape
 
 MAX_TOLERANCE = 1e-2
@@ -250,11 +250,9 @@ def _cmd_invariance_check(cfg):
 
 
 def _conjectured_min(n):
-    # product of triangles (and one interval when n is odd): 3 per 2d factor,
-    # 2 per interval factor
-    if n % 2 == 0:
-        return 3.0 ** (n // 2)
-    return 2.0 * 3.0 ** ((n - 1) // 2)
+    # the zonotope of e_1, ..., e_n and -(1, ..., 1): the hexagon in 2-D, an affine
+    # rhombic dodecahedron in 3-D; its self-volume is n + 1
+    return float(n + 1)
 
 
 def _ccs_hull(points):

@@ -97,7 +97,7 @@ def fourier_eval(theta, ks, coeffs):
     nufft_ops = fine * math.log2(fine) + 2 * NUFFT_HALF_WIDTH * len(flat)
     n = len(flat)
     dense = n * len(ks) <= NUFFT_CROSSOVER * nufft_ops
-    if (not dense or modes > n) and np.array_equal(flat, uniform_grid(n)):
+    if n and (not dense or modes > n) and np.array_equal(flat, uniform_grid(n)):
         spec = np.zeros(n, dtype=complex)
         np.add.at(spec, ks % n, coeffs)
         out = np.fft.ifft(spec, norm="forward").real

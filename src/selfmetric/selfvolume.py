@@ -1,4 +1,4 @@
-"""Recursive self-volumes of convex polytopes.
+"""Recursive self-volumes of convex polytopes and their self-surface measures.
 
 The self-volume omega^(k) of a k-dimensional polytope with the origin inside
 is defined by recursion over central hyperplane sections:
@@ -10,7 +10,9 @@ is defined by recursion over central hyperplane sections:
 where section(nu) is the central section orthogonal to the facet normal.
 n * omega^(n) generalizes the planar self-perimeter; the value is invariant
 under invertible linear maps, multiplicative under Cartesian products, equals
-2^n on cubes and (n+1)^n / n! on simplices sectioned at the centroid.
+2^n on cubes and (n+1)^n / n! on simplices sectioned at the centroid. The
+self-surface measure (SurfaceMeasure) resolves n * omega^(n) per facet; both
+measures read the same facet pass, _facet_terms.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .geometry import (
     GeometryError,
     NotInteriorError,
     PolytopeN,
+    _exit_cosines,
+    _exits,
     central_section,
 )
 
@@ -98,11 +102,15 @@ def _omega(poly, chain):
     return _facet_sum(_facet_terms(poly, chain, rep)[2].tolist()) / poly.dim
 
 
-def _check_dim(poly):
-    """GeometryError for a body above MAX_DIM, the one limit of the section recursion."""
+def _check_body(poly, noun):
+    """Entry check of both measures: a PolytopeN, at most MAX_DIM-D, origin strictly inside."""
+    if not isinstance(poly, PolytopeN):
+        raise TypeError(f"{noun} expects a PolytopeN")
     if poly.dim > MAX_DIM:
         raise GeometryError(
             f"dimension {poly.dim} exceeds the section recursion's limit of {MAX_DIM}")
+    if not poly.origin_interior():
+        raise NotInteriorError(f"{noun} needs the origin strictly inside the polytope")
 
 
 def self_volume_recursive(poly):
@@ -117,16 +125,76 @@ def self_volume_recursive(poly):
     SelfVolumeResult with the value and one FacetContribution row per facet
     of the top-level polytope (value = sum of contributions / dim).
     """
-    if not isinstance(poly, PolytopeN):
-        raise TypeError("self_volume_recursive expects a PolytopeN")
-    _check_dim(poly)
-    if not poly.origin_interior():
-        raise NotInteriorError("self-volume needs the origin strictly inside the polytope")
+    _check_body(poly, "self-volume")
     if poly.dim == 1:
         return SelfVolumeResult(2.0, 1)
     terms = [t.tolist() for t in _facet_terms(poly, (), _antipodes(poly.facet_normals))]
     rows = list(map(FacetContribution, itertools.count(), poly.facet_measures.tolist(), *terms))
     return SelfVolumeResult(_facet_sum(terms[2]) / poly.dim, poly.dim, rows)
+
+
+@dataclass
+class FacetDensityRow:
+    """Per-facet slice of the self-surface measure of a polytope."""
+    facet_index: int
+    normal: np.ndarray
+    facet_measure: float
+    section_measure: float
+    density: float       # self-volume of the central section / its measure
+    cell_mass: float     # density * facet measure
+
+
+class SurfaceMeasure:
+    """Self-surface measure of a polytope, resolved per facet.
+
+    The density over the radial projection of facet F to the unit sphere is
+    the constant c_F = (self-volume of the central section parallel to F) /
+    (measure of that section), times the Jacobian r^{n-1} / <theta, normal>.
+    Total mass is dim times the self-volume, behind the self-volume's entry check.
+    """
+
+    def __init__(self, poly):
+        _check_body(poly, "surface measure")
+        if poly.dim < 2:
+            raise GeometryError("surface measure needs dimension at least 2")
+        # one section per facet, no +-normal memo: on ill-conditioned bodies the
+        # two sections of a +-pair differ by rounding, which the mass carries
+        normals = poly.facet_normals
+        sec_measure, sec_volume, _ = _facet_terms(poly, (), range(len(normals)))
+        self._densities = sec_volume / sec_measure
+        masses = (self._densities * poly.facet_measures).tolist()
+        self.dim = poly.dim
+        self.rows = tuple(map(FacetDensityRow, range(len(normals)), normals.copy(),
+                              poly.facet_measures.tolist(), sec_measure.tolist(),
+                              self._densities.tolist(), masses))
+        self.total_mass = _facet_sum(masses)
+        self._normals = normals
+        self._offsets = poly.facet_offsets
+
+    def evaluate(self, directions):
+        """Density at unit directions (m x dim array); rays must leave through a facet."""
+        dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+        if dirs.ndim != 2 or dirs.shape[1] != self.dim:
+            raise GeometryError(f"directions must have shape (m, {self.dim}), got {dirs.shape}")
+        if not np.all(np.isfinite(dirs)):
+            raise GeometryError("directions must be finite")
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+        # as geometry._unit: only a row whose norm underflows to 0 or overflows
+        # is first divided by its max |v|; every other row keeps its bits
+        extreme = ~((norms > 0.0) & (norms < np.inf))
+        if np.any(extreme):
+            big = np.max(np.abs(dirs), axis=1, keepdims=True)
+            if np.any(big <= 0.0):
+                raise GeometryError("zero direction")
+            dirs = np.where(extreme, dirs / big, dirs)
+            norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs = dirs / norms
+        # the slack at the origin is the offset; at the exit facet the cosine is positive
+        den = _exit_cosines(dirs @ self._normals.T)
+        with np.errstate(divide="ignore"):
+            [r], [hit], _ = _exits(self._offsets[None], den)
+        return self._densities[hit] * r ** (self.dim - 1) / den[np.arange(len(dirs)), hit]
 
 
 def hypercube_self_volume(n):
@@ -182,6 +250,7 @@ def affine_image(poly, matrix):
     d = poly.dim
     if m.shape != (d, d):
         raise GeometryError(f"matrix must be {d}x{d}, got {m.shape}")
-    if abs(np.linalg.det(m)) <= 1e-12:
-        raise GeometryError("matrix is singular within tolerance 1e-12")
+    u = m / np.maximum(np.max(np.abs(m), axis=0), np.finfo(float).tiny)  # columns at max |u| 1
+    if abs(np.linalg.det(u)) <= 1e-12 * np.prod(np.linalg.norm(u, axis=0)):  # Hadamard's bound
+        raise GeometryError("matrix is singular within relative tolerance 1e-12")
     return PolytopeN(poly.vertices @ m.T)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from common import random_ccs_polygon
 from selfmetric import alexandrov, geometry
 from selfmetric.alexandrov import (ClosureError, FourierDensity, FourierDensityError,
-                                   SurfaceMeasure, circle_grid, cusp_exclusion_mask,
+                                   circle_grid, cusp_exclusion_mask,
                                    forward_measure, leading_order,
                                    quarter_shift_difference, reconstruct, second_order,
                                    shift_eigenvalue, solve_phi0, split_harmonics,
@@ -17,7 +17,8 @@ from selfmetric.geometry import (GeometryError, NotInteriorError, PolytopeN,
                                  RadiusProfile, cube, interval,
                                  polygon_as_polytope, regular_polygon)
 from selfmetric.perimeter2 import self_perimeter_smooth
-from selfmetric.selfvolume import MAX_DIM, cartesian_product, self_volume_recursive
+from selfmetric.selfvolume import (MAX_DIM, SurfaceMeasure, cartesian_product,
+                                   self_volume_recursive)
 
 COS4 = FourierDensity.from_pairs([(4, 0.5, 0.0)], 0.01)   # cos(4 theta)
 
@@ -319,6 +320,13 @@ def test_reconstruct_sign_branches_share_all_but_zeta1_sign(aligned, imag, rest,
 def test_reconstruct_notes_capture_convexity_loss():
     res = reconstruct(FourierDensity.from_pairs([(4, 0.5, 0.0)], 0.3), nodes=512)
     assert any("convexity" in note for note in res.notes)
+
+
+def test_reconstruct_refuses_a_grid_that_the_cusp_guards_cover():
+    # cos(4 theta) + phi0 changes sign every 1/16 turn: 2 nodes apart at 32 nodes
+    with pytest.raises(FourierDensityError, match="^32 nodes are too few: .* CUSP_GUARD = 2 "):
+        reconstruct(COS4, nodes=32)
+    assert np.isfinite(reconstruct(COS4, nodes=64).residual)
 
 
 def test_reconstruct_requires_aligned_part():

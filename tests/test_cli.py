@@ -214,6 +214,16 @@ def test_alexandrov_needs_aligned_harmonic(tmp_path):
     assert json.loads(out.stderr)["error"]["type"] == "density"
 
 
+def test_alexandrov_grid_too_coarse_for_the_cusps_is_density_error(tmp_path):
+    phi = tmp_path / "phi20.json"
+    phi.write_text(json.dumps({"coeffs": [[20, 0.5, 0.0]], "epsilon": 0.01}))
+    out = invoke(["alexandrov", "--phi", str(phi), "--nodes", "128"])
+    assert out.returncode == 1
+    assert json.loads(out.stderr)["error"] == {
+        "type": "density",
+        "message": "128 nodes are too few: every node lies within CUSP_GUARD = 2 nodes of a cusp"}
+
+
 def test_alexandrov_epsilon_that_overflows_the_radius_is_density_error(shapes):
     # exp(sqrt(eps) zeta1 + eps zeta2) overflows at eps = 1e7: one density line and
     # no numpy warning line
@@ -257,6 +267,17 @@ def test_conjecture_search_dim2_output_is_pinned(tmp_path):
         "dim": 2, "trials": 2, "steps": 12, "seed": 0, "max_found": 4.000000000000001,
         "min_found": 3.0437084936571823, "conjectured_max": 4.0, "conjectured_min": 3.0,
         "within_conjecture": True, "degenerate_rejections": 0}
+
+
+def test_conjecture_search_dim3_minimum_is_above_the_zonotope(tmp_path):
+    # the octahedron reads 16/3, this search's minimum 5.364; the conjectured
+    # minimum is the zonotope's n + 1 = 4, not 6
+    out = tmp_path / "search.json"
+    assert run(RunConfig(command="conjecture-search", dim=3, trials=1, steps=2, seed=0,
+                         out=str(out))) == 0
+    doc = json.loads(out.read_text())
+    assert doc["conjectured_min"] == 4.0 and doc["min_found"] == pytest.approx(5.364, abs=1e-3)
+    assert doc["within_conjecture"] is True
 
 
 def test_conjecture_search_dim2_bounds():

@@ -1,6 +1,7 @@
 """The float self-volume against an exact rational oracle (exact_selfvolume.py),
 which reads no value the library computes."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exact_selfvolume import self_volume, volume
+from selfmetric.cli import _conjectured_min
 from selfmetric.geometry import PolytopeN, cube
 from selfmetric.selfvolume import self_volume_recursive
 
@@ -93,6 +95,15 @@ MAPPED_CUBE4 = (cube(4).vertices.astype(int)
 
 def test_mapped_cube4_is_exactly_16():
     assert self_volume(MAPPED_CUBE4) == 16
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_conjectured_minimum_is_the_zonotope_of_n_plus_1_vectors(n):
+    # the zonotope of e_1, ..., e_n and -(1, ..., 1): every signed sum of them
+    gens = np.vstack([np.eye(n, dtype=int), -np.ones((1, n), dtype=int)])
+    points = [list(signs @ gens) for signs in itertools.product((-1, 1), repeat=n + 1)]
+    assert self_volume([[int(x) for x in p] for p in points]) == n + 1
+    assert _conjectured_min(n) == n + 1
 
 
 @pytest.mark.xfail(strict=True, reason="flat-simplex noise in the facet measures, "

@@ -2,6 +2,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,17 @@ from selfmetric.selfvolume import (affine_image, cartesian_product, self_volume_
                                    simplex_self_volume)
 
 RNG = np.random.default_rng(20240817)
+
+
+def test_fourier_eval_of_no_angles_is_empty_without_a_warning():
+    # n = 0 angles must stay off the grid path, whose ks % n divides by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        empties = (fourier_eval(np.array([]), [1, -1], [1, 1]),
+                   RadiusProfile([-4, 0, 4], [0.01, 1.0, 0.01])(np.array([])),
+                   FourierDensity.from_pairs([(4, 0.5, 0.0)], 0.01).evaluate(np.array([])))
+    for out in empties:
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
 def test_fourier_eval_matches_trig():

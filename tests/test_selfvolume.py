@@ -5,12 +5,11 @@ import pytest
 
 from common import random_ccs_polygon, random_polygon_with_origin
 from selfmetric import selfvolume
-from selfmetric.alexandrov import SurfaceMeasure
 from selfmetric.geometry import (REL_TOL, GeometryError, NotInteriorError, PolytopeN,
                                  cube, icosphere, interval, polygon_as_polytope,
                                  regular_polygon)
 from selfmetric.perimeter2 import busemann_perimeter_polygon
-from selfmetric.selfvolume import (affine_image, cartesian_product,
+from selfmetric.selfvolume import (SurfaceMeasure, affine_image, cartesian_product,
                                    hypercube_self_volume,
                                    self_volume_recursive, simplex_self_volume)
 
@@ -322,6 +321,16 @@ def test_dimension_guard():
             assert str(exc.value) == "dimension 6 exceeds the section recursion's limit of 5"
 
 
+@pytest.mark.parametrize("measure, noun", [(self_volume_recursive, "self-volume"),
+                                            (SurfaceMeasure, "surface measure")])
+def test_both_measures_share_one_entry_check(measure, noun):
+    with pytest.raises(TypeError, match=f"^{noun} expects a PolytopeN$"):
+        measure(cube(3).vertices)
+    with pytest.raises(NotInteriorError,
+                       match=f"^{noun} needs the origin strictly inside the polytope$"):
+        measure(PolytopeN(cube(3).vertices + 3.0))
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3: qhull's "
                    "simplices of a facet that holds non-extreme points can overlap, and "
                    "PolytopeN._merge_facets sums them, so two facets of the turned prism "
@@ -337,6 +346,19 @@ def test_self_volume_ignores_non_extreme_points():
     bare = self_volume_recursive(PolytopeN(prism @ turn.T)).value
     points = np.vstack([prism, (prism[i] + prism[j]) / 2.0]) @ turn.T
     assert self_volume_recursive(PolytopeN(points)).value == pytest.approx(bare, abs=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e5])
+def test_affine_image_singularity_test_is_scale_free(scale):
+    # det(1e-5 I) = 1e-15 is far from singular: the test is relative to the column norms
+    image = affine_image(cube(3), scale * np.eye(3))
+    assert self_volume_recursive(image).value == pytest.approx(8.0, abs=1e-12)
+
+
+def test_affine_image_singularity_test_does_not_overflow():
+    # the column norms of 1e98 I multiply to 1e392: compared unscaled, they overflow
+    image = affine_image(PolytopeN(cube(4).vertices * 1e-49), 1e98 * np.eye(4))
+    assert self_volume_recursive(image).value == pytest.approx(16.0, rel=1e-6)
 
 
 def test_affine_image_rejects_singular_matrix():
