@@ -249,12 +249,6 @@ def _cmd_invariance_check(cfg):
     return 0
 
 
-def _conjectured_min(n):
-    # the zonotope of e_1, ..., e_n and -(1, ..., 1): the hexagon in 2-D, an affine
-    # rhombic dodecahedron in 3-D; its self-volume is n + 1
-    return float(n + 1)
-
-
 def _ccs_hull(points):
     return PolytopeN(np.vstack([points, -points]))
 
@@ -299,6 +293,9 @@ def _cmd_conjecture_search(cfg):
     results = [trial(t) for t in range(cfg.trials)]
     max_found = max(r[0] for r in results)
     min_found = min(r[1] for r in results)
+    # the zonotope of e_1, ..., e_n and -(1, ..., 1), the hexagon in 2-D and an affine
+    # rhombic dodecahedron in 3-D, has self-volume n + 1
+    conjectured_min = float(n + 1)
     doc = {
         "dim": n,
         "trials": cfg.trials,
@@ -307,9 +304,9 @@ def _cmd_conjecture_search(cfg):
         "max_found": max_found,
         "min_found": min_found,
         "conjectured_max": 2.0 ** n,
-        "conjectured_min": _conjectured_min(n),
+        "conjectured_min": conjectured_min,
         "within_conjecture": bool(max_found <= 2.0 ** n + cfg.tolerance
-                                  and min_found >= _conjectured_min(n) - cfg.tolerance),
+                                  and min_found >= conjectured_min - cfg.tolerance),
         "degenerate_rejections": int(sum(r[2] for r in results)),
     }
     _write_json(cfg.out, doc)

@@ -250,6 +250,8 @@ def affine_image(poly, matrix):
     d = poly.dim
     if m.shape != (d, d):
         raise GeometryError(f"matrix must be {d}x{d}, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise GeometryError("matrix must be finite")
     u = m / np.maximum(np.max(np.abs(m), axis=0), np.finfo(float).tiny)  # columns at max |u| 1
     if abs(np.linalg.det(u)) <= 1e-12 * np.prod(np.linalg.norm(u, axis=0)):  # Hadamard's bound
         raise GeometryError("matrix is singular within relative tolerance 1e-12")

@@ -2,6 +2,7 @@
 which reads no value the library computes."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exact_selfvolume import self_volume, volume
-from selfmetric.cli import _conjectured_min
+from selfmetric.cli import RunConfig, run
 from selfmetric.geometry import PolytopeN, cube
 from selfmetric.selfvolume import self_volume_recursive
 
@@ -98,12 +99,15 @@ def test_mapped_cube4_is_exactly_16():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_conjectured_minimum_is_the_zonotope_of_n_plus_1_vectors(n):
+def test_conjectured_minimum_is_the_zonotope_of_n_plus_1_vectors(n, tmp_path):
     # the zonotope of e_1, ..., e_n and -(1, ..., 1): every signed sum of them
     gens = np.vstack([np.eye(n, dtype=int), -np.ones((1, n), dtype=int)])
     points = [list(signs @ gens) for signs in itertools.product((-1, 1), repeat=n + 1)]
     assert self_volume([[int(x) for x in p] for p in points]) == n + 1
-    assert _conjectured_min(n) == n + 1
+    out = tmp_path / "search.json"
+    assert run(RunConfig(command="conjecture-search", dim=n, trials=1, steps=0,
+                         out=str(out))) == 0
+    assert json.loads(out.read_text())["conjectured_min"] == n + 1
 
 
 @pytest.mark.xfail(strict=True, reason="flat-simplex noise in the facet measures, "

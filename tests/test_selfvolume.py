@@ -366,3 +366,6 @@ def test_affine_image_rejects_singular_matrix():
         affine_image(cube(2), np.zeros((2, 2)))
     with pytest.raises(GeometryError):
         affine_image(cube(2), np.eye(3))
+    for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 1.0])):
+        with pytest.raises(GeometryError, match="^matrix must be finite$"):
+            affine_image(cube(2), bad)
