@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import REL_TOL, BarycentricPoint, GeometryError, NotInteriorError, Polygon2, _point
+from .geometry import (REL_TOL, BarycentricPoint, GeometryError, NotInteriorError, Polygon2, _count,
+                       _point)
 # self_perimeter_polygon and busemann_perimeter_polygon are not called here:
 # they stay as module bindings because perfbench/tracing.py patches them in this module
 from .perimeter2 import (_check_variant, _ray_casts, busemann_perimeter_polygon,  # noqa: F401
@@ -179,9 +180,7 @@ def optimal_simplex_center(n):
     The minimal self-volume is (n+1)^n / n! (equality point of the simplex
     lower bound); returned as a CenterResult with barycentric optimum.
     """
-    n = int(n)
-    if n < 1:
-        raise GeometryError("dimension must be >= 1")
+    n = _count(n, "n", 1)
     weights = np.full(n + 1, 1.0 / (n + 1))
     value = float((n + 1) ** n) / math.factorial(n)
     return CenterResult(BarycentricPoint(weights), value, 0, "simplex-closed-form", 0.0)

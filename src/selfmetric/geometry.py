@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import warnings
 from typing import NamedTuple
 
@@ -218,6 +219,18 @@ def _conjugate_symmetric(ks, coeffs, error, scale_floor):
     return ks, coeffs
 
 
+def _count(value, name, least):
+    """value as an int >= least, or a GeometryError naming name and least. Only
+    integers pass (operator.index: Python and numpy integers, no float)."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < least:
+        raise GeometryError(f"{name} must be an integer >= {least}, got {value!r}")
+    return n
+
+
 def _mirrored_pairs(pairs):
     """(ks, coeffs) from [(k, re, im), ...], adding conj(c_k) at -k wherever -k is missing."""
     ks = np.array([int(k) for k, _, _ in pairs], dtype=int)
@@ -267,12 +280,12 @@ def _hull_scan(points):
 @functools.lru_cache(maxsize=256)
 def _cycle(m):
     """The edges of an m-gon, (i, i + 1 mod m), as a read-only (m, 2) array, with
-    the array of their second ends and both ends as tuples; shared by every m-gon."""
+    the read-only array of their second ends; shared by every m-gon."""
     edges = (np.arange(1, 2 * m + 1) // 2).reshape(m, 2)
     edges[-1, 1] = 0
     nxt = edges[:, 1].copy()
     edges.flags.writeable = nxt.flags.writeable = False
-    return edges, nxt, *map(tuple, edges.T.tolist())
+    return edges, nxt
 
 
 def _planar_points(points):
@@ -489,6 +502,7 @@ _SEGMENT_NORMALS = _frozen([[-1.0], [1.0]])
 _SEGMENT_MEASURES = _frozen([1.0, 1.0])
 _SEGMENT_EDGES = _frozen([[0, 1]])
 _ROTATE_CW = _frozen([1.0, -1.0])   # (y, x) * this = (y, -x): (x, y) turned by -90 degrees
+_ROTATE_CCW = _frozen([-1.0, 1.0])  # (y, x) * this = (-y, x): (x, y) turned by +90 degrees
 
 
 def _row_order(normals):
@@ -505,6 +519,8 @@ class PolytopeN:
     used for hyperplane crossing enumeration. facet_normals (m, d), facet_offsets
     and facet_measures are row-aligned arrays; facets lists the rows as Facets.
     """
+
+    _polar = None   # a scan-built polygon's polar rows u_F / h_F, which cut its chords
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
@@ -570,10 +586,12 @@ class PolytopeN:
         """Polygon hull of (k, 2) points around an interior origin, by _hull_scan.
 
         Edges that _merge_facets would merge come out as one. Facet rows are
-        ordered as in _merge_facets; the area is (1/2) sum h_F L_F.
+        ordered as in _merge_facets; the area is (1/2) sum h_F L_F. The polygon
+        also keeps its polar rows u_F / h_F, from which central_section cuts its
+        chords. Every array built here is read-only.
         """
         verts = points.take(_hull_scan(points), axis=0)
-        edges, nxt, firsts, seconds = _cycle(len(verts))
+        edges, nxt = _cycle(len(verts))
         e = verts.take(nxt, axis=0) - verts
         lengths = np.hypot(e[:, 0], e[:, 1])
         # outward normal of a CCW edge is its direction rotated -90 degrees
@@ -586,11 +604,16 @@ class PolytopeN:
         poly.vertices = verts
         poly.facet_normals = normals.take(rows, axis=0)
         poly.facet_offsets, poly.facet_measures = offsets.take(rows), lengths.take(rows)
+        # a row with h_F <= 0 is never read: central_section first tests the origin
+        with np.errstate(divide="ignore", invalid="ignore"):
+            poly._polar = poly.facet_normals / poly.facet_offsets[:, None]
+        for a in (verts, poly.facet_normals, poly.facet_offsets, poly.facet_measures,
+                  poly._polar):
+            a.setflags(write=False)
         poly.volume = 0.5 * float(offsets @ lengths)
         poly.edges = edges
         xs, ys = verts.T.tolist()
         poly.scale = math.sqrt(max([x * x + y * y for x, y in zip(xs, ys)]))
-        poly._lists = xs, ys, firsts, seconds
         return poly
 
     def _merge_facets(self, hull, simplices):
@@ -647,9 +670,8 @@ class PolytopeN:
 
     @functools.cached_property
     def _lists(self):
-        # a polygon's vertices by coordinate and its edges by end, as lists,
-        # read by every chord; _polygon sets them, qhull's polygons build them
-        # on their first chord
+        # a qhull-built polygon's vertices by coordinate and its edges by end,
+        # as lists, built on its first chord and read by every chord
         return (*self.vertices.T.tolist(), *self.edges.T.tolist())
 
     def interior_distance(self, point):
@@ -745,10 +767,15 @@ def central_section(poly, normal):
 
     The section's points are the polytope's vertices on the hyperplane and the
     crossings of its edges, projected on a _pivoted_basis frame. The builder
-    depends on the section's dimension: a chord of a polygon is the segment
-    between the extreme projections (_chord), a section of a 3-D body is a
-    polygon by angular sort about the origin (PolytopeN._polygon, no qhull),
-    and higher sections go through the qhull-backed PolytopeN constructor.
+    depends on the section's dimension: a section of a 3-D body is a polygon
+    by angular sort about the origin (PolytopeN._polygon, no qhull), and
+    higher sections go through the qhull-backed PolytopeN constructor.
+
+    A chord of a polygon built by PolytopeN._polygon is cut by the polygon's
+    gauge ||t|| = max_F t . u_F / h_F over its polar rows, with t the unit
+    normal turned by +90 degrees: the segment [-1 / ||-t||, 1 / ||t||], one
+    matrix-vector product and no frame. A chord of a qhull-built polygon is
+    the segment between the extreme projections of its crossings (_chord).
     """
     if not isinstance(poly, PolytopeN):
         raise TypeError("central_section expects a PolytopeN")
@@ -758,6 +785,9 @@ def central_section(poly, normal):
     if not poly.origin_interior():
         raise NotInteriorError("central section needs the origin strictly inside")
     nu = _unit(normal, d)
+    if d == 2 and poly._polar is not None:
+        r = (poly._polar @ (nu[::-1] * _ROTATE_CCW)).tolist()
+        return _full_dimensional(PolytopeN._segment, 1.0 / min(r), 1.0 / max(r))
     verts = poly.vertices
     heights = verts @ nu
     tol = REL_TOL * poly.scale
@@ -791,7 +821,8 @@ def _full_dimensional(build, *args):
 
 
 def _chord(poly, nu, heights, tol):
-    """central_section of a polygon: the segment between the extreme projections.
+    """central_section of a qhull-built polygon: the segment between the extreme
+    projections.
 
     The generic code's side test, crossing selection and interpolation, and
     _pivoted_basis's loop in 2-D, in the same order on the same operands, on
@@ -832,16 +863,14 @@ def _chord(poly, nu, heights, tol):
 
 def regular_polygon(k, phase=0.0):
     """Regular k-gon inscribed in the unit circle with a vertex at angle phase."""
-    if k < 3:
-        raise GeometryError("a polygon needs k >= 3 vertices")
+    k = _count(k, "k", 3)
     ang = phase + 2.0 * np.pi * np.arange(k) / k
     return Polygon2(np.column_stack([np.cos(ang), np.sin(ang)]))
 
 
 def cube(n):
     """Hypercube [-1, 1]^n as a PolytopeN."""
-    if n < 1:
-        raise GeometryError("dimension must be >= 1")
+    n = _count(n, "n", 1)
     corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)), dtype=float)
     return PolytopeN(corners)
 
@@ -860,6 +889,7 @@ def polygon_as_polytope(poly, center=(0.0, 0.0)):
 
 def icosphere(subdivisions=2):
     """Geodesic triangulation of the unit sphere: 20 * 4**s facets."""
+    subdivisions = _count(subdivisions, "subdivisions", 0)
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = [(-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
              (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),

@@ -19,6 +19,7 @@ from .geometry import (
     NotInteriorError,
     Polygon2,
     RadiusProfile,
+    _count,
     _exits,
     _point,
     _slack,
@@ -151,9 +152,7 @@ def kgon_self_perimeter(k):
     All three branches converge to 2*pi from their own side; the square gives
     the extreme value 8 and the regular hexagon the extreme value 6.
     """
-    k = int(k)
-    if k < 3:
-        raise GeometryError("regular polygons need k >= 3")
+    k = _count(k, "k", 3)
     if k % 4 == 0:
         return 2.0 * k * np.tan(np.pi / k)
     if k % 2 == 1:

@@ -31,6 +31,7 @@ from .geometry import (
     GeometryError,
     NotInteriorError,
     PolytopeN,
+    _count,
     _exit_cosines,
     _exits,
     central_section,
@@ -198,10 +199,11 @@ class SurfaceMeasure:
 
 
 def hypercube_self_volume(n):
-    """Closed form for the cube [-h, h]^n: exactly 2^n, any h."""
-    n = int(n)
-    if n < 1:
-        raise GeometryError("dimension must be >= 1")
+    """Closed form for the cube [-h, h]^n: exactly 2^n, any h, for n up to 1023,
+    the largest whose 2^n is a finite float."""
+    n = _count(n, "n", 1)
+    if n > 1023:
+        raise GeometryError(f"n must be at most 1023 (2^n overflows a float), got {n}")
     return 2.0 ** n
 
 
@@ -213,9 +215,7 @@ def simplex_self_volume(n, bary):
 
     The minimum over interior points is (n+1)^n / n!, attained at the centroid.
     """
-    n = int(n)
-    if n < 1:
-        raise GeometryError("dimension must be >= 1")
+    n = _count(n, "n", 1)
     if not isinstance(bary, BarycentricPoint):
         bary = BarycentricPoint(bary)
     lam = bary.weights

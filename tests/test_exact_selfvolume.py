@@ -81,6 +81,15 @@ def test_float_self_volume_meets_the_exact_one(points):
     assert abs(_float_self_volume(points) - exact) <= 1e-13 * exact
 
 
+@pytest.mark.parametrize("seed", [1, 5])
+def test_float_self_volume_of_a_4d_ccs_body_meets_the_exact_one(seed):
+    # two levels of sections down to the chords, which a 3-D body does not reach
+    p = np.random.default_rng(seed).integers(-3, 4, size=(5, 4))
+    points = np.vstack([p, -p]).tolist()
+    exact = self_volume(points)
+    assert abs(_float_self_volume(points) - exact) <= 1e-13 * exact
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=8)
 @given(st.one_of(st.just(SIMPLEX3), ccs3), unimodular3)
 def test_exact_self_volume_is_affine_invariant(points, drawn):

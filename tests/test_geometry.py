@@ -12,14 +12,14 @@ from scipy.spatial import ConvexHull
 
 from selfmetric import geometry
 from selfmetric.alexandrov import FourierDensity, FourierDensityError
-from selfmetric.centers import optimal_center_2d
+from selfmetric.centers import optimal_center_2d, optimal_simplex_center
 from selfmetric.geometry import (PROFILE_GRID, BarycentricPoint, GeometryError, NotInteriorError,
                                  Polygon2, PolytopeN, RadiusProfile, central_section,
                                  cube, fourier_eval, icosphere, interval,
                                  polygon_as_polytope, regular_polygon, uniform_grid)
-from selfmetric.perimeter2 import smooth_density, triangle_perimeters
-from selfmetric.selfvolume import (affine_image, cartesian_product, self_volume_recursive,
-                                   simplex_self_volume)
+from selfmetric.perimeter2 import kgon_self_perimeter, smooth_density, triangle_perimeters
+from selfmetric.selfvolume import (affine_image, cartesian_product, hypercube_self_volume,
+                                   self_volume_recursive, simplex_self_volume)
 
 RNG = np.random.default_rng(20240817)
 
@@ -667,6 +667,68 @@ def test_central_section_of_a_cube_is_a_square():
 def test_central_section_rejects_bad_input(poly, normal, error):
     with pytest.raises(error):
         central_section(poly(), normal)
+
+
+def test_scan_built_arrays_are_read_only():
+    # a section's chords read its polar rows, so no in-place write may leave them stale
+    square = central_section(cube(3), [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError):
+        square.facet_normals[0, 0] = 2.0
+    for a in (square.vertices, square.facet_normals, square.facet_offsets,
+              square.facet_measures, square._polar, square.edges):
+        assert not a.flags.writeable
+    # the Polygon2 handed to polygon_as_polytope, and its caller's array, stay writeable
+    vertices = regular_polygon(5).vertices.copy()
+    poly = Polygon2(vertices)
+    polygon_as_polytope(poly)
+    for a in (vertices, poly.vertices, poly.edges, poly.edge_lengths, poly.tangents,
+              poly.normals, poly.offsets):
+        assert a.flags.writeable
+
+
+def test_polar_rows_of_a_centre_on_an_edge_raise_no_warning():
+    # the scan drops the vertex 4e-9 below the lower edge, whose turn is below
+    # COPLANAR_TOL, so the centre lies on the new edge: its polar row divides by
+    # h = -0.0 quietly, and the self-volume refuses the body as before
+    poly = Polygon2([(-1.0, -1.0), (0.0, -1.0 - 4e-9), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
+    assert poly.contains((0.0, -1.0))
+    body = polygon_as_polytope(poly, (0.0, -1.0))
+    assert not body.origin_interior()
+    with pytest.raises(NotInteriorError):
+        self_volume_recursive(body)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: regular_polygon(3.7), "k must be an integer >= 3, got 3.7"),
+    (lambda: regular_polygon(2), "k must be an integer >= 3, got 2"),
+    (lambda: kgon_self_perimeter(3.5), "k must be an integer >= 3, got 3.5"),
+    (lambda: hypercube_self_volume(2.7), "n must be an integer >= 1, got 2.7"),
+    (lambda: simplex_self_volume(2.5, [0.3, 0.3, 0.4]), "n must be an integer >= 1, got 2.5"),
+    (lambda: optimal_simplex_center(2.9), "n must be an integer >= 1, got 2.9"),
+    (lambda: icosphere(-1), "subdivisions must be an integer >= 0, got -1"),
+    (lambda: icosphere(1.5), "subdivisions must be an integer >= 0, got 1.5"),
+    (lambda: cube(2.5), "n must be an integer >= 1, got 2.5"),
+    (lambda: hypercube_self_volume(NAN), "n must be an integer >= 1, got nan"),
+    (lambda: hypercube_self_volume(INF), "n must be an integer >= 1, got inf"),
+    (lambda: hypercube_self_volume(2000),
+     "n must be at most 1023 (2^n overflows a float), got 2000"),
+], ids=["polygon", "polygon-small", "kgon", "hypercube", "simplex", "simplex-center",
+        "icosphere-negative", "icosphere", "cube", "hypercube-nan", "hypercube-inf",
+        "hypercube-overflow"])
+def test_counts_are_integers_of_a_least_value(call, message):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_counts_take_numpy_integers():
+    assert len(regular_polygon(np.int64(5))) == 5
+    assert kgon_self_perimeter(np.int32(4)) == kgon_self_perimeter(4)
+    assert hypercube_self_volume(np.int64(1023)) == 2.0 ** 1023
+    centroid = np.full(3, 1 / 3)
+    assert simplex_self_volume(np.int64(2), centroid) == simplex_self_volume(2, centroid)
+    assert optimal_simplex_center(np.uint8(2)).value == 4.5
+    assert len(cube(np.int64(2)).vertices) == 4
+    assert len(icosphere(np.int64(0)).vertices) == 12
 
 
 @pytest.mark.parametrize("normal", [[1e308, 1e308, 0.0], [1e-320, 0.0, 0.0],

@@ -226,7 +226,7 @@ PINNED_BODIES = {"mapped-cube4": lambda: _mapped(cube(4), 41),
                  "mapped-cube5": lambda: _mapped(cube(5), 42),
                  "mapped-icosphere2": lambda: _mapped(icosphere(2), 43), "ccs4": _ccs4}
 PINNED_BODY_VALUES = {"mapped-cube4": 16.000000138899154, "mapped-cube5": 32.00000015978784,
-                      "mapped-icosphere2": 4.216549703589156, "ccs4": 7.470242021175242}
+                      "mapped-icosphere2": 4.216549703589157, "ccs4": 7.470242021175243}
 
 
 @pytest.mark.parametrize("name", PINNED_BODIES)
