@@ -686,18 +686,6 @@ def test_scan_built_arrays_are_read_only():
         assert a.flags.writeable
 
 
-def test_polar_rows_of_a_centre_on_an_edge_raise_no_warning():
-    # the scan drops the vertex 4e-9 below the lower edge, whose turn is below
-    # COPLANAR_TOL, so the centre lies on the new edge: its polar row divides by
-    # h = -0.0 quietly, and the self-volume refuses the body as before
-    poly = Polygon2([(-1.0, -1.0), (0.0, -1.0 - 4e-9), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
-    assert poly.contains((0.0, -1.0))
-    body = polygon_as_polytope(poly, (0.0, -1.0))
-    assert not body.origin_interior()
-    with pytest.raises(NotInteriorError):
-        self_volume_recursive(body)
-
-
 @pytest.mark.parametrize("call, message", [
     (lambda: regular_polygon(3.7), "k must be an integer >= 3, got 3.7"),
     (lambda: regular_polygon(2), "k must be an integer >= 3, got 2"),
