@@ -522,6 +522,8 @@ class PolytopeN:
     records a segment graph (hull simplex edges, a superset of the 1-skeleton)
     used for hyperplane crossing enumeration. facet_normals (m, d), facet_offsets
     and facet_measures are row-aligned arrays; facets lists the rows as Facets.
+    The origin test, cached on first use, is the only value derived from them
+    lazily; _polygon's polygons also keep their polar rows.
     """
 
     _polar = None   # the polar rows u_F / h_F of a polygon whose chords take its gauge
@@ -673,12 +675,6 @@ class PolytopeN:
         # computed on first use, once per polytope: the facet rows never change
         return float(np.min(self.facet_offsets)) > REL_TOL * self.scale
 
-    @functools.cached_property
-    def _lists(self):
-        # the vertices by coordinate and the edges by end, as lists, of a
-        # polygon whose chords _chord cuts: built on its first chord, read by every chord
-        return (*self.vertices.T.tolist(), *self.edges.T.tolist())
-
     def interior_distance(self, point):
         """Smallest slack over the facet halfspaces; NaN for a non-finite point."""
         p = _point(point, self.dim)
@@ -772,16 +768,16 @@ def central_section(poly, normal):
 
     The section's points are the polytope's vertices on the hyperplane and the
     crossings of its edges, projected on a _pivoted_basis frame. The builder
-    depends on the section's dimension: a section of a 3-D body is a polygon
-    by angular sort about the origin (PolytopeN._polygon, no qhull), and
-    higher sections go through the qhull-backed PolytopeN constructor.
+    depends on the section's dimension: a chord is the segment between the
+    extreme projections, a section of a 3-D body is a polygon by angular sort
+    about the origin (PolytopeN._polygon, no qhull), and higher sections go
+    through the qhull-backed PolytopeN constructor.
 
     A chord of a polygon built by PolytopeN._polygon whose aspect is at most
-    _GAUGE_ASPECT is cut by the polygon's gauge ||t|| = max_F t . u_F / h_F,
-    with t the unit normal turned by 90 degrees towards the _pivoted_basis
-    axis: the segment [-1 / ||-t||, 1 / ||t||], one matrix-vector product and
-    no frame. A chord of any other polygon is the segment between the extreme
-    projections of its crossings (_chord).
+    _GAUGE_ASPECT is cut by its gauge ||t|| = max_F t . u_F / h_F instead, t
+    the unit normal turned by 90 degrees towards the _pivoted_basis axis: the
+    segment [-1 / ||-t||, 1 / ||t||], one matrix-vector product and no frame.
+    Only qhull-built and thinner scan-built polygons take the crossings.
     """
     if not isinstance(poly, PolytopeN):
         raise TypeError("central_section expects a PolytopeN")
@@ -802,8 +798,6 @@ def central_section(poly, normal):
     verts = poly.vertices
     heights = verts @ nu
     tol = REL_TOL * poly.scale
-    if d == 2:
-        return _chord(poly, nu, heights.tolist(), tol)
     # +1 above the hyperplane, -1 below, 0 on it; an edge crosses when its
     # two ends lie on opposite sides
     side = np.subtract(heights > tol, heights < -tol, dtype=np.int8)
@@ -819,8 +813,11 @@ def central_section(poly, normal):
         pts = np.vstack([verts[side == 0], pts])
     if len(pts) < d:
         raise DegenerateSectionError("hyperplane misses the polytope interior")
-    return _full_dimensional(PolytopeN._polygon if d == 3 else PolytopeN,
-                             pts @ _pivoted_basis(nu))
+    pts = pts @ _pivoted_basis(nu)
+    if d == 2:
+        coords = pts.ravel().tolist()
+        return _full_dimensional(PolytopeN._segment, min(coords), max(coords))
+    return _full_dimensional(PolytopeN._polygon if d == 3 else PolytopeN, pts)
 
 
 def _full_dimensional(build, *args):
@@ -829,47 +826,6 @@ def _full_dimensional(build, *args):
         return build(*args)
     except GeometryError as exc:
         raise DegenerateSectionError(f"section is not full-dimensional: {exc}") from exc
-
-
-def _chord(poly, nu, heights, tol):
-    """central_section of a polygon that is qhull-built, or thin: the segment
-    between the extreme projections.
-
-    qhull-built polygons keep it because cli._climb follows last-bit ties, and
-    the conjecture-search/2d golden digests of perfbench's planar_batch pin the
-    bits of their chords; the gauge would move them.
-
-    The generic code's side test, crossing selection and interpolation, and
-    _pivoted_basis's loop in 2-D, in the same order on the same operands, on
-    Python floats over the polygon's cached vertex and edge lists: their
-    + - * / are numpy's elementwise operations. numpy keeps the products
-    (vertices @ nu, the frame's two dot products and points @ frame), whose
-    multiply-adds BLAS may fuse.
-    """
-    xs, ys, firsts, seconds = poly._lists
-    # the vertices on the line (|height| <= tol), then the crossings of the
-    # edges whose ends lie beyond tol on opposite sides
-    pts = [(xs[i], ys[i]) for i, h in enumerate(heights) if -tol <= h <= tol] \
-        if min(map(abs, heights)) <= tol else []
-    below = -tol
-    for a, b in zip(firsts, seconds):
-        ha, hb = heights[a], heights[b]
-        if ha > tol and hb < below or ha < below and hb > tol:
-            t = ha / (ha - hb)
-            xa, ya = xs[a], ys[a]
-            pts.append((xa + t * (xs[b] - xa), ya + t * (ys[b] - ya)))
-    if len(pts) < 2:
-        raise DegenerateSectionError("hyperplane misses the polytope interior")
-    # the frame: nu normalised once more, then the axis of the smaller |nu_i|
-    # (the first on a tie) less its projection on nu
-    norm = math.sqrt(nu.dot(nu))
-    x, y = nu.tolist()
-    x, y = x / norm, y / norm
-    w = [1.0 - x * x, 0.0 - x * y] if abs(x) <= abs(y) else [0.0 - y * x, 1.0 - y * y]
-    wa = np.array(w)
-    norm = math.sqrt(wa.dot(wa))
-    coords = (np.array(pts) @ np.array([[w[0] / norm], [w[1] / norm]])).ravel().tolist()
-    return _full_dimensional(PolytopeN._segment, min(coords), max(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -895,11 +851,15 @@ def interval(lo=-1.0, hi=1.0):
 
 
 def polygon_as_polytope(poly, center=(0.0, 0.0)):
-    """Re-root a Polygon2 at center and return it as a 2d PolytopeN."""
+    """Re-root a Polygon2 at center and return it as a 2d PolytopeN; center must
+    also pass the body's origin_interior(), after its scan drops every vertex
+    whose turn is at most COPLANAR_TOL."""
     c = np.asarray(center, dtype=float)
-    if not poly.interior_distance(c) > 0.0:   # NaN for a non-finite center
-        raise NotInteriorError("center must be strictly inside the polygon")
-    return PolytopeN._polygon(poly.vertices - c)
+    if poly.interior_distance(c) > 0.0:   # NaN for a non-finite center
+        body = PolytopeN._polygon(poly.vertices - c)
+        if body.origin_interior():
+            return body
+    raise NotInteriorError("center must be strictly inside the polygon")
 
 
 def icosphere(subdivisions=2):

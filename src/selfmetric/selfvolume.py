@@ -213,23 +213,24 @@ def simplex_self_volume(n, bary):
     omega = (2/n!) * sum over ordered tuples (k_1, ..., k_{n-1}) of pairwise
     distinct vertex indices of prod_{m=1}^{n-1} 1 / (1 - lambda_{k_1} - ... - lambda_{k_m}).
 
+    The sum runs over prefix sets, not tuples: F(S), the sum over the orderings
+    of a set S of the products of 1 / (1 - lambda(P)) over their prefixes P, is
+    F(S) = sum_{k in S} F(S - {k}) / (1 - lambda(S)) with F({}) = 1, and omega =
+    (2/n!) * sum_{|S| = n-1} F(S): about 2^(n+1) * n operations, not (n+1)!.
+
     The minimum over interior points is (n+1)^n / n!, attained at the centroid.
     """
     n = _count(n, "n", 1)
     if not isinstance(bary, BarycentricPoint):
         bary = BarycentricPoint(bary)
-    lam = bary.weights
+    lam = bary.weights.tolist()
     if len(lam) != n + 1:
         raise GeometryError(f"need {n + 1} barycentric weights for an {n}-simplex, got {len(lam)}")
-    total = 0.0
-    for tup in itertools.permutations(range(n + 1), n - 1):
-        partial = 0.0
-        term = 1.0
-        for k in tup:
-            partial += lam[k]
-            term /= 1.0 - partial
-        total += term
-    return 2.0 / math.factorial(n) * total
+    f = {(): 1.0}   # F on the sets of one size, as sorted index tuples
+    for size in range(1, n):
+        f = {s: sum(f[s[:i] + s[i + 1:]] for i in range(size)) / (1.0 - sum(lam[k] for k in s))
+             for s in itertools.combinations(range(n + 1), size)}
+    return 2.0 / math.factorial(n) * sum(f.values())
 
 
 def cartesian_product(p, q):

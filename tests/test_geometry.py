@@ -565,6 +565,14 @@ def test_polygon_as_polytope_requires_interior_center():
         polygon_as_polytope(tri, (2.0, 2.0))
     poly = polygon_as_polytope(tri, tri.centroid)
     assert poly.dim == 2 and poly.origin_interior()
+    # the square with its bottom edge bent out by 4e-9 at (0, -1 - 4e-9): the
+    # centre (0, -1) is inside the Polygon2, but the scan drops the bend, whose
+    # turn is below COPLANAR_TOL, and leaves the centre on the bottom edge
+    bent = Polygon2([[-1.0, -1.0], [0.0, -1.0 - 4e-9], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    assert bent.contains([0.0, -1.0])
+    with pytest.raises(NotInteriorError, match="^center must be strictly inside the polygon$"):
+        polygon_as_polytope(bent, (0.0, -1.0))
+    assert polygon_as_polytope(bent, (0.0, -0.5)).origin_interior()
 
 
 def test_barycentric_point():

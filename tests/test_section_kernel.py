@@ -1,18 +1,17 @@
 """The section kernel's bit contract.
 
-`central_section` cuts a qhull-built polygon by a crossing kernel on Python
-floats, and `PolytopeN` takes its facet normal lengths in one stacked product.
-Each must give the bits of the textbook numpy form it replaced; those forms are
-kept here as references. `_pivoted_basis` is the textbook pivoted Gram-Schmidt
-itself; its reference also keeps the 2-D closed form of the crossing kernel's
-frame.
+`central_section` cuts every section, of every dimension, by one crossing
+code, and `PolytopeN` takes its facet normal lengths in one stacked product.
+Each must give the bits of the textbook numpy form kept here as a reference.
+`_pivoted_basis` is the textbook pivoted Gram-Schmidt itself; its reference
+also keeps the 2-D closed form of the chord's frame.
 
 A polygon built by the scan (every section of a 3-D body, and
 `polygon_as_polytope`) whose aspect scale / min h_F is at most
 `_GAUGE_ASPECT` has its chords cut by its gauge instead: they must give the
 bits of the support-function reference kept here, and the length of the
-crossing chord within 1e-14 relative. A thinner scan-built polygon keeps the
-crossing kernel's bit contract.
+crossing chord within 1e-14 relative. qhull-built polygons and thinner
+scan-built ones take the crossing code.
 """
 
 import math
@@ -274,18 +273,17 @@ def test_chords_lie_along_the_frame_axis_whatever_the_builder():
                                    central_section(qhull, normal).vertices, rtol=1e-14)
 
 
-def test_chords_of_sections_build_no_vertex_lists(monkeypatch):
-    # the recursion's chords read the polar rows alone; a qhull-built polygon
-    # still builds its lists on its first chord, which the spy sees
-    built = []
-    lists = PolytopeN._lists
-    monkeypatch.setattr(PolytopeN, "_lists",
-                        property(lambda poly: built.append(poly) or lists.func(poly)))
+def test_chords_of_sections_build_no_frames(monkeypatch):
+    # the recursion's chords read the polar rows alone: cube(3)'s three
+    # sections ask for a 3-D frame each, and their chords for none; a chord of
+    # a qhull-built polygon takes the crossing code and its 2-D frame
+    dims = []
+    basis = geometry._pivoted_basis
+    monkeypatch.setattr(geometry, "_pivoted_basis", lambda nu: dims.append(len(nu)) or basis(nu))
     assert selfvolume.self_volume_recursive(cube(3)).value == pytest.approx(8.0, rel=1e-15)
-    assert built == []
-    qhull_polygon = PolytopeN(regular_polygon(5).vertices)
-    central_section(qhull_polygon, [1.0, 0.0])
-    assert built == [qhull_polygon]
+    assert dims == [3, 3, 3]
+    central_section(PolytopeN(regular_polygon(5).vertices), [1.0, 0.0])
+    assert dims == [3, 3, 3, 2]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -296,7 +294,7 @@ def test_chord_errors_are_the_generic_ones(k, phase, shift, squash, normal):
     # that the origin still counts as inside: shifted off the cut line (the
     # hyperplane misses them) or squashed onto a point of it (the chord is
     # degenerate)
-    # (qhull's polygons, whose vertex lists are read on the first chord)
+    # (qhull's polygons, which take the crossing code)
     nu = np.array(normal)
     along = np.array([-nu[1], nu[0]])
     for move in (lambda v: v + (3.0 + abs(shift)) * nu,

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --base PARENT_CHECKOUT [--change CHECKOUT]
         [--workloads polytope_recursion,smooth_inverse,planar_batch] [--seeds 0-9]
-        [--section-us SEED] [--section-repeats 3] [--out BENCH.json]
+        [--section-us SEED] [--out BENCH.json]
         [--change-text TEXT] [--claim TEXT] [--note TEXT ...]
 
 For each workload and seed, each checkout runs its own
@@ -22,8 +22,10 @@ computes it) and the machine stamp of the first run.
 --section-us SEED adds the median microseconds per `central_section` call
 by section depth: each side runs the polytope_recursion job list of that
 seed, and `self_volume_recursive(icosphere(2))`, in a child process with a
-timer around `selfvolume.central_section`, alternately, --section-repeats
-times per side.
+timer around `selfvolume.central_section`, alternately, SECTION_REPEATS
+times per side. Each depth has the parent's interquartile distance next to
+its medians: a change whose median differs from the parent's by no more
+than that is unresolved.
 """
 
 import argparse
@@ -40,6 +42,8 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# child runs per side of --section-us (BENCH_25.json: 3 did not resolve d3-d5)
+SECTION_REPEATS = 5
 SRC_SHA256_METHOD = ("sha256 over src/selfmetric/*.py in sorted order, each file's base name, "
                      "a NUL byte, then its bytes (perfbench/run.py's src_sha256)")
 
@@ -157,10 +161,10 @@ def section_child(root, seed, work):
     json.dump({"workload": summary(workload), "icosphere2": summary(times)}, sys.stdout)
 
 
-def section_us(base, change, seed, repeats, work):
+def section_us(base, change, seed, work):
     """Medians over alternating child runs of each side's per-depth times."""
     runs = {"parent": [], "change": []}
-    for k in range(repeats):
+    for k in range(SECTION_REPEATS):
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
             cwd = tempfile.mkdtemp(dir=work)
             proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--section-child",
@@ -169,15 +173,18 @@ def section_us(base, change, seed, repeats, work):
                                   check=True)
             runs[side].append(json.loads(proc.stdout))
             shutil.rmtree(cwd, ignore_errors=True)
-    out = {"seed": seed, "repeats_per_side": repeats}
+    out = {"seed": seed, "repeats_per_side": SECTION_REPEATS}
     for body in ("workload", "icosphere2"):
         cell = {}
         for depth in runs["change"][0][body]:
             p = [r[body][depth]["median_us"] for r in runs["parent"]]
             c = [r[body][depth]["median_us"] for r in runs["change"]]
+            parent = _quartiles(p)
             cell[depth] = {"calls": runs["change"][0][body][depth]["calls"],
                            "parent_median_us": round(statistics.median(p), 2),
                            "change_median_us": round(statistics.median(c), 2),
+                           "parent_interquartile_distance_us":
+                               round(parent["q3"] - parent["q1"], 2),
                            "parent_runs_us": p, "change_runs_us": c,
                            "ratio": round(statistics.median(c) / statistics.median(p), 3)}
         out["polytope_recursion_jobs" if body == "workload" else "icosphere2_self_volume"] = cell
@@ -207,7 +214,6 @@ def main(argv=None):
     ap.add_argument("--seeds", default="0-9", help="a seed or an inclusive range, e.g. 0-9")
     ap.add_argument("--section-us", type=int, metavar="SEED",
                     help="also time central_section per depth on this polytope_recursion seed")
-    ap.add_argument("--section-repeats", type=int, default=3)
     ap.add_argument("--out", help="write the JSON here (default: stdout)")
     ap.add_argument("--change-text", default="", help="what the change does")
     ap.add_argument("--claim", default="", help="the gain claimed, if any")
@@ -247,8 +253,7 @@ def main(argv=None):
     }
     if args.section_us is not None:
         work = tempfile.mkdtemp(prefix="bench_pairs_")
-        record["central_section_us_per_call"] = section_us(base, change, args.section_us,
-                                                           args.section_repeats, work)
+        record["central_section_us_per_call"] = section_us(base, change, args.section_us, work)
         shutil.rmtree(work, ignore_errors=True)
     if args.note:
         record["notes"] = args.note
