@@ -37,11 +37,13 @@ NUFFT_CROSSOVER = 0.4
 
 
 def ConvexHull(points):
-    """qhull's hull of points for PolytopeN(vertices), scipy.spatial imported on first use.
+    """qhull's hull of points for PolytopeN(vertices) in d >= 3, scipy.spatial imported
+    on first use.
 
-    Planar bodies go through _hull_scan, so scipy loads only for a polytope built
-    from vertices. A qhull failure is a GeometryError with qhull's first line (the
-    rest holds a run-id that differs per call). Every hull goes through this global.
+    Planar bodies, 2-D PolytopeN(vertices) included, go through _hull_scan, so scipy
+    loads only for a body of three or more dimensions. A qhull failure is a
+    GeometryError with qhull's first line (the rest holds a run-id that differs per
+    call). Every qhull hull goes through this global.
     """
     from scipy.spatial import ConvexHull as qhull, QhullError
     try:
@@ -509,6 +511,11 @@ _ROTATE_CW = _frozen([1.0, -1.0])   # (y, x) * this = (y, -x): (x, y) turned by 
 _ROTATE_CCW = _frozen([-1.0, 1.0])  # (y, x) * this = (-y, x): (x, y) turned by +90 degrees
 
 
+def _unit_rows(u):
+    """The rows of u, an (m, d) array, divided by their lengths in one stacked product."""
+    return u / np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
+
+
 def _row_order(normals):
     """The order of facet rows: by normal rounded to 12 digits, in coordinate order."""
     return np.lexsort(normals.round(12).T[::-1])
@@ -520,8 +527,10 @@ class PolytopeN:
     The vertex array is the single source of truth. Construction prunes
     non-extreme points, merges coplanar hull simplices into true facets and
     records a segment graph (hull simplex edges, a superset of the 1-skeleton)
-    used for hyperplane crossing enumeration. facet_normals (m, d), facet_offsets
-    and facet_measures are row-aligned arrays; facets lists the rows as Facets.
+    used for hyperplane crossing enumeration. In 2-D the hull is _hull_scan's,
+    with qhull's facet rows (_scan_facets); from 3-D on it is qhull's.
+    facet_normals (m, d), facet_offsets and facet_measures are row-aligned
+    arrays; facets lists the rows as Facets.
     The origin test, cached on first use, is the only value derived from them
     lazily; _polygon's polygons also keep their polar rows.
     """
@@ -534,10 +543,10 @@ class PolytopeN:
             raise GeometryError(f"expected an (m, d) vertex array, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise GeometryError("polytope vertices must be finite")
-        self.dim = int(v.shape[1])
-        if self.dim == 1:
+        if v.shape[1] == 1:
             self._set_segment(float(np.min(v)), float(np.max(v)))
         else:
+            self.dim = int(v.shape[1])
             if len(v) < self.dim + 1:
                 raise GeometryError(f"need at least {self.dim + 1} vertices in dimension {self.dim}")
             # the largest |coordinate| M within 10^(+-150 / (d - 1)) keeps a facet's
@@ -548,15 +557,18 @@ class PolytopeN:
                 raise GeometryError(f"coordinates of magnitude {big:.3g} lie outside "
                                     f"[{10.0 ** -e:.3g}, {10.0 ** e:.3g}], the range of a "
                                     f"{self.dim}-D polytope")
-            hull = ConvexHull(v)
-            keep = np.sort(hull.vertices)
-            remap = -np.ones(len(v), dtype=int)
-            remap[keep] = np.arange(len(keep))
-            self.vertices = v[keep]
-            simplices = remap[hull.simplices]
-            self.volume = float(hull.volume)
-            self.facet_normals, self.facet_offsets, self.facet_measures = \
-                self._merge_facets(hull, simplices)
+            if self.dim == 2:
+                keep, simplices = self._scan_facets(v)
+            else:
+                hull = ConvexHull(v)
+                keep = np.sort(hull.vertices)
+                remap = -np.ones(len(v), dtype=int)
+                remap[keep] = np.arange(len(keep))
+                self.vertices = v[keep]
+                simplices = remap[hull.simplices]
+                self.volume = float(hull.volume)
+                self.facet_normals, self.facet_offsets, self.facet_measures = \
+                    self._merge_facets(hull, simplices)
             # every vertex pair of every simplex, each once, in lexicographic order
             n = len(keep)
             ends = np.sort(simplices, axis=1)
@@ -569,7 +581,8 @@ class PolytopeN:
         """Make self the segment [lo, hi]; it is degenerate unless hi - lo exceeds
         REL_TOL times its larger end, a relative and so scale-invariant test."""
         ends = max(abs(lo), abs(hi))
-        if hi - lo <= REL_TOL * ends:
+        length = hi - lo
+        if length <= REL_TOL * ends:
             raise GeometryError("1d polytope is degenerate")
         self.dim = 1
         self.vertices = np.array([[lo], [hi]])
@@ -577,7 +590,7 @@ class PolytopeN:
         self.facet_offsets = np.array([-lo, hi])
         self.facet_measures = _SEGMENT_MEASURES
         self.edges = _SEGMENT_EDGES
-        self.volume = hi - lo
+        self.volume = length
         self.scale = ends
 
     @classmethod
@@ -623,6 +636,47 @@ class PolytopeN:
             poly._polar.flags.writeable = False
         return poly
 
+    def _scan_facets(self, v):
+        """Vertices, facet rows and area of the hull of (k, 2) points by _hull_scan
+        about their mean; returns (the kept input indices, the CCW edges as index
+        pairs into self.vertices).
+
+        The vertices keep the input order. Edge (a, b) takes qhull's row
+        (b_y - a_y, a_x - b_x) / sqrt(n_0^2 + n_1^2), the bits of hull.equations,
+        and its measure as _merge_facets takes both, so the rows are qhull's bit
+        for bit wherever qhull keeps the scan's vertices. The offsets are a . u and
+        the area is (1/2) sum h_F L_F with h_F taken about the points' mean.
+        """
+        centre = v.mean(axis=0)
+        try:
+            ccw = _hull_scan(v - centre)
+        except GeometryError as exc:
+            raise GeometryError(f"degenerate polytope (no full-dimensional hull): {exc}") from exc
+        keep = np.sort(ccw)
+        self.vertices = v[keep]
+        first = keep.searchsorted(ccw)
+        simplices = np.column_stack([first, np.roll(first, -1)])
+        a, b = self.vertices[simplices[:, 0]], self.vertices[simplices[:, 1]]
+        n0, n1 = b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]
+        norm = np.sqrt(n0 * n0 + n1 * n1)
+        normals = _unit_rows(np.column_stack([n0 / norm, n1 / norm]))
+        na, nc = normals * a, normals * (a - centre)
+        offsets = na[:, 0] + na[:, 1]
+        measures = self._simplex_measures(simplices)
+        # summed about the centre, which is inside: about an origin far outside,
+        # the terms h_F L_F cancel
+        self.volume = 0.5 * float((nc[:, 0] + nc[:, 1]) @ measures)
+        order = _row_order(normals)
+        self.facet_normals, self.facet_offsets, self.facet_measures = \
+            normals[order], offsets[order], measures[order]
+        return keep, simplices
+
+    def _simplex_measures(self, simplices):
+        """(d-1)-measure of each hull simplex from the Gram determinant of its edge vectors."""
+        span = self.vertices[simplices[:, 1:]] - self.vertices[simplices[:, :1]]
+        det = np.linalg.det(span @ span.transpose(0, 2, 1))
+        return np.sqrt(np.maximum(det, 0.0)) / math.factorial(self.dim - 1)
+
     def _merge_facets(self, hull, simplices):
         """(normals, offsets, measures) of the facets, sorted by rounded normal.
 
@@ -645,15 +699,10 @@ class PolytopeN:
             np.minimum.at(label, j, label[i])
         rep = label == np.arange(nf)
         group = (np.cumsum(rep) - 1)[label]
-        u = eqs[rep, :-1]
-        normals = u / np.sqrt(u[:, None, :] @ u[:, :, None])[:, 0]
+        normals = _unit_rows(eqs[rep, :-1])
         offsets = -eqs[rep, -1]
-        # (d-1)-measure of each simplex from the Gram determinant of its edge vectors
-        span = self.vertices[simplices[:, 1:]] - self.vertices[simplices[:, :1]]
-        det = np.linalg.det(span @ span.transpose(0, 2, 1))
-        simplex_measures = np.sqrt(np.maximum(det, 0.0)) / math.factorial(self.dim - 1)
         measures = np.zeros(len(offsets))
-        np.add.at(measures, group, simplex_measures)
+        np.add.at(measures, group, self._simplex_measures(simplices))
         order = _row_order(normals)
         return normals[order], offsets[order], measures[order]
 
@@ -777,7 +826,8 @@ def central_section(poly, normal):
     _GAUGE_ASPECT is cut by its gauge ||t|| = max_F t . u_F / h_F instead, t
     the unit normal turned by 90 degrees towards the _pivoted_basis axis: the
     segment [-1 / ||-t||, 1 / ||t||], one matrix-vector product and no frame.
-    Only qhull-built and thinner scan-built polygons take the crossings.
+    Only thinner _polygon polygons and 2-D PolytopeN(vertices), which keep no
+    polar rows, take the crossings.
     """
     if not isinstance(poly, PolytopeN):
         raise TypeError("central_section expects a PolytopeN")

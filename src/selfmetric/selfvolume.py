@@ -65,13 +65,16 @@ def _antipodes(u):
     # about 1.5e-8 of each other tie in the dot product
     i, j = np.nonzero(u @ u.T < ANTIPODE_TOL - 1.0)
     near = (np.abs(u[i] + u[j]) < ANTIPODE_TOL).all(axis=1)
-    rep = np.arange(len(u))
-    np.minimum.at(rep, i[near], j[near])
-    return rep.tolist()
+    rep = list(range(len(u)))
+    # a facet has one antipode, or a few within the tolerance
+    for a, b in zip(i[near].tolist(), j[near].tolist()):
+        if b < rep[a]:
+            rep[a] = b
+    return rep
 
 
 def _facet_terms(poly, chain, rep):
-    """Per-facet (section measure, section self-volume, contribution) arrays.
+    """Per-facet (section measures, section self-volumes, contributions) as float lists.
 
     Facet i reads the central section built for facet rep[i]; one section is
     built per distinct rep, in facet order. chain carries the facet indices
@@ -85,8 +88,10 @@ def _facet_terms(poly, chain, rep):
             raise DegenerateSectionError(
                 f"degenerate section at facet chain {chain + (k,)}: {exc}") from exc
         sections[k] = section.volume, _omega(section, chain + (k,))
-    sec_measure, sec_omega = np.array([sections[k] for k in rep]).T
-    return sec_measure, sec_omega, poly.facet_measures * sec_omega / sec_measure
+    sec_measure = [sections[k][0] for k in rep]
+    sec_omega = [sections[k][1] for k in rep]
+    return sec_measure, sec_omega, [m * w / s for m, w, s in
+                                    zip(poly.facet_measures.tolist(), sec_omega, sec_measure)]
 
 
 def _facet_sum(values):
@@ -100,7 +105,7 @@ def _omega(poly, chain):
     if poly.dim == 1:
         return 2.0
     rep = _antipodes(poly.facet_normals)
-    return _facet_sum(_facet_terms(poly, chain, rep)[2].tolist()) / poly.dim
+    return _facet_sum(_facet_terms(poly, chain, rep)[2]) / poly.dim
 
 
 def _check_body(poly, noun):
@@ -129,7 +134,7 @@ def self_volume_recursive(poly):
     _check_body(poly, "self-volume")
     if poly.dim == 1:
         return SelfVolumeResult(2.0, 1)
-    terms = [t.tolist() for t in _facet_terms(poly, (), _antipodes(poly.facet_normals))]
+    terms = _facet_terms(poly, (), _antipodes(poly.facet_normals))
     rows = list(map(FacetContribution, itertools.count(), poly.facet_measures.tolist(), *terms))
     return SelfVolumeResult(_facet_sum(terms[2]) / poly.dim, poly.dim, rows)
 
@@ -162,11 +167,11 @@ class SurfaceMeasure:
         # two sections of a +-pair differ by rounding, which the mass carries
         normals = poly.facet_normals
         sec_measure, sec_volume, _ = _facet_terms(poly, (), range(len(normals)))
-        self._densities = sec_volume / sec_measure
+        self._densities = np.divide(sec_volume, sec_measure)
         masses = (self._densities * poly.facet_measures).tolist()
         self.dim = poly.dim
         self.rows = tuple(map(FacetDensityRow, range(len(normals)), normals.copy(),
-                              poly.facet_measures.tolist(), sec_measure.tolist(),
+                              poly.facet_measures.tolist(), sec_measure,
                               self._densities.tolist(), masses))
         self.total_mass = _facet_sum(masses)
         self._normals = normals

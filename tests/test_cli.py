@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -662,14 +663,23 @@ def test_import_loads_no_scipy():
 
 
 def test_planar_commands_load_no_scipy(shapes, tmp_path):
-    out = [str(tmp_path / f"out{i}") for i in range(5)]
+    # a 2-D polytope is built by the hull scan, as every planar body is
+    heptagon = tmp_path / "heptagon.json"
+    angles = 2.0 * math.pi * np.arange(7) / 7 + 0.3
+    heptagon.write_text(json.dumps({"type": "polytope", "dim": 2, "vertices": np.column_stack(
+        [np.cos(angles), 0.5 * np.sin(angles)]).tolist()}))
+    out = [str(tmp_path / f"out{i}") for i in range(8)]
     report, _ = _fresh_main(
         ["kgon-table", "--k-max", "5", "--out", out[0]],
         ["perimeter", "--shape", str(shapes / "tri.json"), "--out", out[1]],
         ["perimeter", "--shape", str(shapes / "disk.json"), "--out", out[2]],
         ["center", "--shape", str(shapes / "tri.json"), "--out", out[3]],
-        ["alexandrov", "--phi", str(shapes / "phi4.json"), "--out", out[4]])
-    assert report == {"codes": [0] * 5, "scipy": []}
+        ["alexandrov", "--phi", str(shapes / "phi4.json"), "--out", out[4]],
+        ["volume", "--shape", str(heptagon), "--out", out[5]],
+        ["invariance-check", "--shape", str(heptagon), "--trials", "3", "--out", out[6]],
+        ["conjecture-search", "--dim", "2", "--trials", "2", "--steps", "5", "--out", out[7]])
+    assert report == {"codes": [0] * 8, "scipy": []}
+    assert json.loads((tmp_path / "out5").read_text())["dim"] == 2
 
 
 def test_volume_loads_qhull_and_no_optimizer(shapes, tmp_path):
@@ -689,3 +699,14 @@ def test_degenerate_first_hull_is_geometry_error(tmp_path):
     assert json.loads(err) == {"error": {"type": "geometry", "message":
         "degenerate polytope (no full-dimensional hull): QH6154 Qhull precision error: "
         "Initial simplex is flat (facet 1 is coplanar with the interior point)"}}
+
+
+def test_collinear_planar_polytope_is_the_scans_geometry_error(tmp_path):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"type": "polytope", "dim": 2,
+                                "vertices": [[0, 0], [1, 1], [2, 2], [3, 3]]}))
+    report, err = _fresh_main(["volume", "--shape", str(path)])
+    assert report == {"codes": [1], "scipy": []}
+    assert json.loads(err) == {"error": {"type": "geometry", "message":
+        "degenerate polytope (no full-dimensional hull): "
+        "degenerate polygon: the points are collinear"}}

@@ -10,8 +10,9 @@ A polygon built by the scan (every section of a 3-D body, and
 `polygon_as_polytope`) whose aspect scale / min h_F is at most
 `_GAUGE_ASPECT` has its chords cut by its gauge instead: they must give the
 bits of the support-function reference kept here, and the length of the
-crossing chord within 1e-14 relative. qhull-built polygons and thinner
-scan-built ones take the crossing code.
+crossing chord within 1e-14 relative. 2-D polytopes built from vertices,
+which keep no polar rows, and thinner scan-built polygons take the crossing
+code.
 """
 
 import math
@@ -222,6 +223,7 @@ def clouds(draw, dim):
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(clouds(2))
 def test_chords_of_qhull_polygons_are_bit_identical(cloud):
+    # 2-D PolytopeN(vertices) has qhull's facet rows and no polar rows
     pts, rng = cloud
     poly = PolytopeN(pts)
     assume(poly.origin_interior())
@@ -262,21 +264,22 @@ def test_thin_sections_keep_the_crossing_chord():
 
 
 def test_chords_lie_along_the_frame_axis_whatever_the_builder():
-    # the scan's polygon and qhull's polygon of the same vertices give the same
-    # segment, not its mirror
+    # the scan's polygon with polar rows and the vertex-built polygon without
+    # them give the same segment, not its mirror
     poly = regular_polygon(7, phase=0.3)
-    scan, qhull = polygon_as_polytope(poly), PolytopeN(poly.vertices)
-    assert scan._polar is not None and qhull._polar is None
+    scan, vertex_built = polygon_as_polytope(poly), PolytopeN(poly.vertices)
+    assert scan._polar is not None and vertex_built._polar is None
     for normal in [[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [0.6, -0.8],
                    [-0.8, 0.6], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]:
         np.testing.assert_allclose(central_section(scan, normal).vertices,
-                                   central_section(qhull, normal).vertices, rtol=1e-14)
+                                   central_section(vertex_built, normal).vertices,
+                                   rtol=1e-14)
 
 
 def test_chords_of_sections_build_no_frames(monkeypatch):
     # the recursion's chords read the polar rows alone: cube(3)'s three
     # sections ask for a 3-D frame each, and their chords for none; a chord of
-    # a qhull-built polygon takes the crossing code and its 2-D frame
+    # a vertex-built polygon takes the crossing code and its 2-D frame
     dims = []
     basis = geometry._pivoted_basis
     monkeypatch.setattr(geometry, "_pivoted_basis", lambda nu: dims.append(len(nu)) or basis(nu))
@@ -294,7 +297,7 @@ def test_chord_errors_are_the_generic_ones(k, phase, shift, squash, normal):
     # that the origin still counts as inside: shifted off the cut line (the
     # hyperplane misses them) or squashed onto a point of it (the chord is
     # degenerate)
-    # (qhull's polygons, which take the crossing code)
+    # (vertex-built polygons, which take the crossing code)
     nu = np.array(normal)
     along = np.array([-nu[1], nu[0]])
     for move in (lambda v: v + (3.0 + abs(shift)) * nu,

@@ -226,8 +226,9 @@ def _pinned_polygon(i):
 
 
 # self_volume_recursive of _pinned_polygon(0..9), as computed when every
-# section still went through qhull; a 2-D body passed in keeps its qhull
-# facets and must keep every bit (cli._climb follows last-bit differences)
+# section and every 2-D body still went through qhull; a 2-D body passed in
+# now takes the scan with qhull's facet rows, and must keep every bit
+# (cli._climb follows last-bit differences)
 PINNED_POLYGON_VALUES = [4.500000000000002, 4.5035484685090115, 3.924555001639054,
                          3.6137874671995496, 4.007464093537697, 3.5526274601308554,
                          4.098624276839033, 3.826334598912829, 3.5294791977736306,

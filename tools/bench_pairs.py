@@ -19,17 +19,22 @@ won, whether the change is within the metric's bound, and the base's
 interquartile distance; plus each side's src sha256 (as perfbench/run.py
 computes it) and the machine stamp of the first run.
 
---section-us SEED adds the median microseconds per `central_section` call
-by section depth: each side runs the polytope_recursion job list of that
-seed, and `self_volume_recursive(icosphere(2))`, in a child process with a
-timer around `selfvolume.central_section`, alternately, SECTION_REPEATS
-times per side. Each depth has the parent's interquartile distance next to
-its medians: a change whose median differs from the parent's by no more
-than that is unresolved.
+--section-us SEED adds the microseconds per `central_section` call by
+section depth. One child process imports each checkout's src/selfmetric
+under its own package name. It runs the polytope_recursion job list of that
+seed, and ICOSPHERE_RUNS self-volumes of `icosphere(2)`, through both, job
+by job, with a timer around each package's `selfvolume.central_section`.
+The side that goes first alternates from job to job and from pass to pass,
+over SECTION_PASSES passes. For each job and depth the least time over the
+passes is kept, and a depth's figure is the sum of these minima over the
+summed calls. Each pass's own per-call means are kept too, to show the
+spread that the minima remove.
 """
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -42,8 +47,11 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# child runs per side of --section-us (BENCH_25.json: 3 did not resolve d3-d5)
-SECTION_REPEATS = 5
+# passes of --section-us over the job list, each side once per job and pass
+SECTION_PASSES = 5
+# icosphere(2) self-volumes per pass: with one, at about 0.3 s, two clones of one
+# commit read 1.24-1.27 of each other, with eight 0.94 (still unresolved)
+ICOSPHERE_RUNS = 8
 SRC_SHA256_METHOD = ("sha256 over src/selfmetric/*.py in sorted order, each file's base name, "
                      "a NUL byte, then its bytes (perfbench/run.py's src_sha256)")
 
@@ -123,71 +131,114 @@ def pairs(base, change, workloads, seeds, bench):
     return out, envs
 
 
-def section_child(root, seed, work):
-    """Per-depth central_section times of one checkout, printed as JSON."""
-    sys.path[:0] = [os.path.join(root, "perfbench"), os.path.join(root, "src")]
+def _package(root, name):
+    """root/src/selfmetric imported as the package `name`, so that two checkouts
+    live side by side in one process; returns its (cli, geometry, selfvolume)."""
+    path = os.path.join(root, "src", "selfmetric")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(path, "__init__.py"), submodule_search_locations=[path])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return tuple(importlib.import_module(f"{name}.{m}") for m in ("cli", "geometry", "selfvolume"))
+
+
+def section_child(base, change, seed, work):
+    """Per-depth central_section times of both checkouts, interleaved job by job,
+    printed as JSON."""
+    sys.path.insert(0, os.path.join(change, "perfbench"))
     import worker
-    from workloads import run_rounds
-    os.environ.update(worker.WORKER_BLAS_THREADS)
-    from selfmetric import geometry, selfvolume
-    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+    os.environ.update(worker.WORKER_BLAS_THREADS)   # before numpy loads
+    from workloads import make_round, run_rounds
+    with open(os.path.join(change, "BENCHMARK.json")) as fh:
         seconds = json.load(fh)["run_seconds"]
     os.chdir(work)
-    cli, jobs, _ = worker.setup("polytope_recursion", seed, "in",
-                                run_rounds("polytope_recursion", seconds))
-    os.makedirs("out")
-    cut = selfvolume.central_section
-    times = {}
+    os.makedirs("in")
+    jobs = [job for r in range(run_rounds("polytope_recursion", seconds))
+            for job in make_round("polytope_recursion", seed, r, "in")]
+    sides = {}
+    for side, root in (("parent", base), ("change", change)):
+        cli, geometry, selfvolume = _package(root, f"selfmetric_{side}")
+        os.makedirs(f"out_{side}")
+        tally = {}
+        cut = selfvolume.central_section
 
-    def timed(poly, normal):
-        t0 = time.perf_counter()
-        section = cut(poly, normal)
-        times.setdefault(poly.dim, []).append(time.perf_counter() - t0)
-        return section
+        def timed(poly, normal, cut=cut, tally=tally):
+            t0 = time.perf_counter()
+            section = cut(poly, normal)
+            cell = tally.setdefault(poly.dim, [0, 0.0])
+            cell[0] += 1
+            cell[1] += time.perf_counter() - t0
+            return section
 
-    selfvolume.central_section = timed
+        selfvolume.central_section = timed
+        tasks = [lambda cli=cli, job=job, side=side: cli.run(
+            worker._config(cli, job, "in", f"out_{side}")) for job in jobs]
+        tasks += [lambda g=geometry, v=selfvolume: v.self_volume_recursive(g.icosphere(2))
+                  ] * ICOSPHERE_RUNS
+        sides[side] = tasks, tally
+    # timed[side][task][pass] = {depth: [calls, seconds]}
+    timed = {side: [[] for _ in sides[side][0]] for side in sides}
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
             contextlib.redirect_stderr(io.StringIO()):
-        for job in jobs:
-            cli.run(worker._config(cli, job, "in", "out"))
-    workload, times = times, {}
-    selfvolume.self_volume_recursive(geometry.icosphere(2))
-    selfvolume.central_section = cut
+        for k in range(SECTION_PASSES):
+            for i in range(len(jobs) + ICOSPHERE_RUNS):
+                for side in (("parent", "change") if (i + k) % 2 == 0 else ("change", "parent")):
+                    tasks, tally = sides[side]
+                    tally.clear()
+                    tasks[i]()
+                    timed[side][i].append({d: list(c) for d, c in tally.items()})
+    json.dump(timed, sys.stdout)
 
-    def summary(t):
-        return {f"d{d}": {"calls": len(v), "median_us": round(statistics.median(v) * 1e6, 2)}
-                for d, v in sorted(t.items())}
 
-    json.dump({"workload": summary(workload), "icosphere2": summary(times)}, sys.stdout)
+def _per_depth(tasks):
+    """{depth: (calls, seconds)} summed over tasks of the least seconds over passes,
+    and the per-pass sums."""
+    least, passes = {}, [{} for _ in tasks[0]]
+    for task in tasks:
+        for d in task[0]:
+            calls = task[0][d][0]
+            if any(p[d][0] != calls for p in task):
+                raise SystemExit(f"the calls at depth {d} differ between passes")
+            cell = least.setdefault(d, [0, 0.0])
+            cell[0] += calls
+            cell[1] += min(p[d][1] for p in task)
+            for total, p in zip(passes, task):
+                acc = total.setdefault(d, [0, 0.0])
+                acc[0] += calls
+                acc[1] += p[d][1]
+    return least, passes
 
 
 def section_us(base, change, seed, work):
-    """Medians over alternating child runs of each side's per-depth times."""
-    runs = {"parent": [], "change": []}
-    for k in range(SECTION_REPEATS):
-        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-            cwd = tempfile.mkdtemp(dir=work)
-            proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--section-child",
-                                   base if side == "parent" else change, "--section-us",
-                                   str(seed)], cwd=cwd, capture_output=True, text=True,
-                                  check=True)
-            runs[side].append(json.loads(proc.stdout))
-            shutil.rmtree(cwd, ignore_errors=True)
-    out = {"seed": seed, "repeats_per_side": SECTION_REPEATS}
-    for body in ("workload", "icosphere2"):
+    """Per-depth microseconds per central_section call of both sides, from one
+    interleaved child run."""
+    cwd = tempfile.mkdtemp(dir=work)
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--section-child",
+                           "--base", base, "--change", change, "--section-us", str(seed)],
+                          cwd=cwd, capture_output=True, text=True)
+    shutil.rmtree(cwd, ignore_errors=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"--section-us child exited {proc.returncode}:\n{proc.stderr}")
+    timed = json.loads(proc.stdout)
+    out = {"seed": seed, "passes": SECTION_PASSES}
+    njobs = len(timed["change"]) - ICOSPHERE_RUNS
+    for key, part in (("polytope_recursion_jobs", slice(0, njobs)),
+                      ("icosphere2_self_volume", slice(njobs, None))):
+        (p_least, p_passes), (c_least, c_passes) = (_per_depth(timed[side][part])
+                                                    for side in ("parent", "change"))
         cell = {}
-        for depth in runs["change"][0][body]:
-            p = [r[body][depth]["median_us"] for r in runs["parent"]]
-            c = [r[body][depth]["median_us"] for r in runs["change"]]
-            parent = _quartiles(p)
-            cell[depth] = {"calls": runs["change"][0][body][depth]["calls"],
-                           "parent_median_us": round(statistics.median(p), 2),
-                           "change_median_us": round(statistics.median(c), 2),
-                           "parent_interquartile_distance_us":
-                               round(parent["q3"] - parent["q1"], 2),
-                           "parent_runs_us": p, "change_runs_us": c,
-                           "ratio": round(statistics.median(c) / statistics.median(p), 3)}
-        out["polytope_recursion_jobs" if body == "workload" else "icosphere2_self_volume"] = cell
+        for d in sorted(c_least, key=int):
+            p_calls, c_calls = p_least[d][0], c_least[d][0]
+            p_us, c_us = 1e6 * p_least[d][1] / p_calls, 1e6 * c_least[d][1] / c_calls
+            cell[f"d{d}"] = {"parent_calls": p_calls, "change_calls": c_calls,
+                             "parent_us": round(p_us, 2), "change_us": round(c_us, 2),
+                             "ratio": round(c_us / p_us, 3),
+                             "parent_pass_us": [round(1e6 * p[d][1] / p_calls, 2)
+                                                for p in p_passes],
+                             "change_pass_us": [round(1e6 * p[d][1] / c_calls, 2)
+                                                for p in c_passes]}
+        out[key] = cell
     return out
 
 
@@ -218,10 +269,11 @@ def main(argv=None):
     ap.add_argument("--change-text", default="", help="what the change does")
     ap.add_argument("--claim", default="", help="the gain claimed, if any")
     ap.add_argument("--note", action="append", default=[], help="a note to keep in the file")
-    ap.add_argument("--section-child", help=argparse.SUPPRESS)   # one side's section timing
+    ap.add_argument("--section-child", action="store_true",
+                    help=argparse.SUPPRESS)   # the interleaved section timing
     args = ap.parse_args(argv)
     if args.section_child:
-        section_child(args.section_child, args.section_us, os.getcwd())
+        section_child(args.base, args.change, args.section_us, os.getcwd())
         return 0
     if not args.base:
         ap.error("--base is required")
