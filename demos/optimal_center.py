@@ -1,8 +1,9 @@
 """Choosing the best base point: convexity, the 9-bound, and equivariance.
 
-The map from base point to self-perimeter is convex on the interior, so the
-ellipsoid method on exact subgradients finds the unique optimal center and
-certifies it: each result carries a bound on its gap to the minimum. Every
+The map from base point to self-perimeter is convex on the interior, so
+cutting the polygon through the centroid of what is left, on exact
+subgradients, finds the unique optimal center and certifies it: each result
+carries a bound on its gap to the minimum. Every
 convex body admits a point scoring at most 9, with equality
 exactly on triangles.
 """

@@ -3,11 +3,13 @@
 The map p -> P(K - p) is strictly convex and blows up at the boundary, so a
 unique interior minimizer exists. It is only piecewise smooth: the exit edge
 of a tangent ray switches as the center moves, and the minimizer generically
-sits on such a crease. So the solver is the deep-cut ellipsoid method on
-exact subgradients (Bland, Goldfarb & Todd, "The ellipsoid method: a survey",
-Oper. Res. 29, 1981), which needs no smoothness and certifies its answer:
-every cut also gives a lower bound on the minimum, and the solve stops when
-the best value lies within GAP_TOL of it.
+sits on such a crease. So the solver is the center-of-gravity method on exact
+subgradients (A. Yu. Levin, Soviet Math. Dokl. 6, 1965), which needs no
+smoothness and certifies its answer. In the plane the set that can still
+hold the minimizer is kept exactly, as a polygon that every cut clips; a cut
+through its centroid removes at least 4/9 of its area (B. Grunbaum, Pacific
+J. Math. 10, 1960). Every cut also gives a lower bound on the minimum, and
+the solve stops when the best value lies within GAP_TOL of it.
 """
 
 from __future__ import annotations
@@ -62,12 +64,20 @@ class ConvergenceError(RuntimeError):
 
 
 def _interior_point(poly, rng):
-    """A point drawn uniformly from the polygon's bounding box until one lies
-    farther than REL_TOL * scale inside; GeometryError after 10,000 draws."""
-    lo = np.min(poly.vertices, axis=0)
-    hi = np.max(poly.vertices, axis=0)
+    """A point drawn uniformly from the polygon until one lies farther than
+    REL_TOL * scale inside; GeometryError after 10,000 draws.
+
+    Each draw picks a triangle of the fan at vertex 0 with probability its share
+    of the area, then a uniform point of it (u + w > 1 folded back)."""
+    v = poly.vertices
+    d1, d2 = v[1:-1] - v[0], v[2:] - v[0]
+    areas = np.cumsum(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
     for _ in range(10_000):
-        p = lo + rng.random(2) * (hi - lo)
+        pick, u, w = rng.random(3)
+        i = np.searchsorted(areas, pick * areas[-1])
+        if u + w > 1.0:
+            u, w = 1.0 - u, 1.0 - w
+        p = v[0] + u * d1[i] + w * d2[i]
         if poly.interior_distance(p) > REL_TOL * poly.scale:
             return p
     raise GeometryError("could not sample an interior start point")
@@ -87,19 +97,23 @@ def optimal_center_2d(poly, variant="directed", start=None):
 def optimal_centers_2d(poly, variant, starts):
     """One certified minimization of the self-perimeter per start point, in lock step.
 
-    Deep-cut ellipsoid method on the ellipse E = {c + A u : |u| <= 1}, which
-    starts as the disk about the start through the farthest vertex and always
-    holds the minimizer x. At an interior center with value f and subgradient
-    g, x satisfies g.(x - c) <= fbest - f, and f - |A'g| bounds the minimum
-    from below; at a center outside the polygon the edge of least slack gives a
-    central cut. A solve stops when its best value is within GAP_TOL
-    (relative) of its best lower bound, with the best center and its value.
+    Center-of-gravity method on a localization cell C, a CCW polygon that
+    starts as the polygon itself and always holds the minimizer x. The first
+    query is the start point and every later one the centroid of C. At an
+    interior query q with value f and subgradient g, x satisfies
+    g.(x - q) <= fbest - f, so C is clipped to that half-plane, and
+    f + min over the vertices v of C of g.(v - q) bounds the minimum from
+    below; at a query outside the polygon the edge of least slack gives a
+    central cut. A cut through the centroid removes at least 4/9 of C's area
+    (Grunbaum). A solve stops when its best value is within GAP_TOL
+    (relative) of its best lower bound, with the best query and its value.
 
     Every iteration casts the rays of all open solves in one `_ray_casts`
-    call; each solve keeps its own ellipse, certificate and iteration count,
-    so its result is bit for bit that of solving it alone. If MAX_ITER passes
-    with solves still open, ConvergenceError carries the best iterate of the
-    first of them.
+    call; each solve keeps its own cell, certificate and iteration count, so
+    its result is bit for bit that of solving it alone. A solve fails when
+    its cell collapses to no area or MAX_ITER passes; ConvergenceError then
+    carries the best iterate of the first failing solve, the one a solve of
+    each start in turn would raise.
 
     Returns a list of CenterResult, one per start, in order.
     """
@@ -109,59 +123,101 @@ def optimal_centers_2d(poly, variant, starts):
     starts = [_point(start, 2) for start in starts]
     if not starts:
         raise GeometryError("need at least one start point")
-    # one row per solve: the center (x, y) and the factor A = [[a00, a01],
-    # [a10, a11]] of E as Python floats; A is kept as a factor, not as A A',
-    # so rounding cannot make E indefinite
-    ellipses = []
     for start in starts:
         if not poly.interior_distance(start) > 0.0:   # NaN for a NaN/inf start
             raise NotInteriorError("start point is not strictly inside the polygon")
-        radius = math.sqrt(np.max(np.sum((poly.vertices - start) ** 2, axis=1)))
-        ellipses.append([*start.tolist(), radius, 0.0, 0.0, radius])
+    xs, ys = poly.vertices.T.tolist()
+    # one entry per solve: its query, the vertex coordinates of its cell as
+    # Python floats, and its certificate
+    queries = [start.tolist() for start in starts]
+    cells = [(xs, ys)] * len(starts)
     best = list(starts)
     fbest = [math.inf] * len(starts)
     lower = [-math.inf] * len(starts)
     results = [None] * len(starts)
+    failed = None    # the ConvergenceError of the first solve whose cell collapsed
     live = list(range(len(starts)))
     for iterations in range(1, MAX_ITER + 1):
         values, subgradients, inside, slack = _ray_casts(
-            poly, np.array([ellipses[i][:2] for i in live]), variant)
+            poly, np.array([queries[i] for i in live]), variant)
         still = []
-        for i, f, g, interior, slacks in zip(live, values.tolist(), subgradients.tolist(),
-                                             inside.tolist(), slack):
-            x, y, a00, a01, a10, a11 = ellipses[i]
+        for k, (i, f, g, interior) in enumerate(zip(live, values.tolist(), subgradients.tolist(),
+                                                    inside.tolist())):
             if not interior:
                 # outside the polygon: a central cut along the most violated edge
-                g = poly.normals[slacks.argmin()].tolist()
-            g0, g1 = g
-            v0, v1 = a00 * g0 + a10 * g1, a01 * g0 + a11 * g1      # A'g
-            width, depth = math.hypot(v0, v1), 0.0
+                g = poly.normals[slack[k].argmin()].tolist()
+            (qx, qy), (xs, ys), (g0, g1) = queries[i], cells[i], g
+            dots = [g0 * (x - qx) + g1 * (y - qy) for x, y in zip(xs, ys)]
+            bound = 0.0
             if interior:
                 if f < fbest[i]:
-                    best[i], fbest[i] = np.array((x, y)), f
-                # f - width is the least value the linear bound at (x, y) allows on E
-                lower[i] = max(lower[i], f - width)
+                    best[i], fbest[i] = np.array(queries[i]), f
+                # f + min(dots) is the least value the linear bound at q allows on the cell
+                lower[i] = max(lower[i], f + min(dots))
                 if fbest[i] - lower[i] <= GAP_TOL * fbest[i]:
                     results[i] = CenterResult(best[i], fbest[i], iterations, variant,
                                               fbest[i] - lower[i])
                     continue
-                depth = (f - fbest[i]) / width
-            u0, u1 = v0 / width, v1 / width
-            s0, s1 = a00 * u0 + a01 * u1, a10 * u0 + a11 * u1      # step = A u
-            move = (1.0 + 2.0 * depth) / 3.0
-            shrink = 1.0 - math.sqrt((1.0 - depth) / (3.0 * (1.0 + depth)))
-            scale = math.sqrt(4.0 / 3.0 * (1.0 - depth ** 2))
-            ellipses[i] = [x - move * s0, y - move * s1,
-                           scale * (a00 - shrink * (s0 * u0)), scale * (a01 - shrink * (s0 * u1)),
-                           scale * (a10 - shrink * (s1 * u0)), scale * (a11 - shrink * (s1 * u1))]
+                bound = fbest[i] - f
+            cells[i] = xs, ys = _clip(xs, ys, dots, bound)
+            queries[i] = _centroid(xs, ys)
+            if queries[i] is None:
+                gap = fbest[i] - lower[i]
+                failed = ConvergenceError(
+                    f"localization cell collapsed in {iterations} iterations (gap {gap:.3e})",
+                    CenterResult(best[i], fbest[i], iterations, variant, gap))
+                # raised once every earlier solve has finished, as a solve of each
+                # start in turn would; the later solves cannot change the outcome
+                break
             still.append(i)
         live = still
         if not live:
+            if failed is not None:
+                raise failed
             return results
     i = live[0]
     gap = fbest[i] - lower[i]
     raise ConvergenceError(f"no certificate in {MAX_ITER} iterations (gap {gap:.3e})",
                            CenterResult(best[i], fbest[i], MAX_ITER, variant, gap))
+
+
+def _clip(xs, ys, dots, bound):
+    """The convex cell (xs, ys) cut to where the affine function taking the values
+    dots at its vertices is at most bound, in the same order, each crossing put
+    before the vertex that ends its edge."""
+    cx, cy = [], []
+    px, py, ps = xs[-1], ys[-1], dots[-1] - bound
+    for x, y, d in zip(xs, ys, dots):
+        s = d - bound
+        if (ps < 0.0 < s) or (s < 0.0 < ps):
+            t = ps / (ps - s)
+            cx.append(px + t * (x - px))
+            cy.append(py + t * (y - py))
+        if s <= 0.0:
+            cx.append(x)
+            cy.append(y)
+        px, py, ps = x, y, s
+    return cx, cy
+
+
+def _centroid(xs, ys):
+    """Centroid [x, y] of the CCW polygon (xs, ys), summed over the fan of
+    triangles at its first vertex relative to it; None unless its area is positive."""
+    if len(xs) < 3:
+        return None
+    x0, y0 = xs[0], ys[0]
+    px, py = xs[1] - x0, ys[1] - y0
+    area = mx = my = 0.0
+    for x, y in zip(xs[2:], ys[2:]):
+        dx, dy = x - x0, y - y0
+        c = px * dy - py * dx          # twice the area of the fan triangle
+        area += c
+        mx += c * (px + dx)
+        my += c * (py + dy)
+        px, py = dx, dy
+    if not area > 0.0:
+        return None
+    return [x0 + mx / (3.0 * area), y0 + my / (3.0 * area)]
 
 
 def grunbaum_bound_check(poly):
@@ -195,8 +251,8 @@ def convexity_probe(poly, variant="directed", trials=100, seed=0):
     """
     if not isinstance(poly, Polygon2):
         raise TypeError("convexity_probe expects a Polygon2")
+    trials = _count(trials, "trials", 1)
     rng = np.random.default_rng(seed)
-    trials = int(trials)
     drawn = np.array([_interior_point(poly, rng) for _ in range(2 * trials)]).reshape(-1, 2)
     p1, p2 = drawn[0::2], drawn[1::2]
     values = _ray_casts(poly, np.vstack([p1, p2, 0.5 * (p1 + p2)]), variant)[0]

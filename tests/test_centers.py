@@ -116,26 +116,26 @@ PROBE_POLYGONS = {
     "thin": Polygon2([[-3.0, -0.01], [3.0, -0.02], [2.5, 0.03], [-2.0, 0.02]]),
 }
 # the largest f(mid) - (f(p1) + f(p2)) / 2 over 40 trials and the first pair
-# drawn, recorded while the probe still evaluated each point by its own cast
+# drawn, recorded when the sampler first drew from the polygon's fan triangles
 PROBE_PINS = [
-    ("heptagon", "directed", 3, "-0x1.b4a7cc2d3fa00p-6",
-     ("0x1.234e59e76f4ecp-1", "0x1.00e950ab6bfb4p-3"),
-     ("-0x1.9ca3c00888474p-1", "-0x1.4ba79dab9a8c8p-3")),
-    ("heptagon", "busemann", 11, "-0x1.7a74a8ee0de00p-6",
-     ("-0x1.7a5a9c796c565p-1", "-0x1.19a6e33f6b250p-5"),
-     ("0x1.b5b1cf5598d46p-1", "0x1.9dc76547d41f4p-3")),
-    ("pentagon", "directed", 11, "-0x1.a76e08402c780p-3",
-     ("-0x1.4fba168f7dd6ap+0", "0x1.2e06126184ac0p-3"),
-     ("-0x1.975fbba466bd8p-2", "0x1.84d7fb2b47dd0p-3")),
-    ("pentagon", "busemann", 3, "-0x1.9ba43d09ca600p-7",
-     ("0x1.3eae075b4a07fp+0", "0x1.c01198c3c4ed8p-2"),
-     ("-0x1.713b4ddca6792p+0", "-0x1.584acc9eff290p-4")),
-    ("thin", "directed", 3, "-0x1.2937a9dc47c40p-1",
-     ("-0x1.3e38b04490c3cp+1", "-0x1.0b5ea26e362a2p-7"),
-     ("0x1.cec1f0ab16938p+0", "0x1.2a744bafcd972p-7")),
-    ("thin", "busemann", 11, "-0x1.a31a9ac23b000p-9",
-     ("-0x1.1d4211cf993dap+1", "0x1.45504e9eaec10p-8"),
-     ("-0x1.9273ffed947a8p-1", "0x1.6d00b9098ba44p-8")),
+    ("heptagon", "directed", 3, "-0x1.7ce9bcaebac00p-7",
+     ("0x1.b89ac1ad3bdb2p-3", "0x1.c9b18c8f961d7p-1"),
+     ("0x1.521babcb77620p-5", "-0x1.212ae8eea298cp-3")),
+    ("heptagon", "busemann", 11, "-0x1.bcee329a55f00p-6",
+     ("-0x1.18d912da6bf61p-1", "0x1.0b6a8180d4f17p-1"),
+     ("0x1.63cb27c1ce6a7p-2", "0x1.c191af53110dcp-1")),
+    ("pentagon", "directed", 11, "-0x1.1a044f789b2a0p-2",
+     ("0x1.aa8a23244facep-1", "0x1.4ec0f1643a983p+0"),
+     ("0x1.68aa49d5f757dp+0", "0x1.1eee01d582d51p+0")),
+    ("pentagon", "busemann", 3, "-0x1.03a6fc4b49c00p-8",
+     ("0x1.294d59b31b5b1p+0", "0x1.463cae65f5ad5p+0"),
+     ("0x1.19d96e99f9e48p-3", "0x1.dcbc2d9b55920p-6")),
+    ("thin", "directed", 3, "-0x1.59ec3dcbefc00p-5",
+     ("0x1.5608454cb6824p+1", "-0x1.3d49d49904d6ep-7"),
+     ("-0x1.b26beb2df7cc0p-5", "0x1.a25e3e5f75fc8p-8")),
+    ("thin", "busemann", 11, "-0x1.dbadd0190a000p-7",
+     ("0x1.191989bb7c75ap+1", "0x1.e9143ec144cc0p-11"),
+     ("0x1.40eea51c307bcp+1", "-0x1.00656b27c1d12p-6")),
 ]
 
 
@@ -182,19 +182,36 @@ def test_outside_cut_edge_is_the_most_violated_edge(seed, size, rows, variant):
 
 
 def test_interior_point_keeps_the_start_draws():
-    # the draw `center` makes for restart 1 of seed 4, recorded before the
-    # probe and the CLI shared one sampler
+    # the draw `center` makes for restart 1 of seed 4
     p = centers._interior_point(PROBE_POLYGONS["thin"], np.random.default_rng(5))
-    assert [x.hex() for x in p.tolist()] == ["0x1.d47c079806554p+0", "0x1.4e2f6261fe13dp-6"]
+    assert [x.hex() for x in p.tolist()] == ["-0x1.7581048b17ebep+0", "0x1.90829d070b2b2p-7"]
+
+
+def test_interior_point_is_uniform_on_the_polygon():
+    # a point drawn from the fan triangles at vertex 0 by area is uniform on the
+    # polygon: the share above y = 1/2 of the regular hexagon is 0.1707
+    hexagon = regular_polygon(6)
+    rng = np.random.default_rng(12)
+    points = np.array([centers._interior_point(hexagon, rng) for _ in range(4000)])
+    assert all(hexagon.interior_distance(p) > 0.0 for p in points)
+    assert np.mean(points[:, 1] > 0.5) == pytest.approx(0.1707, abs=0.02)
+    assert np.linalg.norm(points.mean(axis=0)) < 0.03
 
 
 def test_interior_point_gives_up_after_max_draws():
     class Outside:
         def random(self, size):
-            return np.full(size, 1.0)   # the box corner (3, 0.03), outside the polygon
+            return np.full(size, 1.0)   # folds to vertex 0, not inside the polygon
 
     with pytest.raises(GeometryError, match="could not sample an interior start point"):
         centers._interior_point(PROBE_POLYGONS["thin"], Outside())
+
+
+@pytest.mark.parametrize("trials", [-1, 0, 2.5, "3", None])
+def test_convexity_probe_needs_an_integer_trial_count(trials):
+    with pytest.raises(GeometryError, match="trials must be an integer >= 1"):
+        convexity_probe(PROBE_POLYGONS["heptagon"], trials=trials)
+    assert convexity_probe(PROBE_POLYGONS["heptagon"], trials=np.int64(3)).trials == 3
 
 
 def test_simplex_closed_form_centers():
@@ -299,9 +316,9 @@ def test_misshapen_start_is_geometry_error(start):
         optimal_center_2d(regular_polygon(5), start=start)
 
 
-def _sequential_solve(poly, variant, start):
-    # the one-start ellipsoid loop as it was before restarts ran in lock step:
-    # the reference the lock-step solver must match bit for bit
+def _ellipsoid_solve(poly, variant, start):
+    # the deep-cut ellipsoid loop the localization cell replaced, one start at a
+    # time: the reference the cell's values must meet within twice GAP_TOL
     x, y = start.tolist()
     a00 = a11 = math.sqrt(np.max(np.sum((poly.vertices - start) ** 2, axis=1)))
     a01 = a10 = 0.0
@@ -330,6 +347,39 @@ def _sequential_solve(poly, variant, start):
         scale = math.sqrt(4.0 / 3.0 * (1.0 - depth ** 2))
         a00, a01 = scale * (a00 - shrink * (s0 * u0)), scale * (a01 - shrink * (s0 * u1))
         a10, a11 = scale * (a10 - shrink * (s1 * u0)), scale * (a11 - shrink * (s1 * u1))
+    raise ConvergenceError(f"no certificate in {centers.MAX_ITER} iterations "
+                           f"(gap {fbest - lower:.3e})",
+                           CenterResult(best, fbest, centers.MAX_ITER, variant, fbest - lower))
+
+
+def _sequential_solve(poly, variant, start):
+    # the localization-cell loop for one start, one perimeter call per
+    # iteration: the reference the lock-step solver must match bit for bit
+    xs, ys = poly.vertices.T.tolist()
+    q = start
+    best, fbest, lower = start, math.inf, -math.inf
+    for iterations in range(1, centers.MAX_ITER + 1):
+        try:
+            f, g = polygon_perimeter_subgradient(poly, q, variant)
+        except NotInteriorError:
+            f, g = None, poly.normals[np.argmax(poly.normals @ q - poly.offsets)]
+        (qx, qy), (g0, g1) = q.tolist(), g.tolist()
+        dots = [g0 * (x - qx) + g1 * (y - qy) for x, y in zip(xs, ys)]
+        bound = 0.0
+        if f is not None:
+            if f < fbest:
+                best, fbest = q, f
+            lower = max(lower, f + min(dots))
+            if fbest - lower <= centers.GAP_TOL * fbest:
+                return CenterResult(best, fbest, iterations, variant, fbest - lower)
+            bound = fbest - f
+        xs, ys = centers._clip(xs, ys, dots, bound)
+        centroid = centers._centroid(xs, ys)
+        if centroid is None:
+            raise ConvergenceError(f"localization cell collapsed in {iterations} iterations "
+                                   f"(gap {fbest - lower:.3e})",
+                                   CenterResult(best, fbest, iterations, variant, fbest - lower))
+        q = np.array(centroid)
     raise ConvergenceError(f"no certificate in {centers.MAX_ITER} iterations "
                            f"(gap {fbest - lower:.3e})",
                            CenterResult(best, fbest, centers.MAX_ITER, variant, fbest - lower))
@@ -378,6 +428,67 @@ def test_lock_step_convergence_error_is_the_first_failing_restart(monkeypatch, v
                             optimal_center_2d(poly, variant, starts[i]))
     with pytest.raises(ConvergenceError) as want:
         _sequential_solve(poly, variant, starts[first])
+    with pytest.raises(ConvergenceError) as got:
+        optimal_centers_2d(poly, variant, starts)
+    assert str(got.value) == str(want.value)
+    _assert_same_result(got.value.best, want.value.best)
+
+
+@st.composite
+def thin_polygons_with_a_start(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    poly = _ellipse_polygon(rng, draw(st.integers(3, 64)), True)
+    poly = Polygon2(10.0 ** draw(st.floats(-3.0, 3.0)) * poly.vertices)
+    return poly, rng.dirichlet(np.ones(len(poly))) @ poly.vertices
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(thin_polygons_with_a_start(), st.sampled_from(["directed", "busemann"]))
+def test_cell_value_is_the_ellipsoid_value_within_twice_the_gap(drawn, variant):
+    # both methods certify a gap of GAP_TOL, so their values differ by less than twice it
+    poly, start = drawn
+    for s in (poly.centroid, start):
+        got, want = optimal_center_2d(poly, variant, s), _ellipsoid_solve(poly, variant, s)
+        assert abs(got.value - want.value) <= 2.0 * GAP_TOL * want.value
+
+
+def test_clip_and_centroid_of_the_unit_square():
+    xs, ys = [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]
+    # x <= 1/2: each crossing goes before the vertex that ends its edge
+    cut = centers._clip(xs, ys, xs, 0.5)
+    assert cut == ([0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 1.0, 1.0])
+    assert centers._centroid(*cut) == [0.25, 0.5]
+    # the line x + y = 1 through two vertices leaves a triangle with no new vertex
+    diagonal = [x + y for x, y in zip(xs, ys)]
+    assert centers._clip(xs, ys, diagonal, 1.0) == ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+    assert centers._centroid([0.0, 1.0], [0.0, 0.0]) is None
+    assert centers._centroid([0.0, 1.0, 2.0], [0.0, 1.0, 2.0]) is None   # no area
+
+
+@pytest.mark.parametrize("variant", ["directed", "busemann"])
+def test_collapsed_cell_is_a_convergence_error_with_the_best_iterate(monkeypatch, variant):
+    # with no gap certifying, every cell shrinks until it has no area; a later
+    # restart collapses first, and the lock step still raises restart 0's error
+    rng = np.random.default_rng(11)
+    poly = _ellipse_polygon(rng, 15, True)
+    starts = [poly.centroid, *(rng.dirichlet(np.ones(15), size=5) @ poly.vertices)]
+    monkeypatch.setattr(centers, "GAP_TOL", -math.inf)
+    errors = []
+    for start in starts:
+        with pytest.raises(ConvergenceError, match="^localization cell collapsed in ") as want:
+            _sequential_solve(poly, variant, start)
+        errors.append(want.value)
+    first = errors[0].best
+    assert min(e.best.iterations for e in errors[1:]) < first.iterations < centers.MAX_ITER
+    assert first.value == PERIMETERS[variant](poly, first.optimum).value
+    with pytest.raises(ConvergenceError) as got:
+        optimal_centers_2d(poly, variant, starts)
+    assert str(got.value) == str(errors[0])
+    _assert_same_result(got.value.best, first)
+    # one iteration short of that collapse, restart 0 runs out of iterations first
+    monkeypatch.setattr(centers, "MAX_ITER", first.iterations - 1)
+    with pytest.raises(ConvergenceError, match="^no certificate in ") as want:
+        _sequential_solve(poly, variant, starts[0])
     with pytest.raises(ConvergenceError) as got:
         optimal_centers_2d(poly, variant, starts)
     assert str(got.value) == str(want.value)

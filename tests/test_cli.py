@@ -138,27 +138,27 @@ def test_center_rows_converge(shapes):
 
 
 # `center --restarts 5` on affine-regular polygons, byte for byte as the
-# restarts printed when they were solved one after another
+# localization-cell solves printed them from starts drawn in the fan triangles
 CENTER_PINS = {
     "hept": ([[1.610146, -0.454651], [1.096441, 0.172014], [-0.054651, 0.292638],
               [-0.976335, -0.18361], [-0.974563, -0.898106], [-0.05067, -1.312821],
               [1.099633, -1.115465]], "directed", 11,
              "seed,optimum_x,optimum_y,value,iterations\n"
-             "11,0.25000043656542575,-0.50000022025720448,6.5730075274338056,73\n"
-             "12,0.25000057618574567,-0.50000024638285956,6.5730075274338109,97\n"
-             "13,0.25000051791109024,-0.50000023892806744,6.573007527433794,97\n"
-             "14,0.25000045861580733,-0.50000040332218998,6.5730075274338189,97\n"
-             "15,0.25000033827808543,-0.50000029122987255,6.5730075274337931,98\n",
-             "best center (0.250000338278, -0.50000029123) value 6.57300752743\n"),
+             "11,0.25000034543303795,-0.50000034627568202,6.5730075274337967,26\n"
+             "12,0.25000060574892263,-0.50000037430460953,6.5730075274338429,37\n"
+             "13,0.25000045205241561,-0.50000026239466477,6.5730075274337718,33\n"
+             "14,0.25000049479715863,-0.50000028416696252,6.5730075274337665,34\n"
+             "15,0.25000051679743512,-0.50000038999137675,6.5730075274338136,34\n",
+             "best center (0.250000494797, -0.500000284167) value 6.57300752743\n"),
     "pent": ([[-1.037367, 3.383769], [-1.990075, 2.777285], [-1.574533, 1.09662],
               [-0.365006, 0.664395], [-0.03302, 2.077931]], "busemann", 29,
              "seed,optimum_x,optimum_y,value,iterations\n"
-             "29,-1.0000010443803731,2.0000005430624559,6.9098300562498389,68\n"
-             "30,-1.0000006672742638,1.9999999239145114,6.9098300562498149,84\n"
-             "31,-1.0000005882721614,1.9999999505828023,6.9098300562498256,86\n"
-             "32,-1.0000008851231221,2.0000005410223509,6.9098300562498292,88\n"
-             "33,-1.0000005980938604,1.9999997426706149,6.9098300562498496,86\n",
-             "best center (-1.00000066727, 1.99999992391) value 6.90983005625\n"),
+             "29,-1.0000008805072749,1.9999999583599484,6.9098300562498105,23\n"
+             "30,-1.0000009023421477,2.0000000764341093,6.9098300562498016,33\n"
+             "31,-1.0000007502084363,2.000000418917621,6.9098300562498185,34\n"
+             "32,-1.0000008423454974,2.0000002327627562,6.9098300562497954,34\n"
+             "33,-1.0000008118460211,1.9999999933251358,6.9098300562498016,32\n",
+             "best center (-1.00000084235, 2.00000023276) value 6.90983005625\n"),
 }
 
 
@@ -339,22 +339,22 @@ def test_number_beyond_the_float_range_is_shape_format_error(tmp_path, capsys, c
         "type": "shape-format", "message": "number is out of the float range", "field": field}
 
 
-def test_unsampleable_sliver_is_geometry_error(tmp_path, capsys):
+def test_sliver_gets_a_start_point_for_every_restart(tmp_path, capsys):
     # a 2 x 2e-7 rectangle turned by 45 degrees fills about 1e-7 of its bounding
-    # box, so restart 1 finds no start point in 10,000 draws; restart 0, the
-    # centroid, needs none
+    # box, but the start points are drawn inside the polygon, so restart 1 gets
+    # one too and lands on the optimum 8 of a parallelogram
     c = np.sqrt(0.5)
     corners = [(-1.0, -1e-7), (1.0, -1e-7), (1.0, 1e-7), (-1.0, 1e-7)]
-    path = tmp_path / "sliver.json"
+    path, out = tmp_path / "sliver.json", tmp_path / "sliver.csv"
     path.write_text(json.dumps({"type": "polygon2",
                                 "vertices": [[c * (x - y), c * (x + y)] for x, y in corners]}))
-    assert run(RunConfig(command="center", shape=str(path), restarts=1)) == 0
-    capsys.readouterr()
-    assert run(RunConfig(command="center", shape=str(path), restarts=2)) == 1
-    out = capsys.readouterr()
-    assert out.out == "" and out.err.count("\n") == 1
-    assert json.loads(out.err)["error"] == {
-        "type": "geometry", "message": "could not sample an interior start point"}
+    assert run(RunConfig(command="center", shape=str(path), restarts=2, out=str(out))) == 0
+    assert capsys.readouterr().err == ""
+    rows = out.read_text().splitlines()[1:]
+    values = [float(row.split(",")[3]) for row in rows]
+    assert [row.split(",")[0] for row in rows] == ["0", "1"]
+    assert values == pytest.approx([8.0, 8.0], rel=1e-9)
+    assert values[1] == pytest.approx(values[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("center", ["nan,0.2", "inf,0.2"])

@@ -22,13 +22,15 @@ computes it) and the machine stamp of the first run.
 --section-us SEED adds the microseconds per `central_section` call by
 section depth. One child process imports each checkout's src/selfmetric
 under its own package name. It runs the polytope_recursion job list of that
-seed, and ICOSPHERE_RUNS self-volumes of `icosphere(2)`, through both, job
-by job, with a timer around each package's `selfvolume.central_section`.
+seed, and the self-volumes of SPHERE_HULLS hulls of SPHERE_POINTS points
+drawn on the unit sphere with that seed, through both, job by job, with a
+timer around each package's `selfvolume.central_section`.
 The side that goes first alternates from job to job and from pass to pass,
-over SECTION_PASSES passes. For each job and depth the least time over the
-passes is kept, and a depth's figure is the sum of these minima over the
-summed calls. Each pass's own per-call means are kept too, to show the
-spread that the minima remove.
+over SECTION_PASSES passes, and SECTION_CHILDREN such child processes run
+one after another, each importing the other side first. For each job and
+depth the least time over the passes of every child is kept, and a depth's
+figure is the sum of these minima over the summed calls. Each pass's own
+per-call means are kept too, to show the spread that the minima remove.
 """
 
 import argparse
@@ -49,9 +51,15 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # passes of --section-us over the job list, each side once per job and pass
 SECTION_PASSES = 5
-# icosphere(2) self-volumes per pass: with one, at about 0.3 s, two clones of one
-# commit read 1.24-1.27 of each other, with eight 0.94 (still unresolved)
-ICOSPHERE_RUNS = 8
+# child processes of --section-us: within one, a side can run a few percent fast
+# or slow throughout (two archives of one commit read 0.96-0.98 and 1.02-1.05 in
+# single children), which the least time over several children evens out
+SECTION_CHILDREN = 4
+# 3-D self-volumes per pass, about 30 ms each: eight runs of the 0.3 s icosphere(2)
+# left two archives of one commit 0.94 apart, as a long job keeps the host's drift
+# that the least time over passes of many short jobs removes
+SPHERE_HULLS = 64
+SPHERE_POINTS = 30
 SRC_SHA256_METHOD = ("sha256 over src/selfmetric/*.py in sorted order, each file's base name, "
                      "a NUL byte, then its bytes (perfbench/run.py's src_sha256)")
 
@@ -143,9 +151,9 @@ def _package(root, name):
     return tuple(importlib.import_module(f"{name}.{m}") for m in ("cli", "geometry", "selfvolume"))
 
 
-def section_child(base, change, seed, work):
+def section_child(base, change, seed, child, work):
     """Per-depth central_section times of both checkouts, interleaved job by job,
-    printed as JSON."""
+    printed as JSON; an odd child imports and runs the change first."""
     sys.path.insert(0, os.path.join(change, "perfbench"))
     import worker
     os.environ.update(worker.WORKER_BLAS_THREADS)   # before numpy loads
@@ -156,8 +164,12 @@ def section_child(base, change, seed, work):
     os.makedirs("in")
     jobs = [job for r in range(run_rounds("polytope_recursion", seconds))
             for job in make_round("polytope_recursion", seed, r, "in")]
+    import numpy as np
+    hulls = np.random.default_rng(seed).normal(size=(SPHERE_HULLS, SPHERE_POINTS, 3))
+    hulls /= np.linalg.norm(hulls, axis=2, keepdims=True)
     sides = {}
-    for side, root in (("parent", base), ("change", change)):
+    order = (("parent", base), ("change", change))
+    for side, root in order if child % 2 == 0 else order[::-1]:
         cli, geometry, selfvolume = _package(root, f"selfmetric_{side}")
         os.makedirs(f"out_{side}")
         tally = {}
@@ -174,16 +186,17 @@ def section_child(base, change, seed, work):
         selfvolume.central_section = timed
         tasks = [lambda cli=cli, job=job, side=side: cli.run(
             worker._config(cli, job, "in", f"out_{side}")) for job in jobs]
-        tasks += [lambda g=geometry, v=selfvolume: v.self_volume_recursive(g.icosphere(2))
-                  ] * ICOSPHERE_RUNS
+        tasks += [lambda g=geometry, v=selfvolume, p=p: v.self_volume_recursive(g.PolytopeN(p))
+                  for p in hulls]
         sides[side] = tasks, tally
     # timed[side][task][pass] = {depth: [calls, seconds]}
     timed = {side: [[] for _ in sides[side][0]] for side in sides}
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
             contextlib.redirect_stderr(io.StringIO()):
         for k in range(SECTION_PASSES):
-            for i in range(len(jobs) + ICOSPHERE_RUNS):
-                for side in (("parent", "change") if (i + k) % 2 == 0 else ("change", "parent")):
+            for i in range(len(jobs) + SPHERE_HULLS):
+                for side in (("parent", "change") if (i + k + child) % 2 == 0
+                             else ("change", "parent")):
                     tasks, tally = sides[side]
                     tally.clear()
                     tasks[i]()
@@ -211,20 +224,25 @@ def _per_depth(tasks):
 
 
 def section_us(base, change, seed, work):
-    """Per-depth microseconds per central_section call of both sides, from one
-    interleaved child run."""
-    cwd = tempfile.mkdtemp(dir=work)
-    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--section-child",
-                           "--base", base, "--change", change, "--section-us", str(seed)],
-                          cwd=cwd, capture_output=True, text=True)
-    shutil.rmtree(cwd, ignore_errors=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"--section-us child exited {proc.returncode}:\n{proc.stderr}")
-    timed = json.loads(proc.stdout)
-    out = {"seed": seed, "passes": SECTION_PASSES}
-    njobs = len(timed["change"]) - ICOSPHERE_RUNS
+    """Per-depth microseconds per central_section call of both sides, from
+    SECTION_CHILDREN interleaved child runs."""
+    timed = {}
+    for child in range(SECTION_CHILDREN):
+        cwd = tempfile.mkdtemp(dir=work)
+        proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--section-child",
+                               str(child), "--base", base, "--change", change,
+                               "--section-us", str(seed)],
+                              cwd=cwd, capture_output=True, text=True)
+        shutil.rmtree(cwd, ignore_errors=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"--section-us child exited {proc.returncode}:\n{proc.stderr}")
+        for side, tasks in json.loads(proc.stdout).items():
+            for task, passes in zip(timed.setdefault(side, [[] for _ in tasks]), tasks):
+                task.extend(passes)
+    out = {"seed": seed, "passes": SECTION_PASSES * SECTION_CHILDREN}
+    njobs = len(timed["change"]) - SPHERE_HULLS
     for key, part in (("polytope_recursion_jobs", slice(0, njobs)),
-                      ("icosphere2_self_volume", slice(njobs, None))):
+                      ("sphere_hull_self_volumes", slice(njobs, None))):
         (p_least, p_passes), (c_least, c_passes) = (_per_depth(timed[side][part])
                                                     for side in ("parent", "change"))
         cell = {}
@@ -269,11 +287,11 @@ def main(argv=None):
     ap.add_argument("--change-text", default="", help="what the change does")
     ap.add_argument("--claim", default="", help="the gain claimed, if any")
     ap.add_argument("--note", action="append", default=[], help="a note to keep in the file")
-    ap.add_argument("--section-child", action="store_true",
-                    help=argparse.SUPPRESS)   # the interleaved section timing
+    ap.add_argument("--section-child", type=int,
+                    help=argparse.SUPPRESS)   # the index of one interleaved section timing
     args = ap.parse_args(argv)
-    if args.section_child:
-        section_child(args.base, args.change, args.section_us, os.getcwd())
+    if args.section_child is not None:
+        section_child(args.base, args.change, args.section_us, args.section_child, os.getcwd())
         return 0
     if not args.base:
         ap.error("--base is required")
