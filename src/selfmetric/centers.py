@@ -127,6 +127,7 @@ def optimal_centers_2d(poly, variant, starts):
         if not poly.interior_distance(start) > 0.0:   # NaN for a NaN/inf start
             raise NotInteriorError("start point is not strictly inside the polygon")
     xs, ys = poly.vertices.T.tolist()
+    e = math.frexp(poly.scale)[1]
     # one entry per solve: its query, the vertex coordinates of its cell as
     # Python floats, and its certificate
     queries = [start.tolist() for start in starts]
@@ -160,7 +161,7 @@ def optimal_centers_2d(poly, variant, starts):
                     continue
                 bound = fbest[i] - f
             cells[i] = xs, ys = _clip(xs, ys, dots, bound)
-            queries[i] = _centroid(xs, ys)
+            queries[i] = _centroid(xs, ys, e)
             if queries[i] is None:
                 gap = fbest[i] - lower[i]
                 failed = ConvergenceError(
@@ -200,16 +201,21 @@ def _clip(xs, ys, dots, bound):
     return cx, cy
 
 
-def _centroid(xs, ys):
+def _centroid(xs, ys, e):
     """Centroid [x, y] of the CCW polygon (xs, ys), summed over the fan of
-    triangles at its first vertex relative to it; None unless its area is positive."""
+    triangles at its first vertex relative to it; None unless its area is positive.
+
+    The differences from the first vertex are scaled by 2**-e, exactly, for a
+    cell that is a part of a polygon of scale about 2**e: the sums hold cubes of
+    them, which would overflow from about 1e102 and underflow below about 1e-102."""
     if len(xs) < 3:
         return None
     x0, y0 = xs[0], ys[0]
-    px, py = xs[1] - x0, ys[1] - y0
+    down, up = math.ldexp(1.0, -e), math.ldexp(1.0, e)
+    px, py = (xs[1] - x0) * down, (ys[1] - y0) * down
     area = mx = my = 0.0
     for x, y in zip(xs[2:], ys[2:]):
-        dx, dy = x - x0, y - y0
+        dx, dy = (x - x0) * down, (y - y0) * down
         c = px * dy - py * dx          # twice the area of the fan triangle
         area += c
         mx += c * (px + dx)
@@ -217,7 +223,7 @@ def _centroid(xs, ys):
         px, py = dx, dy
     if not area > 0.0:
         return None
-    return [x0 + mx / (3.0 * area), y0 + my / (3.0 * area)]
+    return [x0 + mx / (3.0 * area) * up, y0 + my / (3.0 * area) * up]
 
 
 def grunbaum_bound_check(poly):

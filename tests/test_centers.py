@@ -356,6 +356,7 @@ def _sequential_solve(poly, variant, start):
     # the localization-cell loop for one start, one perimeter call per
     # iteration: the reference the lock-step solver must match bit for bit
     xs, ys = poly.vertices.T.tolist()
+    e = math.frexp(poly.scale)[1]
     q = start
     best, fbest, lower = start, math.inf, -math.inf
     for iterations in range(1, centers.MAX_ITER + 1):
@@ -374,7 +375,7 @@ def _sequential_solve(poly, variant, start):
                 return CenterResult(best, fbest, iterations, variant, fbest - lower)
             bound = fbest - f
         xs, ys = centers._clip(xs, ys, dots, bound)
-        centroid = centers._centroid(xs, ys)
+        centroid = centers._centroid(xs, ys, e)
         if centroid is None:
             raise ConvergenceError(f"localization cell collapsed in {iterations} iterations "
                                    f"(gap {fbest - lower:.3e})",
@@ -457,12 +458,26 @@ def test_clip_and_centroid_of_the_unit_square():
     # x <= 1/2: each crossing goes before the vertex that ends its edge
     cut = centers._clip(xs, ys, xs, 0.5)
     assert cut == ([0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 1.0, 1.0])
-    assert centers._centroid(*cut) == [0.25, 0.5]
+    assert centers._centroid(*cut, 1) == [0.25, 0.5]
     # the line x + y = 1 through two vertices leaves a triangle with no new vertex
     diagonal = [x + y for x, y in zip(xs, ys)]
     assert centers._clip(xs, ys, diagonal, 1.0) == ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
-    assert centers._centroid([0.0, 1.0], [0.0, 0.0]) is None
-    assert centers._centroid([0.0, 1.0, 2.0], [0.0, 1.0, 2.0]) is None   # no area
+    assert centers._centroid([0.0, 1.0], [0.0, 0.0], 1) is None
+    assert centers._centroid([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], 1) is None   # no area
+
+
+@pytest.mark.parametrize("variant", ["directed", "busemann"])
+@pytest.mark.parametrize("scale", [1e120, 1e-120])
+def test_solve_at_extreme_scales_is_the_unit_solve_scaled(variant, scale):
+    # the cell centroid sums cubes of coordinate differences, which would
+    # overflow or underflow at these scales unless scaled by a power of two
+    unit = Polygon2(regular_polygon(6).vertices + [0.2, -0.1])
+    want = optimal_center_2d(unit, variant)
+    got = optimal_center_2d(Polygon2(scale * unit.vertices), variant)
+    assert got.gap <= GAP_TOL * got.value
+    # the self-perimeter does not change with scale; the optimum scales
+    assert got.value == pytest.approx(want.value, rel=1e-15, abs=0.0)
+    assert np.abs(got.optimum / scale - want.optimum).max() < 1e-15
 
 
 @pytest.mark.parametrize("variant", ["directed", "busemann"])
