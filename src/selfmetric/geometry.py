@@ -25,8 +25,15 @@ _GAUGE_ASPECT = 16.0
 PROFILE_GRID = 2048   # dense grid used to validate radius profiles
 MAX_PLANAR = 1e150    # largest |coordinate| of a polygon: its squares and areas stay finite
 MIN_PLANAR = 1e-150   # least largest |coordinate| of a polygon: its squares stay normal
-_EVAL_CHUNK = 256     # angle chunk for Fourier evaluation, keeps temporaries small
-_GATHER_CHUNK = 1024  # angle chunk of the NUFFT gather (2w values per angle)
+# angle chunk of the dense Fourier sum. Keep it at 256: its bits depend on how BLAS
+# blocks the gemv, and 64-, 37- or 1-row blocks moved some bit in each of 300
+# random cases (up to 700 angles, max |k| up to 200)
+_EVAL_CHUNK = 256
+# angle chunk of the NUFFT gather: each (chunk, 2w) float64 temporary is then
+# 256 * 32 * 8 bytes = 64 KiB, which the allocator reuses where 1024 rows (256 KiB)
+# came back as fresh pages on every call; each angle's sum is its own row, so the
+# output does not depend on the chunk
+_GATHER_CHUNK = 256
 NUFFT_HALF_WIDTH = 16  # w: the NUFFT gathers 2w fine-grid values per angle
 _TWO_PI_LO = 2.4492935982947064e-16   # 2 pi - float(2 pi)
 # The NUFFT runs when the dense term count exceeds this many times its own
@@ -573,7 +580,9 @@ class PolytopeN:
             n = len(keep)
             ends = np.sort(simplices, axis=1)
             a, b = np.array(list(itertools.combinations(range(self.dim), 2))).T
-            codes = np.unique(ends[:, a] * n + ends[:, b])
+            # np.sort and an adjacent-difference mask: np.unique imports numpy.ma
+            codes = np.sort(ends[:, a] * n + ends[:, b], axis=None)
+            codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
             self.edges = np.column_stack([codes // n, codes % n])
             self.scale = float(np.max(np.linalg.norm(self.vertices, axis=1)))
 

@@ -634,7 +634,7 @@ def test_wrapped_harmonic_profile_warns(tmp_path, capsys):
 
 
 # runs each argv through cli.main in one fresh interpreter, then reports the
-# exit codes and the scipy modules loaded
+# exit codes and the scipy and numpy.ma modules loaded
 _FRESH_MAIN = """
 import json, sys
 import selfmetric
@@ -646,7 +646,8 @@ for argv in json.loads(sys.argv[1]):
     except SystemExit as exc:
         codes.append(exc.code)
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-print(json.dumps({"codes": codes, "scipy": loaded}))
+masked = sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma."))
+print(json.dumps({"codes": codes, "scipy": loaded, "numpy_ma": masked}))
 """
 
 
@@ -659,11 +660,12 @@ def _fresh_main(*argvs):
 
 def test_import_loads_no_scipy():
     report, _ = _fresh_main()
-    assert report == {"codes": [], "scipy": []}
+    assert report == {"codes": [], "scipy": [], "numpy_ma": []}
 
 
 def test_planar_commands_load_no_scipy(shapes, tmp_path):
-    # a 2-D polytope is built by the hull scan, as every planar body is
+    # a 2-D polytope is built by the hull scan, as every planar body is, and its
+    # edge codes are deduplicated without np.unique, which imports numpy.ma
     heptagon = tmp_path / "heptagon.json"
     angles = 2.0 * math.pi * np.arange(7) / 7 + 0.3
     heptagon.write_text(json.dumps({"type": "polytope", "dim": 2, "vertices": np.column_stack(
@@ -678,7 +680,7 @@ def test_planar_commands_load_no_scipy(shapes, tmp_path):
         ["volume", "--shape", str(heptagon), "--out", out[5]],
         ["invariance-check", "--shape", str(heptagon), "--trials", "3", "--out", out[6]],
         ["conjecture-search", "--dim", "2", "--trials", "2", "--steps", "5", "--out", out[7]])
-    assert report == {"codes": [0] * 8, "scipy": []}
+    assert report == {"codes": [0] * 8, "scipy": [], "numpy_ma": []}
     assert json.loads((tmp_path / "out5").read_text())["dim"] == 2
 
 
@@ -706,7 +708,7 @@ def test_collinear_planar_polytope_is_the_scans_geometry_error(tmp_path):
     path.write_text(json.dumps({"type": "polytope", "dim": 2,
                                 "vertices": [[0, 0], [1, 1], [2, 2], [3, 3]]}))
     report, err = _fresh_main(["volume", "--shape", str(path)])
-    assert report == {"codes": [1], "scipy": []}
+    assert report == {"codes": [1], "scipy": [], "numpy_ma": []}
     assert json.loads(err) == {"error": {"type": "geometry", "message":
         "degenerate polytope (no full-dimensional hull): "
         "degenerate polygon: the points are collinear"}}

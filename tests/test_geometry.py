@@ -2,6 +2,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -128,6 +129,40 @@ def test_fourier_eval_non_finite_angles_give_nan_in_place(nufft_calls):
                          coeffs[127:130])
     assert nufft_calls == [300]
     assert np.isnan(dense).tolist() == [False, True, False, True, True]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nufft_gather_is_bit_identical_for_every_chunk(monkeypatch, seed):
+    # each angle's sum is its own row of the gather, so the chunk size moves no bit
+    rng = np.random.default_rng(seed)
+    kmax = int(rng.integers(33, 2048))
+    ks, coeffs = _symmetric_spectrum(rng, np.arange(1, kmax + 1))
+    theta = rng.uniform(-20.0, 20.0, int(rng.integers(1, 3000)))
+    theta[rng.integers(0, len(theta), 3)] = [np.nan, np.inf, 1e6]
+    modes = 2 * kmax + 1
+    fine = 1 << (2 * modes - 1).bit_length()
+    outs = []
+    for chunk in (1024, 256, 97):
+        monkeypatch.setattr(geometry, "_GATHER_CHUNK", chunk)
+        outs.append(geometry._nufft_type2(theta, ks, coeffs, modes, fine))
+    assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
+
+
+def test_nufft_gather_peak_memory_stays_under_one_mib(nufft_calls):
+    # one forward map at 4096 nodes: K = 2047 off the grid. 1024-row gather chunks
+    # made four 256 KiB temporaries and a traced peak of about 1.7 MB
+    rng = np.random.default_rng(29)
+    ks, coeffs = _symmetric_spectrum(rng, np.arange(1, 2048))
+    theta = rng.uniform(0.0, 2.0 * np.pi, 4096)
+    fourier_eval(theta, ks, coeffs)   # the FFT plans are cached outside the trace
+    tracemalloc.start()
+    try:
+        fourier_eval(theta, ks, coeffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nufft_calls == [4096, 4096]
+    assert peak <= 1 << 20
 
 
 @st.composite
