@@ -504,8 +504,9 @@ class Facet(NamedTuple):
 
 
 def _frozen(rows):
-    a = np.array(rows)
-    a.flags.writeable = False
+    """rows as a read-only array: an ndarray is frozen in place, never copied."""
+    a = np.asarray(rows)
+    a.setflags(write=False)
     return a
 
 
@@ -528,6 +529,87 @@ def _row_order(normals):
     return np.lexsort(normals.round(12).T[::-1])
 
 
+def _simplex_measures(vertices, simplices):
+    """(d-1)-measure of each hull simplex from the Gram determinant of its edge vectors."""
+    span = vertices[simplices[:, 1:]] - vertices[simplices[:, :1]]
+    det = np.linalg.det(span @ span.transpose(0, 2, 1))
+    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(vertices.shape[1] - 1)
+
+
+def _merge_facets(hull, vertices, simplices):
+    """(normals, offsets, measures) of the facets, sorted by rounded normal.
+
+    Neighbouring hull simplices whose plane equations agree to COPLANAR_TOL form one
+    facet, with the plane of its lowest simplex and the sum of their measures.
+    """
+    eqs = hull.equations
+    nf = len(simplices)
+    i = np.repeat(np.arange(nf), hull.neighbors.shape[1])
+    j = hull.neighbors.ravel()
+    i, j = i[j > i], j[j > i]
+    diff = np.abs(eqs[i] - eqs[j])
+    same = ((np.max(diff[:, :-1], axis=1) < COPLANAR_TOL)
+            & (diff[:, -1] < COPLANAR_TOL * np.maximum(1.0, np.abs(eqs[i, -1]))))
+    i, j = i[same], j[same]
+    # label every simplex with the lowest simplex index of its coplanar group
+    label = np.arange(nf)
+    while not np.array_equal(label[i], label[j]):
+        np.minimum.at(label, i, label[j])
+        np.minimum.at(label, j, label[i])
+    rep = label == np.arange(nf)
+    group = (np.cumsum(rep) - 1)[label]
+    normals = _unit_rows(eqs[rep, :-1])
+    offsets = -eqs[rep, -1]
+    measures = np.zeros(len(offsets))
+    np.add.at(measures, group, _simplex_measures(vertices, simplices))
+    order = _row_order(normals)
+    return normals[order], offsets[order], measures[order]
+
+
+def _qhull_facets(v):
+    """(vertices, simplices, normals, offsets, measures, volume) of qhull's hull of (k, d)
+    points: the vertices in input order, the simplices as index rows into them."""
+    hull = ConvexHull(v)
+    keep = np.sort(hull.vertices)
+    remap = -np.ones(len(v), dtype=int)
+    remap[keep] = np.arange(len(keep))
+    verts, simplices = v[keep], remap[hull.simplices]
+    return (verts, simplices, *_merge_facets(hull, verts, simplices), float(hull.volume))
+
+
+def _scan_facets(v):
+    """(vertices, simplices, normals, offsets, measures, area) of the hull of (k, 2) points
+    by _hull_scan about their mean, the simplices being its CCW edges as index pairs.
+
+    The vertices keep the input order. Edge (a, b) takes qhull's row
+    (b_y - a_y, a_x - b_x) / sqrt(n_0^2 + n_1^2), the bits of hull.equations,
+    and its measure as _merge_facets takes both, so the rows are qhull's bit
+    for bit wherever qhull keeps the scan's vertices. The offsets are a . u and
+    the area is (1/2) sum h_F L_F with h_F taken about the points' mean.
+    """
+    centre = v.mean(axis=0)
+    try:
+        ccw = _hull_scan(v - centre)
+    except GeometryError as exc:
+        raise GeometryError(f"degenerate polytope (no full-dimensional hull): {exc}") from exc
+    keep = np.sort(ccw)
+    verts = v[keep]
+    first = keep.searchsorted(ccw)
+    simplices = np.column_stack([first, np.roll(first, -1)])
+    a, b = verts[simplices[:, 0]], verts[simplices[:, 1]]
+    n0, n1 = b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]
+    norm = np.sqrt(n0 * n0 + n1 * n1)
+    normals = _unit_rows(np.column_stack([n0 / norm, n1 / norm]))
+    na, nc = normals * a, normals * (a - centre)
+    offsets = na[:, 0] + na[:, 1]
+    measures = _simplex_measures(verts, simplices)
+    # summed about the centre, which is inside: about an origin far outside,
+    # the terms h_F L_F cancel
+    area = 0.5 * float((nc[:, 0] + nc[:, 1]) @ measures)
+    order = _row_order(normals)
+    return verts, simplices, normals[order], offsets[order], measures[order], area
+
+
 class PolytopeN:
     """Convex polytope in R^d from its vertices; facets derived by convex hull.
 
@@ -537,12 +619,11 @@ class PolytopeN:
     used for hyperplane crossing enumeration. In 2-D the hull is _hull_scan's,
     with qhull's facet rows (_scan_facets); from 3-D on it is qhull's.
     facet_normals (m, d), facet_offsets and facet_measures are row-aligned
-    arrays; facets lists the rows as Facets.
-    The origin test, cached on first use, is the only value derived from them
-    lazily; _polygon's polygons also keep their polar rows.
+    arrays; facets lists the rows as Facets. A body is read-only: every builder
+    binds all its attributes through _bind, as read-only arrays (never the
+    caller's), so neither the origin test, cached on first use, nor the polar
+    rows of _polygon's polygons can go stale.
     """
-
-    _polar = None   # the polar rows u_F / h_F of a polygon whose chords take its gauge
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
@@ -551,63 +632,56 @@ class PolytopeN:
         if not np.all(np.isfinite(v)):
             raise GeometryError("polytope vertices must be finite")
         if v.shape[1] == 1:
-            self._set_segment(float(np.min(v)), float(np.max(v)))
-        else:
-            self.dim = int(v.shape[1])
-            if len(v) < self.dim + 1:
-                raise GeometryError(f"need at least {self.dim + 1} vertices in dimension {self.dim}")
-            # the largest |coordinate| M within 10^(+-150 / (d - 1)) keeps a facet's
-            # Gram determinant, about M^(2(d - 1)), within 1e+-300, and qhull in range
-            big = float(np.abs(v).max())
-            e = 150.0 / (self.dim - 1)
-            if not 10.0 ** -e <= big <= 10.0 ** e:
-                raise GeometryError(f"coordinates of magnitude {big:.3g} lie outside "
-                                    f"[{10.0 ** -e:.3g}, {10.0 ** e:.3g}], the range of a "
-                                    f"{self.dim}-D polytope")
-            if self.dim == 2:
-                keep, simplices = self._scan_facets(v)
-            else:
-                hull = ConvexHull(v)
-                keep = np.sort(hull.vertices)
-                remap = -np.ones(len(v), dtype=int)
-                remap[keep] = np.arange(len(keep))
-                self.vertices = v[keep]
-                simplices = remap[hull.simplices]
-                self.volume = float(hull.volume)
-                self.facet_normals, self.facet_offsets, self.facet_measures = \
-                    self._merge_facets(hull, simplices)
-            # every vertex pair of every simplex, each once, in lexicographic order
-            n = len(keep)
-            ends = np.sort(simplices, axis=1)
-            a, b = np.array(list(itertools.combinations(range(self.dim), 2))).T
-            # np.sort and an adjacent-difference mask: np.unique imports numpy.ma
-            codes = np.sort(ends[:, a] * n + ends[:, b], axis=None)
-            codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-            self.edges = np.column_stack([codes // n, codes % n])
-            self.scale = float(np.max(np.linalg.norm(self.vertices, axis=1)))
+            self._bind(**vars(self._segment(float(np.min(v)), float(np.max(v)))))
+            return
+        dim = int(v.shape[1])
+        if len(v) < dim + 1:
+            raise GeometryError(f"need at least {dim + 1} vertices in dimension {dim}")
+        # the largest |coordinate| M within 10^(+-150 / (d - 1)) keeps a facet's
+        # Gram determinant, about M^(2(d - 1)), within 1e+-300, and qhull in range
+        big = float(np.abs(v).max())
+        e = 150.0 / (dim - 1)
+        if not 10.0 ** -e <= big <= 10.0 ** e:
+            raise GeometryError(f"coordinates of magnitude {big:.3g} lie outside "
+                                f"[{10.0 ** -e:.3g}, {10.0 ** e:.3g}], the range of a "
+                                f"{dim}-D polytope")
+        verts, simplices, normals, offsets, measures, volume = \
+            (_scan_facets if dim == 2 else _qhull_facets)(v)
+        # every vertex pair of every simplex, each once, in lexicographic order
+        n = len(verts)
+        ends = np.sort(simplices, axis=1)
+        a, b = np.array(list(itertools.combinations(range(dim), 2))).T
+        # np.sort and an adjacent-difference mask: np.unique imports numpy.ma
+        codes = np.sort(ends[:, a] * n + ends[:, b], axis=None)
+        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+        edges = np.column_stack([codes // n, codes % n])
+        scale = float(np.max(np.linalg.norm(verts, axis=1)))
+        self._bind(dim, *map(_frozen, (verts, normals, offsets, measures, edges)), volume, scale)
 
-    def _set_segment(self, lo, hi):
-        """Make self the segment [lo, hi]; it is degenerate unless hi - lo exceeds
-        REL_TOL times its larger end, a relative and so scale-invariant test."""
-        ends = max(abs(lo), abs(hi))
-        length = hi - lo
-        if length <= REL_TOL * ends:
-            raise GeometryError("1d polytope is degenerate")
-        self.dim = 1
-        self.vertices = np.array([[lo], [hi]])
-        self.facet_normals = _SEGMENT_NORMALS
-        self.facet_offsets = np.array([-lo, hi])
-        self.facet_measures = _SEGMENT_MEASURES
-        self.edges = _SEGMENT_EDGES
-        self.volume = length
-        self.scale = ends
+    def _bind(self, dim, vertices, facet_normals, facet_offsets, facet_measures, edges,
+              volume, scale, _polar=None):
+        """Bind all nine attributes of a new body and return it: the only code that sets
+        one. Arrays come read-only; _polar holds a gauge polygon's rows u_F / h_F."""
+        self.__dict__.update(dim=dim, vertices=vertices, facet_normals=facet_normals,
+                             facet_offsets=facet_offsets, facet_measures=facet_measures,
+                             edges=edges, volume=volume, scale=scale, _polar=_polar)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PolytopeN is read-only: {name!r} cannot be set")
 
     @classmethod
     def _segment(cls, lo, hi):
-        """The segment [lo, hi], without the generic constructor."""
-        seg = cls.__new__(cls)
-        seg._set_segment(lo, hi)
-        return seg
+        """The segment [lo, hi], without the generic constructor; degenerate unless
+        hi - lo exceeds REL_TOL times its larger end, a scale-invariant test."""
+        ends, length = max(abs(lo), abs(hi)), hi - lo
+        if length <= REL_TOL * ends:
+            raise GeometryError("1d polytope is degenerate")
+        # the vertices lo, hi and offsets -lo, hi share one buffer: one flag per chord
+        rows = np.array([lo, hi, -lo, hi])
+        rows.setflags(write=False)
+        return cls.__new__(cls)._bind(1, rows[:2, None], _SEGMENT_NORMALS, rows[2:],
+                                      _SEGMENT_MEASURES, _SEGMENT_EDGES, length, ends)
 
     @classmethod
     def _polygon(cls, points):
@@ -617,9 +691,8 @@ class PolytopeN:
         ordered as in _merge_facets; the area is (1/2) sum h_F L_F. When its
         aspect scale / min h_F is at most _GAUGE_ASPECT, the polygon also keeps
         its polar rows u_F / h_F, from which central_section cuts its chords.
-        Every array built here is read-only.
         """
-        verts = points.take(_hull_scan(points), axis=0)
+        verts = _frozen(points.take(_hull_scan(points), axis=0))
         edges, nxt = _cycle(len(verts))
         e = verts.take(nxt, axis=0) - verts
         lengths = np.hypot(e[:, 0], e[:, 1])
@@ -628,92 +701,16 @@ class PolytopeN:
         nv = normals * verts
         offsets = nv[:, 0] + nv[:, 1]
         rows = _row_order(normals)
-        poly = cls.__new__(cls)
-        poly.dim = 2
-        poly.vertices = verts
-        poly.facet_normals = normals.take(rows, axis=0)
-        poly.facet_offsets, poly.facet_measures = offsets.take(rows), lengths.take(rows)
-        for a in (verts, poly.facet_normals, poly.facet_offsets, poly.facet_measures):
-            a.setflags(write=False)
-        poly.volume = 0.5 * float(offsets @ lengths)
-        poly.edges = edges
+        u, h, m = map(_frozen, (normals.take(rows, axis=0), offsets.take(rows),
+                                lengths.take(rows)))
         xs, ys = verts.T.tolist()
-        poly.scale = math.sqrt(max([x * x + y * y for x, y in zip(xs, ys)]))
-        if poly.scale <= _GAUGE_ASPECT * min(offsets.tolist()):
+        scale = math.sqrt(max([x * x + y * y for x, y in zip(xs, ys)]))
+        polar = None
+        if scale <= _GAUGE_ASPECT * min(offsets.tolist()):
             # each h_F > scale / _GAUGE_ASPECT > 0
-            poly._polar = poly.facet_normals / poly.facet_offsets[:, None]
-            poly._polar.flags.writeable = False
-        return poly
-
-    def _scan_facets(self, v):
-        """Vertices, facet rows and area of the hull of (k, 2) points by _hull_scan
-        about their mean; returns (the kept input indices, the CCW edges as index
-        pairs into self.vertices).
-
-        The vertices keep the input order. Edge (a, b) takes qhull's row
-        (b_y - a_y, a_x - b_x) / sqrt(n_0^2 + n_1^2), the bits of hull.equations,
-        and its measure as _merge_facets takes both, so the rows are qhull's bit
-        for bit wherever qhull keeps the scan's vertices. The offsets are a . u and
-        the area is (1/2) sum h_F L_F with h_F taken about the points' mean.
-        """
-        centre = v.mean(axis=0)
-        try:
-            ccw = _hull_scan(v - centre)
-        except GeometryError as exc:
-            raise GeometryError(f"degenerate polytope (no full-dimensional hull): {exc}") from exc
-        keep = np.sort(ccw)
-        self.vertices = v[keep]
-        first = keep.searchsorted(ccw)
-        simplices = np.column_stack([first, np.roll(first, -1)])
-        a, b = self.vertices[simplices[:, 0]], self.vertices[simplices[:, 1]]
-        n0, n1 = b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]
-        norm = np.sqrt(n0 * n0 + n1 * n1)
-        normals = _unit_rows(np.column_stack([n0 / norm, n1 / norm]))
-        na, nc = normals * a, normals * (a - centre)
-        offsets = na[:, 0] + na[:, 1]
-        measures = self._simplex_measures(simplices)
-        # summed about the centre, which is inside: about an origin far outside,
-        # the terms h_F L_F cancel
-        self.volume = 0.5 * float((nc[:, 0] + nc[:, 1]) @ measures)
-        order = _row_order(normals)
-        self.facet_normals, self.facet_offsets, self.facet_measures = \
-            normals[order], offsets[order], measures[order]
-        return keep, simplices
-
-    def _simplex_measures(self, simplices):
-        """(d-1)-measure of each hull simplex from the Gram determinant of its edge vectors."""
-        span = self.vertices[simplices[:, 1:]] - self.vertices[simplices[:, :1]]
-        det = np.linalg.det(span @ span.transpose(0, 2, 1))
-        return np.sqrt(np.maximum(det, 0.0)) / math.factorial(self.dim - 1)
-
-    def _merge_facets(self, hull, simplices):
-        """(normals, offsets, measures) of the facets, sorted by rounded normal.
-
-        Neighbouring hull simplices whose plane equations agree to COPLANAR_TOL form one
-        facet, with the plane of its lowest simplex and the sum of their measures.
-        """
-        eqs = hull.equations
-        nf = len(simplices)
-        i = np.repeat(np.arange(nf), hull.neighbors.shape[1])
-        j = hull.neighbors.ravel()
-        i, j = i[j > i], j[j > i]
-        diff = np.abs(eqs[i] - eqs[j])
-        same = ((np.max(diff[:, :-1], axis=1) < COPLANAR_TOL)
-                & (diff[:, -1] < COPLANAR_TOL * np.maximum(1.0, np.abs(eqs[i, -1]))))
-        i, j = i[same], j[same]
-        # label every simplex with the lowest simplex index of its coplanar group
-        label = np.arange(nf)
-        while not np.array_equal(label[i], label[j]):
-            np.minimum.at(label, i, label[j])
-            np.minimum.at(label, j, label[i])
-        rep = label == np.arange(nf)
-        group = (np.cumsum(rep) - 1)[label]
-        normals = _unit_rows(eqs[rep, :-1])
-        offsets = -eqs[rep, -1]
-        measures = np.zeros(len(offsets))
-        np.add.at(measures, group, self._simplex_measures(simplices))
-        order = _row_order(normals)
-        return normals[order], offsets[order], measures[order]
+            polar = _frozen(u / h[:, None])
+        return cls.__new__(cls)._bind(2, verts, u, h, m, edges, 0.5 * float(offsets @ lengths),
+                                      scale, polar)
 
     def __len__(self):
         return len(self.vertices)
@@ -730,7 +727,7 @@ class PolytopeN:
 
     @functools.cached_property
     def _origin_inside(self):
-        # computed on first use, once per polytope: the facet rows never change
+        # computed on first use, once per polytope: a body's facet rows are read-only
         return float(np.min(self.facet_offsets)) > REL_TOL * self.scale
 
     def interior_distance(self, point):
@@ -829,7 +826,9 @@ def central_section(poly, normal):
     depends on the section's dimension: a chord is the segment between the
     extreme projections, a section of a 3-D body is a polygon by angular sort
     about the origin (PolytopeN._polygon, no qhull), and higher sections go
-    through the qhull-backed PolytopeN constructor.
+    through the qhull-backed PolytopeN constructor; each binds a read-only body
+    through PolytopeN._bind, so the origin test and polar rows a deeper section
+    reads are those of the rows it was built with.
 
     A chord of a polygon built by PolytopeN._polygon whose aspect is at most
     _GAUGE_ASPECT is cut by its gauge ||t|| = max_F t . u_F / h_F instead, t

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from selfmetric import geometry
 from selfmetric.geometry import Polygon2, PolytopeN
 
 
@@ -36,22 +37,24 @@ def interior_point(poly, rng, margin=1e-6):
 def qhull_polygon(vertices):
     """A 2-D PolytopeN built by qhull, as PolytopeN built every d = 2 body before
     it took the hull scan: the reference the scan's facet rows are held to."""
-    from scipy.spatial import ConvexHull
-    v = np.asarray(vertices, dtype=float)
-    hull = ConvexHull(v)
-    keep = np.sort(hull.vertices)
-    remap = -np.ones(len(v), dtype=int)
-    remap[keep] = np.arange(len(keep))
-    poly = PolytopeN.__new__(PolytopeN)
-    poly.dim = 2
-    poly.vertices = v[keep]
-    simplices = remap[hull.simplices]
-    poly.volume = float(hull.volume)
-    poly.facet_normals, poly.facet_offsets, poly.facet_measures = \
-        poly._merge_facets(hull, simplices)
-    n = len(keep)
+    verts, simplices, normals, offsets, measures, area = \
+        geometry._qhull_facets(np.asarray(vertices, dtype=float))
+    n = len(verts)
     ends = np.sort(simplices, axis=1)
     codes = np.unique(ends[:, 0] * n + ends[:, 1])
-    poly.edges = np.column_stack([codes // n, codes % n])
-    poly.scale = float(np.max(np.linalg.norm(poly.vertices, axis=1)))
-    return poly
+    edges = np.column_stack([codes // n, codes % n])
+    for a in (verts, normals, offsets, measures, edges):
+        a.setflags(write=False)
+    return PolytopeN.__new__(PolytopeN)._bind(2, verts, normals, offsets, measures, edges, area,
+                                              float(np.max(np.linalg.norm(verts, axis=1))))
+
+
+def with_vertices(poly, vertices):
+    """poly with its vertices replaced and its facet rows, edges, volume, scale and
+    polar rows kept: an inconsistent body, in which the origin still counts as
+    inside, for the error paths that no consistent body reaches."""
+    v = np.array(vertices, dtype=float)
+    v.setflags(write=False)
+    return PolytopeN.__new__(PolytopeN)._bind(poly.dim, v, poly.facet_normals, poly.facet_offsets,
+                                              poly.facet_measures, poly.edges, poly.volume,
+                                              poly.scale, poly._polar)

@@ -546,3 +546,32 @@ def test_traced_centre_solve_loads_no_scipy_optimize():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"solves": True, "optimize": []}
+
+
+@pytest.mark.parametrize("variant", ["directed", "busemann"])
+def test_query_outside_the_polygon_is_cut_and_the_solve_still_certifies(monkeypatch, variant):
+    # no solve in the suite or the benchmark sends a query outside the polygon, so
+    # the first centroid is moved just beyond the middle of edge 0: the cut along
+    # that edge keeps the whole cell, and the solve goes on to the same optimum
+    poly = Polygon2([[0.0, 0.0], [4.0, 0.0], [5.0, 2.0], [2.0, 4.0], [-1.0, 2.5]])
+    want = optimal_center_2d(poly, variant)
+    assert want.iterations > 2
+    beyond = (poly.vertices[0] + poly.vertices[1]) / 2 + 1e-9 * poly.normals[0]
+    assert not poly.contains(beyond)
+    centroid, casts, inside = centers._centroid, centers._ray_casts, []
+
+    def once(xs, ys, e):
+        monkeypatch.setattr(centers, "_centroid", centroid)
+        return beyond.tolist()
+
+    def spy(poly, points, variant):
+        out = casts(poly, points, variant)
+        inside.extend(out[2].tolist())
+        return out
+
+    monkeypatch.setattr(centers, "_centroid", once)
+    monkeypatch.setattr(centers, "_ray_casts", spy)
+    got = optimal_center_2d(poly, variant)
+    assert inside[:3] == [True, False, True] and all(inside[2:])
+    assert got.gap <= GAP_TOL * got.value
+    assert abs(got.value - want.value) <= 2 * GAP_TOL * want.value

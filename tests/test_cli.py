@@ -712,3 +712,17 @@ def test_collinear_planar_polytope_is_the_scans_geometry_error(tmp_path):
     assert json.loads(err) == {"error": {"type": "geometry", "message":
         "degenerate polytope (no full-dimensional hull): "
         "degenerate polygon: the points are collinear"}}
+
+
+def test_invariance_check_failure_is_one_geometry_error(tmp_path, capsys):
+    # below every rounding error the check must fail: exit 1, one JSON error
+    path = tmp_path / "simplex3.json"
+    path.write_text(json.dumps({"type": "polytope", "dim": 3, "vertices": [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]}))
+    assert run(RunConfig(command="invariance-check", shape=str(path), trials=2,
+                         tolerance=1e-300)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "geometry"
+    assert error["message"].startswith("affine invariance violated: worst relative deviation ")

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from common import qhull_polygon
+from common import qhull_polygon, with_vertices
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
@@ -735,6 +735,47 @@ def test_scan_built_arrays_are_read_only():
         assert a.flags.writeable
 
 
+def test_rebinding_a_polygon_body_raises():
+    # an assignment used to leave the cached origin test stale with no error
+    p = polygon_as_polytope(regular_polygon(4))
+    with pytest.raises(AttributeError):
+        p.vertices = p.vertices + [3.0, 0.0]
+
+
+BODY_ATTRIBUTES = ("dim", "vertices", "facet_normals", "facet_offsets", "facet_measures",
+                   "edges", "volume", "scale", "_polar")
+BUILDERS = {
+    "qhull-3d": lambda: cube(3),
+    "scan-2d": lambda: PolytopeN(regular_polygon(5).vertices),
+    "polygon-section": lambda: central_section(cube(3), [0.0, 0.3, 1.0]),
+    "chord": lambda: central_section(central_section(cube(3), [0.0, 0.0, 1.0]), [1.0, 0.2]),
+    "interval": lambda: interval(),
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+def test_every_body_is_read_only(build):
+    body = build()
+    assert body.origin_interior()
+    for name in BODY_ATTRIBUTES:
+        value = getattr(body, name)
+        with pytest.raises(AttributeError):
+            setattr(body, name, value)
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError):
+                value.flat[0] = value.flat[0]
+    arrays = [a for a in vars(body).values() if isinstance(a, np.ndarray)]
+    assert len(arrays) >= 5 and not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("vertices", [regular_polygon(5).vertices, cube(3).vertices,
+                                      np.array([[-1.0], [2.0]])], ids=["2d", "3d", "1d"])
+def test_polytope_leaves_the_callers_vertices_writeable(vertices):
+    v = np.array(vertices)
+    PolytopeN(v)
+    assert v.flags.writeable
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: regular_polygon(3.7), "k must be an integer >= 3, got 3.7"),
     (lambda: regular_polygon(2), "k must be an integer >= 3, got 2"),
@@ -854,8 +895,7 @@ def test_pivoted_basis_takes_tied_axes_in_axis_order():
 def test_collinear_section_raises():
     # a cube squashed into the plane y = 0 (its facet rows kept, so the origin
     # still counts as interior): the plane z = 0 meets it in a line
-    flat = cube(3)
-    flat.vertices = flat.vertices * [1.0, 0.0, 1.0]
+    flat = with_vertices(cube(3), cube(3).vertices * [1.0, 0.0, 1.0])
     with pytest.raises(geometry.DegenerateSectionError):
         central_section(flat, [0.0, 0.0, 1.0])
     with pytest.raises(GeometryError):

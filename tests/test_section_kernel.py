@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 import pytest
+from common import with_vertices
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
@@ -303,18 +304,17 @@ def test_chord_errors_are_the_generic_ones(k, phase, shift, squash, normal):
     for move in (lambda v: v + (3.0 + abs(shift)) * nu,
                  lambda v: v @ np.outer(nu, nu) + squash * (v @ np.outer(along, along))
                  + shift * along):
-        moved = PolytopeN(regular_polygon(k, phase=phase).vertices)
-        moved.vertices = move(moved.vertices)
+        built = PolytopeN(regular_polygon(k, phase=phase).vertices)
+        moved = with_vertices(built, move(built.vertices))
         assert _outcome(central_section, moved, nu) == _outcome(reference_section, moved, nu)
 
 
 def test_chord_errors_carry_both_messages():
-    poly = PolytopeN(regular_polygon(4).vertices)
-    poly.vertices = poly.vertices + [0.0, 5.0]
+    square = PolytopeN(regular_polygon(4).vertices)
+    poly = with_vertices(square, square.vertices + [0.0, 5.0])
     with pytest.raises(DegenerateSectionError, match="^hyperplane misses the polytope interior$"):
         central_section(poly, [0.0, 1.0])
-    poly = PolytopeN(regular_polygon(4).vertices)
-    poly.vertices = poly.vertices * [1e-12, 1.0] + [5.0, 0.0]
+    poly = with_vertices(square, square.vertices * [1e-12, 1.0] + [5.0, 0.0])
     with pytest.raises(DegenerateSectionError,
                        match="^section is not full-dimensional: 1d polytope is degenerate$"):
         central_section(poly, [0.0, 1.0])

@@ -16,11 +16,8 @@ The JSON written (stdout without --out) holds, per workload and end-to-end
 metric of BENCHMARK.json, each side's per-run values, median and quartiles
 (numpy linear percentiles), the ratio of the medians, the pairs the change
 won, whether the change is within the metric's bound, and the base's
-interquartile distance; each side's minor page faults per run, the change in
-getrusage(RUSAGE_CHILDREN).ru_minflt across its run.py process (which counts
-that process and the children it waited for, nothing else on the machine);
-plus each side's src sha256 (as perfbench/run.py computes it) and the
-machine stamp of the first run.
+interquartile distance; plus each side's src sha256 (as perfbench/run.py
+computes it) and the machine stamp of the first run.
 
 --section-us SEED adds the microseconds per `central_section` call by
 section depth. One child process imports each checkout's src/selfmetric
@@ -44,7 +41,6 @@ import io
 import json
 import os
 import platform
-import resource
 import shutil
 import statistics
 import subprocess
@@ -74,21 +70,18 @@ def _seeds(text):
 
 
 def _run(root, workload, seed, seconds):
-    """One perfbench run of a checkout: (its last JSON line, its env, wall seconds,
-    minor page faults of the run.py process and its waited-for children)."""
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    """One perfbench run of a checkout: (its last JSON line, its env, wall seconds)."""
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=root, capture_output=True, text=True)
     wall = time.perf_counter() - t0
-    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode != 0:
         raise SystemExit(f"{root}: run.py {workload} seed {seed} exited {proc.returncode}:\n"
                          f"{proc.stderr}")
     lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
     env = next(line["env"] for line in lines if "env" in line)
-    return lines[-1], env, wall, faults
+    return lines[-1], env, wall
 
 
 def _quartiles(values):
@@ -119,19 +112,17 @@ def pairs(base, change, workloads, seeds, bench):
     out, envs = {}, {"parent": [], "change": []}
     for workload in workloads:
         runs = {"parent": [], "change": []}
-        faults = {"parent": [], "change": []}
         first = []
         for k, seed in enumerate(seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             first.append(order[0])
             for side in order:
-                result, env, wall, minflt = _run(base if side == "parent" else change,
-                                                 workload, seed, seconds)
+                result, env, wall = _run(base if side == "parent" else change,
+                                         workload, seed, seconds)
                 runs[side].append(result)
-                faults[side].append(minflt)
                 envs[side].append(env)
                 print(json.dumps({"workload": workload, "seed": seed, "side": side,
-                                  "wall_s": round(wall, 2), "minor_page_faults": minflt,
+                                  "wall_s": round(wall, 2),
                                   "jobs_per_s": result["metrics"]["jobs_per_s"]["value"]}),
                       file=sys.stderr, flush=True)
         every = runs["parent"] + runs["change"]
@@ -144,7 +135,6 @@ def pairs(base, change, workloads, seeds, bench):
                 spec, [r["metrics"][spec["name"]]["value"] for r in runs["parent"]],
                 [r["metrics"][spec["name"]]["value"] for r in runs["change"]])
                 for spec in specs},
-            "minor_page_faults": {side: _quartiles(faults[side]) for side in faults},
         }
     return out, envs
 
@@ -328,8 +318,7 @@ def main(argv=None):
                    "percentiles) over the runs of that side; within_bound compares the change's "
                    "median with the parent's against BENCHMARK.json's bound. Job metrics are "
                    "the benchmark's calibrated ones; setup_s is its median of three fresh "
-                   "interpreters. minor_page_faults: the change in "
-                   "getrusage(RUSAGE_CHILDREN).ru_minflt across each run.py process."),
+                   "interpreters."),
         "end_to_end": end_to_end,
     }
     if args.section_us is not None:

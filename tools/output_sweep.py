@@ -11,10 +11,9 @@ sweep compares the input and output files byte for byte, and the exit code
 and full stderr job by job, and it reports the jobs that fail this
 checkout's output checks (golden digests included). For each differing
 CSV or JSON output it also prints the largest relative difference of its
-numbers, read as perfbench/oracle.py reads them and scaled by the base
-output's largest magnitude, as oracle.digest_mismatch scales a short digest
-(null where the other side lacks the file or the counts of numbers differ).
-It exits 1 on any difference or failed check.
+numbers, read as perfbench/oracle.py reads them, each number against its own
+base value (null where the other side lacks the file or the counts of
+numbers differ). It exits 1 on any difference or failed check.
 """
 
 import argparse
@@ -64,8 +63,10 @@ def _differences(a, b, rel=""):
 
 
 def _deviation(base_path, this_path):
-    """Largest |x - y| / max |y| over the numbers of two outputs, y the base's; None
-    when either is missing or not CSV or JSON, or their counts of numbers differ."""
+    """Largest |x - y| / |y| over the numbers of two outputs, y the base's, with |y|
+    floored at the least normal float; None when either is missing or not CSV or
+    JSON, or their counts of numbers differ. (Over the output's largest magnitude,
+    a `center` CSV's seed, up to 7.9e8, would hide its other columns' moves.)"""
     import oracle
     if not (base_path.endswith((".csv", ".json")) and os.path.isfile(base_path)
             and os.path.isfile(this_path)):
@@ -73,8 +74,8 @@ def _deviation(base_path, this_path):
     want, got = (oracle._numbers(oracle.read_output(p), []) for p in (base_path, this_path))
     if len(want) != len(got):
         return None
-    scale = max([abs(y) for y in want] + [1e-300])
-    return max([abs(x - y) for x, y in zip(got, want)], default=0.0) / scale
+    return max([abs(x - y) / max(abs(y), sys.float_info.min) for x, y in zip(got, want)],
+               default=0.0)
 
 
 def sweep(base, workloads, seeds, work):
