@@ -28,8 +28,9 @@ import numpy as np
 
 # central_section, self_volume_recursive and SurfaceMeasure are not used here:
 # they stay as module bindings because perfbench/tracing.py patches them in this module
-from .geometry import (GeometryError, RadiusProfile, _conjugate_symmetric,  # noqa: F401
-                       _mirrored_pairs, central_section, fourier_eval, uniform_grid)
+from .geometry import (GeometryError, RadiusProfile, _ReadOnly,  # noqa: F401
+                       _conjugate_symmetric, _frozen, _mirrored_pairs, central_section,
+                       fourier_eval, uniform_grid)
 from .perimeter2 import smooth_density
 from .selfvolume import SurfaceMeasure, self_volume_recursive  # noqa: F401
 
@@ -63,7 +64,7 @@ def circle_grid(nodes):
     return uniform_grid(nodes)
 
 
-class FourierDensity:
+class FourierDensity(_ReadOnly):
     """Zero-mean real trigonometric polynomial with a perturbation scale.
 
     Coefficients are indexed by nonzero integer harmonics with
@@ -78,9 +79,8 @@ class FourierDensity:
         epsilon = float(epsilon)
         if not np.isfinite(epsilon) or epsilon < 0.0:
             raise FourierDensityError(f"epsilon must be a finite nonnegative number, got {epsilon}")
-        self.ks, self.coeffs = _conjugate_symmetric(ks, coeffs, FourierDensityError,
-                                                    scale_floor=1.0)
-        self.epsilon = epsilon
+        ks, coeffs = _conjugate_symmetric(ks, coeffs, FourierDensityError, scale_floor=1.0)
+        self.__dict__.update(ks=_frozen(ks), coeffs=_frozen(coeffs), epsilon=epsilon)
 
     @classmethod
     def from_pairs(cls, pairs, epsilon):
@@ -229,7 +229,7 @@ def second_order(phi):
     """
     _, phi_u = split_harmonics(phi)
     lam = np.array([shift_eigenvalue(k) for k in phi_u.ks], dtype=complex)
-    return phi_u.ks.copy(), phi_u.coeffs / lam
+    return phi_u.ks, phi_u.coeffs / lam
 
 
 def forward_measure(profile, nodes=GRID_NODES):

@@ -302,10 +302,10 @@ def _cycle(m):
 
 
 def _planar_points(points):
-    """points as a finite float (k, 2) array with k >= 3 whose largest |coordinate|
+    """points as a new finite float (k, 2) array with k >= 3 whose largest |coordinate|
     lies in [MIN_PLANAR, MAX_PLANAR], or a GeometryError naming the shape or the
     magnitude."""
-    v = np.asarray(points, dtype=float)
+    v = np.array(points, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3 or not np.all(np.isfinite(v)):
         raise GeometryError(f"expected finite (k, 2) points, k >= 3, got shape {v.shape}")
     big = float(np.abs(v).max())
@@ -351,11 +351,32 @@ def _exits(slack, cosines):
     return t[rows, np.arange(len(cosines)), exits], exits, slack[rows, exits]
 
 
-class Polygon2:
+def _frozen(rows):
+    """rows as a read-only array: an ndarray is frozen in place, never copied."""
+    a = np.asarray(rows)
+    a.setflags(write=False)
+    return a
+
+
+class _ReadOnly:
+    """A value checked once, when it is built: its builder binds every attribute
+    through self.__dict__.update, each array by _frozen, so no later write can
+    leave a check or a derived attribute stale."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: {name!r} cannot be set")
+
+
+class Polygon2(_ReadOnly):
     """Strictly convex polygon with vertices in counterclockwise order.
 
     Precomputes the edge frame (unit tangents, outward unit normals, offsets)
-    so that ray casting reduces to a vectorized halfplane intersection.
+    so that ray casting reduces to a vectorized halfplane intersection, and
+    the exit cosines of the perimeter's ray casts, shape (2k, k) for k edges:
+    row i < k is n_j . t_i against every edge normal n_j, for the ray along the
+    edge tangent t_i; row k + i is n_j . (-t_i), for the reversed ray; as
+    _exits reads them, every cosine <= 0 is +0.0. A polygon is read-only
+    (_ReadOnly), its arrays built from a copy of the caller's vertices.
     """
 
     def __init__(self, vertices):
@@ -371,28 +392,19 @@ class Polygon2:
             raise GeometryError("vertices are clockwise; counterclockwise order is required")
         if np.any(cross <= floor):
             raise GeometryError("polygon is not strictly convex (reflex or collinear vertex)")
-        self.vertices = v
-        self.edges = edges
-        self.edge_lengths = lengths
-        self.tangents = edges / lengths[:, None]
+        tangents = edges / lengths[:, None]
         # outward normal of a CCW edge is the tangent rotated -90 degrees
-        self.normals = np.column_stack([self.tangents[:, 1], -self.tangents[:, 0]])
-        self.offsets = np.einsum("ij,ij->i", self.normals, v)
-        self.scale = float(np.max(np.linalg.norm(v, axis=1)))
+        normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
+        cosines = tangents @ normals.T
+        self.__dict__.update(
+            vertices=_frozen(v), edges=_frozen(edges), edge_lengths=_frozen(lengths),
+            tangents=_frozen(tangents), normals=_frozen(normals),
+            offsets=_frozen(np.einsum("ij,ij->i", normals, v)),
+            scale=float(np.max(np.linalg.norm(v, axis=1))),
+            exit_cosines=_frozen(_exit_cosines(np.vstack([cosines, -cosines]))))
 
     def __len__(self):
         return len(self.vertices)
-
-    @functools.cached_property
-    def exit_cosines(self):
-        """Exit cosines of the perimeter's ray casts, shape (2k, k) for k edges, built once.
-
-        Row i < k is n_j . t_i against every edge normal n_j, for the ray along the
-        edge tangent t_i; row k + i is n_j . (-t_i), for the reversed ray; as _exits
-        reads them, every cosine <= 0 is +0.0.
-        """
-        return _exit_cosines(np.vstack([self.tangents @ self.normals.T,
-                                        -self.tangents @ self.normals.T]))
 
     @classmethod
     def from_hull(cls, points):
@@ -428,7 +440,7 @@ class Polygon2:
         return self.interior_distance(point) > 0.0
 
 
-class RadiusProfile:
+class RadiusProfile(_ReadOnly):
     """Star-shaped body given by a truncated Fourier series of its radial function.
 
     r(theta) = sum_k c_k exp(i k theta) with c_{-k} = conj(c_k), so r is real.
@@ -441,7 +453,8 @@ class RadiusProfile:
     """
 
     def __init__(self, ks, coeffs, check=True):
-        self.ks, self.coeffs = _conjugate_symmetric(ks, coeffs, GeometryError, scale_floor=0.0)
+        ks, coeffs = _conjugate_symmetric(ks, coeffs, GeometryError, scale_floor=0.0)
+        self.__dict__.update(ks=_frozen(ks), coeffs=_frozen(coeffs))
         if not np.any(self.coeffs):
             raise GeometryError("radius profile has no nonzero coefficient")
         if check:
@@ -503,13 +516,6 @@ class Facet(NamedTuple):
     measure: float
 
 
-def _frozen(rows):
-    """rows as a read-only array: an ndarray is frozen in place, never copied."""
-    a = np.asarray(rows)
-    a.setflags(write=False)
-    return a
-
-
 # the facets of every segment are its two end points, each of 0-measure 1 by
 # convention; segments share these read-only rows
 _SEGMENT_NORMALS = _frozen([[-1.0], [1.0]])
@@ -568,13 +574,24 @@ def _merge_facets(hull, vertices, simplices):
 
 def _qhull_facets(v):
     """(vertices, simplices, normals, offsets, measures, volume) of qhull's hull of (k, d)
-    points: the vertices in input order, the simplices as index rows into them."""
-    hull = ConvexHull(v)
-    keep = np.sort(hull.vertices)
-    remap = -np.ones(len(v), dtype=int)
-    remap[keep] = np.arange(len(keep))
-    verts, simplices = v[keep], remap[hull.simplices]
-    return (verts, simplices, *_merge_facets(hull, verts, simplices), float(hull.volume))
+    points: the vertices in input order, the simplices as index rows into them.
+
+    Right facet measures meet the cone formula (1/d) sum h_F m_F = volume. Where
+    they miss it by more than 1e-6 relative, a kept non-extreme point has made
+    the simplices of a facet overlap, and the hull is taken again of the kept
+    vertices, until one keeps every point it was given.
+    """
+    while True:
+        hull = ConvexHull(v)
+        keep = np.sort(hull.vertices)
+        remap = -np.ones(len(v), dtype=int)
+        remap[keep] = np.arange(len(keep))
+        verts, simplices = v[keep], remap[hull.simplices]
+        normals, offsets, measures = _merge_facets(hull, verts, simplices)
+        volume = float(hull.volume)
+        if len(keep) == len(v) or abs(offsets @ measures / v.shape[1] - volume) <= 1e-6 * volume:
+            return verts, simplices, normals, offsets, measures, volume
+        v = verts
 
 
 def _scan_facets(v):
@@ -610,7 +627,7 @@ def _scan_facets(v):
     return verts, simplices, normals[order], offsets[order], measures[order], area
 
 
-class PolytopeN:
+class PolytopeN(_ReadOnly):
     """Convex polytope in R^d from its vertices; facets derived by convex hull.
 
     The vertex array is the single source of truth. Construction prunes
@@ -619,9 +636,9 @@ class PolytopeN:
     used for hyperplane crossing enumeration. In 2-D the hull is _hull_scan's,
     with qhull's facet rows (_scan_facets); from 3-D on it is qhull's.
     facet_normals (m, d), facet_offsets and facet_measures are row-aligned
-    arrays; facets lists the rows as Facets. A body is read-only: every builder
-    binds all its attributes through _bind, as read-only arrays (never the
-    caller's), so neither the origin test, cached on first use, nor the polar
+    arrays; facets lists the rows as Facets. A body is read-only (_ReadOnly): every
+    builder binds all its attributes through _bind, as read-only arrays (never
+    the caller's), so neither the origin test, cached on first use, nor the polar
     rows of _polygon's polygons can go stale.
     """
 
@@ -667,9 +684,6 @@ class PolytopeN:
                              edges=edges, volume=volume, scale=scale, _polar=_polar)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PolytopeN is read-only: {name!r} cannot be set")
-
     @classmethod
     def _segment(cls, lo, hi):
         """The segment [lo, hi], without the generic constructor; degenerate unless
@@ -712,9 +726,6 @@ class PolytopeN:
         return cls.__new__(cls)._bind(2, verts, u, h, m, edges, 0.5 * float(offsets @ lengths),
                                       scale, polar)
 
-    def __len__(self):
-        return len(self.vertices)
-
     @property
     def facets(self):
         """The facet rows as a list of Facets, built on each access."""
@@ -737,11 +748,11 @@ class PolytopeN:
             return float(np.min(_slack(self.facet_normals, self.facet_offsets, p)))
 
 
-class BarycentricPoint:
+class BarycentricPoint(_ReadOnly):
     """Interior point of a simplex by barycentric weights: positive, summing to one."""
 
     def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
+        w = np.array(weights, dtype=float)
         if w.ndim != 1 or len(w) < 2:
             raise GeometryError("barycentric weights must be a 1d array of length >= 2")
         if not np.all(np.isfinite(w)):
@@ -750,10 +761,7 @@ class BarycentricPoint:
             raise GeometryError(f"barycentric weights sum to {np.sum(w)!r}, expected 1")
         if np.any(w <= 0.0):
             raise GeometryError("barycentric weights must be strictly positive (interior point)")
-        self.weights = w
-
-    def __len__(self):
-        return len(self.weights)
+        self.__dict__.update(weights=_frozen(w))
 
     def cartesian(self, simplex_vertices):
         return self.weights @ np.asarray(simplex_vertices, dtype=float)

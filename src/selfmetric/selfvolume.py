@@ -170,7 +170,7 @@ class SurfaceMeasure:
         self._densities = np.divide(sec_volume, sec_measure)
         masses = (self._densities * poly.facet_measures).tolist()
         self.dim = poly.dim
-        self.rows = tuple(map(FacetDensityRow, range(len(normals)), normals.copy(),
+        self.rows = tuple(map(FacetDensityRow, range(len(normals)), normals,
                               poly.facet_measures.tolist(), sec_measure,
                               self._densities.tolist(), masses))
         self.total_mass = _facet_sum(masses)

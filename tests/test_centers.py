@@ -15,7 +15,7 @@ from selfmetric import centers
 from selfmetric.centers import (GAP_TOL, CenterResult, ConvergenceError, convexity_probe,
                                 grunbaum_bound_check, optimal_center_2d, optimal_centers_2d,
                                 optimal_simplex_center)
-from selfmetric.geometry import GeometryError, NotInteriorError, Polygon2, regular_polygon
+from selfmetric.geometry import GeometryError, NotInteriorError, Polygon2, cube, regular_polygon
 from selfmetric.perimeter2 import (_ray_casts, busemann_perimeter_polygon,
                                    polygon_perimeter_subgradient, self_perimeter_polygon)
 
@@ -575,3 +575,13 @@ def test_query_outside_the_polygon_is_cut_and_the_solve_still_certifies(monkeypa
     assert inside[:3] == [True, False, True] and all(inside[2:])
     assert got.gap <= GAP_TOL * got.value
     assert abs(got.value - want.value) <= 2 * GAP_TOL * want.value
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda body: optimal_center_2d(body), "optimal_center_2d"),
+    (lambda body: optimal_centers_2d(body, "directed", [np.zeros(2)]), "optimal_centers_2d"),
+    (lambda body: convexity_probe(body), "convexity_probe"),
+], ids=["center", "centers", "probe"])
+def test_center_solvers_take_only_a_polygon2(call, name):
+    with pytest.raises(TypeError, match=f"^{name} expects a Polygon2$"):
+        call(cube(2))

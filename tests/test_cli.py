@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+from selfmetric import centers, cli
 from selfmetric.cli import RunConfig, build_parser, run
 from selfmetric.geometry import cube, polygon_as_polytope, regular_polygon
-from selfmetric.selfvolume import cartesian_product
+from selfmetric.selfvolume import cartesian_product, self_volume_recursive
 from selfmetric.shapeio import save_shape
 
 MODULE_CMD = [sys.executable, "-m", "selfmetric"]
@@ -726,3 +727,59 @@ def test_invariance_check_failure_is_one_geometry_error(tmp_path, capsys):
     error = json.loads(err)["error"]
     assert error["type"] == "geometry"
     assert error["message"].startswith("affine invariance violated: worst relative deviation ")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"command": "center", "restarts": 0}, "restarts must be positive"),
+    ({"command": "invariance-check", "trials": 0}, "trials must be positive"),
+    ({"command": "conjecture-search", "trials": 0}, "trials must be positive"),
+    ({"command": "conjecture-search", "steps": -1}, "steps must be nonnegative"),
+], ids=["restarts", "invariance-trials", "search-trials", "steps"])
+def test_run_config_rejects_out_of_range_counts(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RunConfig(**fields).validate()
+
+
+@pytest.mark.parametrize("command, shape, fields, message", [
+    ("perimeter", "tri.json", {"center": "0.2;0.3"},
+     "malformed point '0.2;0.3'; expected comma-separated numbers"),
+    ("center", "cube3.json", {}, 'center optimization needs a shape of type "polygon2"'),
+    ("invariance-check", "tri.json", {}, 'invariance check needs a shape of type "polytope"'),
+], ids=["malformed-center", "center-of-polytope", "invariance-of-polygon"])
+def test_a_shape_or_point_the_command_cannot_take_is_a_config_error(shapes, capsys, command,
+                                                                    shape, fields, message):
+    assert run(RunConfig(command=command, shape=str(shapes / shape), **fields)) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": {"type": "config", "message": message}}
+
+
+def test_a_center_solve_without_a_certificate_is_one_convergence_error(tmp_path, capsys,
+                                                                       monkeypatch):
+    path = tmp_path / "pentagon.json"
+    path.write_text(json.dumps({"type": "polygon2",
+                                "vertices": [[0, 0], [3, 0], [4, 2], [1, 3], [-1, 1]]}))
+    monkeypatch.setattr(centers, "MAX_ITER", 2)
+    assert run(RunConfig(command="center", shape=str(path), restarts=1)) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {"error": {"type": "convergence", "message":
+                                             "no certificate in 2 iterations (gap 6.201e-01)"}}
+
+
+def test_a_rejected_climb_step_is_counted(tmp_path, monkeypatch):
+    # the second self-volume of a search is its first climb step's
+    calls = []
+
+    def volume(body):
+        calls.append(body)
+        if len(calls) == 2:
+            raise cli.GeometryError("degenerate polytope")
+        return self_volume_recursive(body)
+
+    monkeypatch.setattr(cli, "self_volume_recursive", volume)
+    out = tmp_path / "search.json"
+    assert run(RunConfig(command="conjecture-search", dim=2, trials=1, steps=1,
+                         out=str(out))) == 0
+    assert len(calls) == 3
+    assert json.loads(out.read_text())["degenerate_rejections"] == 1

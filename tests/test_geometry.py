@@ -726,13 +726,15 @@ def test_scan_built_arrays_are_read_only():
     for a in (square.vertices, square.facet_normals, square.facet_offsets,
               square.facet_measures, square._polar, square.edges):
         assert not a.flags.writeable
-    # the Polygon2 handed to polygon_as_polytope, and its caller's array, stay writeable
+    # the Polygon2 handed to polygon_as_polytope is read-only too; its caller's array
+    # stays writeable
     vertices = regular_polygon(5).vertices.copy()
     poly = Polygon2(vertices)
     polygon_as_polytope(poly)
-    for a in (vertices, poly.vertices, poly.edges, poly.edge_lengths, poly.tangents,
-              poly.normals, poly.offsets):
-        assert a.flags.writeable
+    assert vertices.flags.writeable
+    for a in (poly.vertices, poly.edges, poly.edge_lengths, poly.tangents, poly.normals,
+              poly.offsets, poly.exit_cosines):
+        assert not a.flags.writeable
 
 
 def test_rebinding_a_polygon_body_raises():
@@ -768,6 +770,49 @@ def test_every_body_is_read_only(build):
     assert len(arrays) >= 5 and not any(a.flags.writeable for a in arrays)
 
 
+# each checked value: a writeable array of its caller's, the value built from it,
+# and the arrays the value holds
+CHECKED_VALUES = {
+    "polygon": (lambda: regular_polygon(5).vertices.copy(), Polygon2,
+                "vertices edges edge_lengths tangents normals offsets exit_cosines"),
+    "profile": (lambda: np.array([0.02, 1.0, 0.02]), lambda a: RadiusProfile([-4, 0, 4], a),
+                "ks coeffs"),
+    "density": (lambda: np.array([0.5, 0.5]), lambda a: FourierDensity([-4, 4], a, 0.01),
+                "ks coeffs"),
+    "barycentric": (lambda: np.array([0.25, 0.25, 0.5]), BarycentricPoint, "weights"),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED_VALUES)
+def test_every_checked_value_is_read_only(name):
+    make_array, build, names = CHECKED_VALUES[name]
+    given_array = make_array()
+    value = build(given_array)
+    for attr in names.split():
+        array = getattr(value, attr)
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is read-only: "
+                                                 f"'{attr}' cannot be set$"):
+            setattr(value, attr, array)
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]
+    assert given_array.flags.writeable
+    assert not any(np.shares_memory(given_array, a) for a in vars(value).values()
+                   if isinstance(a, np.ndarray))
+
+
+@pytest.mark.parametrize("write", [
+    # a doubled polygon used to keep its old perimeter 6.9098300562505255 and scale 1.0
+    lambda: regular_polygon(5).vertices.__setitem__(slice(None), 2.0),
+    # a written coefficient used to turn phi(0) = 1.0 into 5.5, no longer symmetric
+    lambda: FourierDensity.from_pairs([(4, 0.5, 0.0)], 0.01).coeffs.__setitem__(0, 5.0),
+    # a written weight used to end simplex_self_volume in a ZeroDivisionError
+    lambda: BarycentricPoint([0.25, 0.25, 0.5]).weights.__setitem__(2, 1.0),
+], ids=["polygon", "density", "barycentric"])
+def test_a_write_into_a_checked_value_raises(write):
+    with pytest.raises(ValueError, match="read-only"):
+        write()
+
+
 @pytest.mark.parametrize("vertices", [regular_polygon(5).vertices, cube(3).vertices,
                                       np.array([[-1.0], [2.0]])], ids=["2d", "3d", "1d"])
 def test_polytope_leaves_the_callers_vertices_writeable(vertices):
@@ -795,6 +840,41 @@ def test_polytope_leaves_the_callers_vertices_writeable(vertices):
         "hypercube-overflow"])
 def test_counts_are_integers_of_a_least_value(call, message):
     with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Polygon2([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), GeometryError,
+     "polygon has a repeated vertex"),
+    (lambda: Polygon2([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), GeometryError,
+     "vertices are clockwise; counterclockwise order is required"),
+    (lambda: RadiusProfile([-2, 0, 2], [0.0, 0.0, 0.0]), GeometryError,
+     "radius profile has no nonzero coefficient"),
+    (lambda: RadiusProfile.from_samples(np.ones(8), k_max=4), GeometryError,
+     "k_max=4 needs more than 8 samples"),
+    (lambda: RadiusProfile([0, 1], [1.0]), GeometryError,
+     "ks and coeffs must be 1d arrays of equal length"),
+    (lambda: FourierDensity([[4, -4]], [[0.5, 0.5]], 0.01), FourierDensityError,
+     "ks and coeffs must be 1d arrays of equal length"),
+    (lambda: PolytopeN(np.zeros(3)), GeometryError,
+     "expected an (m, d) vertex array, got shape (3,)"),
+    (lambda: PolytopeN([[0.0, 0.0]]), GeometryError,
+     "expected an (m, d) vertex array, got shape (1, 2)"),
+    (lambda: PolytopeN([[0.0, 0.0], [1.0, NAN], [0.0, 1.0]]), GeometryError,
+     "polytope vertices must be finite"),
+    (lambda: PolytopeN(np.eye(3)), GeometryError, "need at least 4 vertices in dimension 3"),
+    (lambda: BarycentricPoint([1.0]), GeometryError,
+     "barycentric weights must be a 1d array of length >= 2"),
+    (lambda: BarycentricPoint([[0.5, 0.5]]), GeometryError,
+     "barycentric weights must be a 1d array of length >= 2"),
+    (lambda: central_section(regular_polygon(4), [1.0, 0.0]), TypeError,
+     "central_section expects a PolytopeN"),
+], ids=["polygon-repeated", "polygon-clockwise", "profile-zero", "samples-k-max",
+        "profile-shape", "density-shape", "polytope-flat", "polytope-one-vertex",
+        "polytope-nan", "polytope-few", "barycentric-short", "barycentric-2d",
+        "section-of-polygon2"])
+def test_malformed_values_raise_their_typed_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
 

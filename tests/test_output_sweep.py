@@ -1,0 +1,46 @@
+"""tools/output_sweep.py: the per-number deviation it prints for a differing output."""
+
+import importlib.util
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture
+def output_sweep(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))   # _deviation reads its oracle
+    spec = importlib.util.spec_from_file_location(
+        "output_sweep", os.path.join(ROOT, "tools", "output_sweep.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pair(tmp_path, header, base_rows, this_rows):
+    paths = []
+    for side, rows in (("base", base_rows), ("this", this_rows)):
+        path = tmp_path / f"{side}.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        paths.append(str(path))
+    return paths
+
+
+def test_a_rounding_residue_reads_below_one(output_sweep, tmp_path):
+    # an invariance-check CSV's rel_deviation is itself a residue: 0 against 3.3e-16
+    # read 1.5e292 over the least normal float
+    base, this = _pair(tmp_path, "trial,value,rel_deviation",
+                       ["0,8.0,0.0", "1,8.0,0.0"],
+                       ["0,8.0,0.0", "1,8.000000000000002,2.220446049250313e-16"])
+    assert 0.0 < output_sweep._deviation(base, this) < 1.0
+
+
+def test_a_center_value_reads_its_own_relative_move(output_sweep, tmp_path):
+    # the seed, 7.9e8, must not hide the value's move of 5e-14 relative
+    value = 6.6
+    moved = value * (1.0 + 5e-14)
+    base, this = _pair(tmp_path, "seed,optimum_x,optimum_y,value,iterations",
+                       [f"790000000,0.25,-0.5,{value!r},41"],
+                       [f"790000000,0.25,-0.5,{moved!r},41"])
+    assert output_sweep._deviation(base, this) == pytest.approx(5e-14, rel=1e-3)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from common import interior_point, random_ccs_polygon, random_polygon
 from selfmetric.geometry import (BarycentricPoint, GeometryError, NotInteriorError,
-                                 Polygon2, RadiusProfile, regular_polygon, uniform_grid)
+                                 Polygon2, RadiusProfile, cube, regular_polygon, uniform_grid)
 from selfmetric.perimeter2 import (VARIANTS, _ray_casts, busemann_perimeter_polygon,
                                    kgon_self_perimeter, polygon_perimeter_subgradient,
                                    self_perimeter_polygon, self_perimeter_smooth, smooth_density,
@@ -353,3 +353,23 @@ def test_unknown_variant_is_geometry_error(call):
     with pytest.raises(GeometryError, match=r"^variant must be one of \('directed', 'busemann'\), "
                                             r"got 'both'$"):
         call("both")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: self_perimeter_polygon(cube(2), np.zeros(2)), TypeError,
+     "self_perimeter_polygon expects a Polygon2"),
+    (lambda: busemann_perimeter_polygon(cube(2), np.zeros(2)), TypeError,
+     "busemann_perimeter_polygon expects a Polygon2"),
+    (lambda: self_perimeter_smooth(regular_polygon(4)), TypeError,
+     "self_perimeter_smooth expects a RadiusProfile"),
+    (lambda: triangle_perimeters([0.25, 0.25, 0.25, 0.25]), GeometryError,
+     "triangle_perimeters needs exactly 3 barycentric weights"),
+    # r = 0.5 + 2 cos(theta) is negative near theta = pi; check=False skips its own test
+    (lambda: smooth_density(RadiusProfile([-1, 0, 1], [1.0, 0.5, 1.0], check=False),
+                            uniform_grid(64)), GeometryError,
+     "profile radius must stay positive"),
+], ids=["directed-of-polytope", "busemann-of-polytope", "smooth-of-polygon",
+        "triangle-weights", "nonpositive-profile"])
+def test_perimeter_errors_name_their_cause(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

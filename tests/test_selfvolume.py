@@ -1,14 +1,15 @@
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from common import random_ccs_polygon, random_polygon_with_origin
+from common import random_ccs_polygon, random_polygon_with_origin, with_vertices
 from selfmetric import selfvolume
-from selfmetric.geometry import (REL_TOL, GeometryError, NotInteriorError, PolytopeN,
-                                 cube, icosphere, interval, polygon_as_polytope,
+from selfmetric.geometry import (REL_TOL, DegenerateSectionError, GeometryError,
+                                 NotInteriorError, PolytopeN, cube, icosphere, interval, polygon_as_polytope,
                                  regular_polygon)
 from selfmetric.perimeter2 import busemann_perimeter_polygon
 from selfmetric.selfvolume import (SurfaceMeasure, affine_image, cartesian_product,
@@ -361,10 +362,6 @@ def test_both_measures_share_one_entry_check(measure, noun):
         measure(PolytopeN(cube(3).vertices + 3.0))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3: qhull's "
-                   "simplices of a facet that holds non-extreme points can overlap, and "
-                   "PolytopeN._merge_facets sums them, so two facets of the turned prism "
-                   "measure 16.6667 for 16")
 def test_self_volume_ignores_non_extreme_points():
     # the prism [-0.7, 1.3] x [-1, 1]^4 with its 496 vertex-pair midpoints reads
     # 32.2667, against 32.0000001 from its 32 vertices alone; 1e-6 allows for the
@@ -399,3 +396,22 @@ def test_affine_image_rejects_singular_matrix():
     for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 1.0])):
         with pytest.raises(GeometryError, match="^matrix must be finite$"):
             affine_image(cube(2), bad)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # the facet rows of cube(3) with every vertex moved beyond the plane x = 0
+    (lambda: self_volume_recursive(with_vertices(cube(3), cube(3).vertices + 5.0)),
+     DegenerateSectionError,
+     "degenerate section at facet chain (0,): hyperplane misses the polytope interior"),
+    (lambda: simplex_self_volume(2, [0.25, 0.25, 0.25, 0.25]), GeometryError,
+     "need 3 barycentric weights for an 2-simplex, got 4"),
+    (lambda: cartesian_product(cube(2), regular_polygon(4)), TypeError,
+     "cartesian_product expects two PolytopeN"),
+    # a segment listing 400 vertices: a product of bodies that qhull keeps so many
+    # vertices of would take long to build
+    (lambda: cartesian_product(*[with_vertices(interval(), np.linspace(-1, 1, 400)[:, None])] * 2),
+     GeometryError, "product would have 160000 vertices (guard 100000)"),
+], ids=["degenerate-section", "simplex-weights", "product-of-polygon2", "product-guard"])
+def test_selfvolume_errors_name_their_cause(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

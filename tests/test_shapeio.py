@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from selfmetric.alexandrov import FourierDensity
 from selfmetric.geometry import Polygon2, PolytopeN, RadiusProfile, cube
 from selfmetric.shapeio import (ShapeFormatError, bodies_equal, density_from_dict,
                                 density_to_dict, load_density, load_shape,
@@ -118,3 +119,8 @@ def test_polar_svg_bytes_are_pinned():
     assert len(svg) == 11710
     assert hashlib.sha256(svg.encode()).hexdigest() == (
         "11fcb6074e76b410b2b66b2077de6f67f1c03e63be3d75a0f35ec51efa2e95da")
+
+
+def test_shape_to_dict_refuses_an_unknown_body():
+    with pytest.raises(TypeError, match="^cannot serialize FourierDensity$"):
+        shape_to_dict(FourierDensity([-4, 4], [0.5, 0.5], 0.01))

@@ -12,8 +12,8 @@ and full stderr job by job, and it reports the jobs that fail this
 checkout's output checks (golden digests included). For each differing
 CSV or JSON output it also prints the largest relative difference of its
 numbers, read as perfbench/oracle.py reads them, each number against its own
-base value (null where the other side lacks the file or the counts of
-numbers differ). It exits 1 on any difference or failed check.
+base value floored at 2^-52 times the base file's largest magnitude (null
+where the other side lacks the file or the counts of numbers differ). It exits 1 on any difference or failed check.
 """
 
 import argparse
@@ -64,9 +64,12 @@ def _differences(a, b, rel=""):
 
 def _deviation(base_path, this_path):
     """Largest |x - y| / |y| over the numbers of two outputs, y the base's, with |y|
-    floored at the least normal float; None when either is missing or not CSV or
-    JSON, or their counts of numbers differ. (Over the output's largest magnitude,
-    a `center` CSV's seed, up to 7.9e8, would hide its other columns' moves.)"""
+    floored at 2^-52 times the base's largest magnitude (and at the least normal
+    float); None when either is missing or not CSV or JSON, or their counts of
+    numbers differ. The floor reads a rounding residue, such as an
+    `invariance-check` CSV's rel_deviation of 0 against 3.3e-16, as at most a few
+    units; over the largest magnitude itself, a `center` CSV's seed, up to 7.9e8,
+    would hide its other columns' moves."""
     import oracle
     if not (base_path.endswith((".csv", ".json")) and os.path.isfile(base_path)
             and os.path.isfile(this_path)):
@@ -74,8 +77,8 @@ def _deviation(base_path, this_path):
     want, got = (oracle._numbers(oracle.read_output(p), []) for p in (base_path, this_path))
     if len(want) != len(got):
         return None
-    return max([abs(x - y) / max(abs(y), sys.float_info.min) for x, y in zip(got, want)],
-               default=0.0)
+    floor = max(2.0 ** -52 * max(map(abs, want), default=0.0), sys.float_info.min)
+    return max([abs(x - y) / max(abs(y), floor) for x, y in zip(got, want)], default=0.0)
 
 
 def sweep(base, workloads, seeds, work):
