@@ -11,10 +11,12 @@ and densities for the inverse problem are
     {"coeffs": [[k, re, im], ...], "epsilon": e}
 
 Validation failures raise ShapeFormatError carrying the offending field path,
-e.g. "vertices[2][0]".
+e.g. "vertices[2][0]". A path is built only when a check fails, and a finite
+Python float, the number JSON parses most often, passes with one math.isfinite.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .alexandrov import FourierDensity
 from .geometry import Polygon2, PolytopeN, RadiusProfile
 
 SHAPE_TYPES = ("polygon2", "polytope", "radius_profile")
-_K_MAX = np.iinfo(np.int64).max   # k and -k both fit the int64 harmonic arrays
+_K_MAX = int(np.iinfo(np.int64).max)   # k and -k both fit the int64 harmonic arrays
 
 
 class ShapeFormatError(ValueError):
@@ -38,14 +40,27 @@ def _require(cond, message, field):
         raise ShapeFormatError(message, field)
 
 
-def _number(x, field):
-    _require(isinstance(x, (int, float)) and not isinstance(x, bool),
-             f"expected a number, got {type(x).__name__}", field)
+def _path(field, index):
+    """The field path field[index[0]][index[1]]..., built only for a failed check."""
+    return field + "".join(f"[{i}]" for i in index)
+
+
+def _fail(message, field, *index):
+    raise ShapeFormatError(message, _path(field, index))
+
+
+def _number(x, field, *index):
+    """x as a finite float, or a ShapeFormatError at field[index[0]]..."""
+    if type(x) is float and math.isfinite(x):
+        return x
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        _fail(f"expected a number, got {type(x).__name__}", field, *index)
     try:
         v = float(x)
     except OverflowError as exc:   # an integer beyond the float range
-        raise ShapeFormatError("number is out of the float range", field) from exc
-    _require(np.isfinite(v), "number is not finite", field)
+        raise ShapeFormatError("number is out of the float range", _path(field, index)) from exc
+    if not math.isfinite(v):
+        _fail("number is not finite", field, *index)
     return v
 
 
@@ -53,11 +68,11 @@ def _point_list(raw, length, field):
     _require(isinstance(raw, list) and len(raw) > 0, "expected a nonempty list", field)
     out = []
     for i, row in enumerate(raw):
-        _require(isinstance(row, list), "expected a coordinate list", f"{field}[{i}]")
-        if length is not None:
-            _require(len(row) == length, f"expected {length} coordinates, got {len(row)}",
-                     f"{field}[{i}]")
-        out.append([_number(x, f"{field}[{i}][{j}]") for j, x in enumerate(row)])
+        if not isinstance(row, list):
+            _fail("expected a coordinate list", field, i)
+        if len(row) != length:
+            _fail(f"expected {length} coordinates, got {len(row)}", field, i)
+        out.append([_number(x, field, i, j) for j, x in enumerate(row)])
     return out
 
 
@@ -86,14 +101,14 @@ def _coeff_triples(raw, field):
     _require(isinstance(raw, list) and len(raw) > 0, "expected a nonempty list", field)
     out = []
     for i, row in enumerate(raw):
-        _require(isinstance(row, list) and len(row) == 3,
-                 "expected [k, re, im]", f"{field}[{i}]")
-        k = row[0]
-        _require(isinstance(k, int) and not isinstance(k, bool),
-                 "harmonic index must be an integer", f"{field}[{i}][0]")
-        _require(abs(k) <= _K_MAX, f"harmonic index must satisfy |k| <= {_K_MAX}",
-                 f"{field}[{i}][0]")
-        out.append((k, _number(row[1], f"{field}[{i}][1]"), _number(row[2], f"{field}[{i}][2]")))
+        if not isinstance(row, list) or len(row) != 3:
+            _fail("expected [k, re, im]", field, i)
+        k, re, im = row
+        if not isinstance(k, int) or isinstance(k, bool):
+            _fail("harmonic index must be an integer", field, i, 0)
+        if abs(k) > _K_MAX:
+            _fail(f"harmonic index must satisfy |k| <= {_K_MAX}", field, i, 0)
+        out.append((k, _number(re, field, i, 1), _number(im, field, i, 2)))
     return out
 
 

@@ -104,6 +104,15 @@ def test_phi0_trivial_cases():
         solve_phi0(np.zeros(64))   # samples are not a density
 
 
+def test_phi0_bisection_that_never_balances_is_a_runtime_error(monkeypatch):
+    # an imbalance that keeps one sign walks the bisection to its 300-step cap
+    monkeypatch.setattr(alexandrov, "sqrt_imbalance", lambda values, gamma: 0.5)
+    with pytest.raises(RuntimeError) as err:
+        solve_phi0(split_harmonics(COS4)[0])
+    assert type(err.value) is RuntimeError
+    assert str(err.value) == "balance bisection did not converge (imbalance 5.000e-01)"
+
+
 def test_leading_order_quarter_turn_periodic():
     nodes = 4096
     z1 = leading_order(COS4, nodes=nodes)
@@ -212,6 +221,15 @@ def test_forward_density_of_disk_is_one():
     theta, dens = forward_measure(RadiusProfile([0], [1.0]), nodes=256)
     assert np.allclose(dens, 1.0, atol=1e-14)
     assert len(theta) == 256
+
+
+def test_forward_measure_of_a_nonpositive_radius_is_a_geometry_error():
+    # an unchecked profile r = 0.5 + cos(2 theta) dips below zero on the grid
+    profile = RadiusProfile([-2, 0, 2], [0.5, 0.5, 0.5], check=False)
+    with pytest.raises(GeometryError) as err:
+        forward_measure(profile, nodes=64)
+    assert type(err.value) is GeometryError
+    assert str(err.value) == "boundary density needs a strictly positive radius"
 
 
 @pytest.mark.filterwarnings("ignore:radius profile fails the convexity check:UserWarning")

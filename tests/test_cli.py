@@ -9,7 +9,7 @@ import pytest
 
 from selfmetric import centers, cli
 from selfmetric.cli import RunConfig, build_parser, run
-from selfmetric.geometry import cube, polygon_as_polytope, regular_polygon
+from selfmetric.geometry import GeometryError, cube, polygon_as_polytope, regular_polygon
 from selfmetric.selfvolume import cartesian_product, self_volume_recursive
 from selfmetric.shapeio import save_shape
 
@@ -291,6 +291,23 @@ def test_conjecture_search_dim2_bounds():
     assert doc["max_found"] <= 4.0 + 1e-2
     assert doc["min_found"] >= 3.0 - 1e-2
     assert doc["conjectured_max"] == 4.0 and doc["conjectured_min"] == 3.0
+
+
+def test_conjecture_search_reraises_after_50_degenerate_starts(monkeypatch, capsys):
+    # every start hull fails, so the trial gives up and the last failure reaches run
+    starts = []
+
+    def degenerate(points):
+        starts.append(len(points))
+        raise GeometryError("degenerate polytope (no full-dimensional hull): flat")
+
+    monkeypatch.setattr(cli, "_ccs_hull", degenerate)
+    assert run(RunConfig(command="conjecture-search", dim=2, trials=1, steps=1, seed=0)) == 1
+    assert len(starts) == 50
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == {
+        "type": "geometry", "message": "degenerate polytope (no full-dimensional hull): flat"}
 
 
 def test_shape_format_error_carries_field(tmp_path):

@@ -98,14 +98,14 @@ def test_fourier_eval_paths_on_both_sides_of_the_crossover(nufft_calls, horner_c
     assert np.array_equal(fourier_eval(theta[:64], ks, coeffs),
                           _dense_reference(theta[:64], ks, coeffs))
     assert nufft_calls == [] and horner_calls == []
-    # max |k| = 2w = 32, above the crossover: Horner's rule
-    ks, coeffs = _symmetric_spectrum(rng, np.arange(1, 33))
+    # max |k| = 4w = 64, above the crossover: Horner's rule
+    ks, coeffs = _symmetric_spectrum(rng, np.arange(1, 65))
     got = fourier_eval(theta, ks, coeffs)
     assert horner_calls == [200] and nufft_calls == []
     err = np.max(np.abs(got - _dense_reference(theta, ks, coeffs)))
     assert err <= 1e-12 * np.sum(np.abs(coeffs))
-    # many harmonics: the NUFFT
-    ks, coeffs = _symmetric_spectrum(rng, np.arange(1, 65))
+    # one harmonic more: the NUFFT
+    ks, coeffs = _symmetric_spectrum(rng, np.arange(1, 66))
     got = fourier_eval(theta, ks, coeffs)
     assert nufft_calls == [200] and horner_calls == [200]
     err = np.max(np.abs(got - _dense_reference(theta, ks, coeffs)))
@@ -226,6 +226,47 @@ def test_horner_folds_any_spectrum(case):
     assert np.max(np.abs(got[good] - want)) <= 1e-12 * np.sum(np.abs(coeffs))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_horner_agrees_with_the_dense_sum_up_to_4w(seed):
+    # every max |k| that fourier_eval sends to Horner's rule, on up to 8192 angles
+    rng = np.random.default_rng(seed)
+    for kmax in (1, 2 * geometry.NUFFT_HALF_WIDTH + 1, int(rng.integers(2, 64)),
+                 4 * geometry.NUFFT_HALF_WIDTH):
+        ks, coeffs = _symmetric_spectrum(rng, np.arange(1, kmax + 1))
+        for n in (130, 1024, 8192):
+            for lo, hi in ((0.0, 2.0 * np.pi), (-10.0, 10.0)):
+                theta = rng.uniform(lo, hi, n)
+                err = np.max(np.abs(geometry._horner(theta, ks, coeffs)
+                                    - _chunked_dense_reference(theta, ks, coeffs)))
+                assert err <= 1e-12 * np.sum(np.abs(coeffs)), (kmax, n, lo)
+
+
+def test_uniform_grid_is_one_cached_read_only_linspace():
+    for n in (8, 720, 2048, 4096):
+        grid = uniform_grid(n)
+        assert uniform_grid(n) is grid
+        assert grid.tobytes() == np.linspace(0.0, 2.0 * np.pi, n, endpoint=False).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            grid[1] = 0.0
+        assert grid[1] == 2.0 * np.pi / n
+
+
+@pytest.mark.parametrize("kmax", [24, 200])
+def test_fourier_eval_takes_the_grid_path_for_the_cached_grid_and_its_copy(
+        nufft_calls, horner_calls, kmax):
+    # off the grid these spectra take Horner's rule (24) and the NUFFT (200)
+    rng = np.random.default_rng(kmax)
+    ks, coeffs = _symmetric_spectrum(rng, np.arange(1, kmax + 1))
+    grid = uniform_grid(2048)
+    copy = grid.copy()
+    assert copy.flags.writeable
+    got = fourier_eval(grid, ks, coeffs)
+    assert fourier_eval(copy, ks, coeffs).tobytes() == got.tobytes()
+    assert horner_calls == [] and nufft_calls == []
+    err = np.max(np.abs(got - _chunked_dense_reference(grid, ks, coeffs)))
+    assert err <= 1e-12 * np.sum(np.abs(coeffs))
+
+
 def _chunked_dense_reference(theta, ks, coeffs):
     """_dense_reference in blocks of 512 angles, so 8192 x 4095 terms stay small."""
     return np.concatenate([_dense_reference(theta[lo:lo + 512], ks, coeffs)
@@ -281,7 +322,7 @@ def test_fourier_eval_on_the_grid_agrees_with_the_dense_sum(case):
     assert np.max(np.abs(got[rows] - exact)) <= 1e-13 * total
 
 
-@pytest.mark.parametrize("kernel, kmax", [("_horner", 24), ("_nufft_type2", 40)])
+@pytest.mark.parametrize("kernel, kmax", [("_horner", 24), ("_nufft_type2", 80)])
 def test_smooth_density_on_the_grid_makes_one_off_grid_call(monkeypatch, kernel, kmax):
     rng = np.random.default_rng(kmax)
     pos = np.arange(1, kmax + 1)
@@ -300,7 +341,7 @@ def test_smooth_density_on_the_grid_makes_one_off_grid_call(monkeypatch, kernel,
     grid = uniform_grid(2048)
     density = smooth_density(profile, grid)
     # r and r' on the grid, then r at theta + alpha: only the last leaves it,
-    # for Horner's rule up to max |k| = 2w = 32 and for the NUFFT above
+    # for Horner's rule up to max |k| = 4w = 64 and for the NUFFT above
     assert len(evals) == 3
     assert np.array_equal(evals[0], grid) and np.array_equal(evals[1], grid)
     assert not np.array_equal(evals[2], grid)

@@ -6,8 +6,8 @@ import pytest
 
 from selfmetric.alexandrov import FourierDensity
 from selfmetric.geometry import Polygon2, PolytopeN, RadiusProfile, cube
-from selfmetric.shapeio import (ShapeFormatError, bodies_equal, density_from_dict,
-                                density_to_dict, load_density, load_shape,
+from selfmetric.shapeio import (ShapeFormatError, _coeff_triples, bodies_equal,
+                                density_from_dict, density_to_dict, load_density, load_shape,
                                 save_shape, shape_from_dict, shape_to_dict)
 from selfmetric.svgplot import polar_svg
 
@@ -81,6 +81,51 @@ def test_profile_coeff_triple_validation():
     with pytest.raises(ShapeFormatError) as err:
         shape_from_dict({"type": "radius_profile", "coeffs": [[0, 1.0]]})
     assert "coeffs[0]" in err.value.field
+
+
+# each bad JSON number, with its message wherever a number is read
+BAD_NUMBERS = {
+    "true": "expected a number, got bool",
+    '"1"': "expected a number, got str",
+    "null": "expected a number, got NoneType",
+    "NaN": "number is not finite",
+    "Infinity": "number is not finite",
+    "1" + "0" * 400: "number is out of the float range",
+}
+# documents with X in place of one number, keyed by that number's field path
+NUMBER_FIELDS = {
+    "vertices[1][1]": '{"type": "polygon2", "vertices": [[0.0, 0.0], [1.0, X], [0.0, 1.0]]}',
+    "vertices[3][2]": '{"type": "polytope", "dim": 3, '
+                      '"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, X]]}',
+    "coeffs[1][1]": '{"type": "radius_profile", "coeffs": [[0, 1.0, 0.0], [3, X, 0.0]]}',
+    "coeffs[1][2]": '{"type": "radius_profile", "coeffs": [[0, 1.0, 0.0], [3, 0.01, X]]}',
+    "epsilon": '{"coeffs": [[4, 0.5, 0.0]], "epsilon": X}',
+}
+
+
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+@pytest.mark.parametrize("text", BAD_NUMBERS)
+def test_bad_number_names_its_field(field, text):
+    doc = json.loads(NUMBER_FIELDS[field].replace("X", text))
+    load = density_from_dict if field == "epsilon" else shape_from_dict
+    with pytest.raises(ShapeFormatError) as err:
+        load(doc)
+    message = ("missing epsilon" if (field, text) == ("epsilon", "null")
+               else BAD_NUMBERS[text])
+    assert (str(err.value), err.value.field) == (message, field)
+    if text.startswith("1"):   # the float overflow is kept as the cause
+        assert isinstance(err.value.__cause__, OverflowError)
+
+
+def test_integer_numbers_load_as_floats():
+    poly = shape_from_dict({"type": "polygon2", "vertices": [[0, 0], [2, 0], [1, 2]]})
+    assert poly.vertices.dtype == float and poly.vertices.tolist() == [[0.0, 0.0], [2.0, 0.0],
+                                                                       [1.0, 2.0]]
+    triples = _coeff_triples([[0, 1, 0], [3, 0.01, -1]], "coeffs")
+    assert triples == [(0, 1.0, 0.0), (3, 0.01, -1.0)]
+    assert [type(x) for row in triples for x in row[1:]] == [float] * 4
+    eps = density_from_dict({"coeffs": [[4, 1, 0]], "epsilon": 1}).epsilon
+    assert type(eps) is float and eps == 1.0
 
 
 def test_density_round_trip_and_epsilon_override(tmp_path):
