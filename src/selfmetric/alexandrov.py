@@ -58,8 +58,7 @@ class ClosureError(ValueError):
 
 def circle_grid(nodes):
     """Uniform grid on [0, 2pi), endpoint excluded. nodes must be a multiple of 4."""
-    nodes = int(nodes)
-    if nodes < 8 or nodes % 4 != 0:
+    if not isinstance(nodes, (int, np.integer)) or nodes < 8 or nodes % 4 != 0:
         raise ValueError("nodes must be a multiple of 4, at least 8")
     return uniform_grid(nodes)
 

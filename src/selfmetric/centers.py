@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (REL_TOL, BarycentricPoint, GeometryError, NotInteriorError, Polygon2, _count,
-                       _point)
+from .geometry import (REL_TOL, BarycentricPoint, GeometryError, NotInteriorError, Polygon2,
+                       _centroid, _count, _point)
 # self_perimeter_polygon and busemann_perimeter_polygon are not called here:
 # they stay as module bindings because perfbench/tracing.py patches them in this module
 from .perimeter2 import (_check_variant, _ray_casts, busemann_perimeter_polygon,  # noqa: F401
@@ -199,31 +199,6 @@ def _clip(xs, ys, dots, bound):
             cy.append(y)
         px, py, ps = x, y, s
     return cx, cy
-
-
-def _centroid(xs, ys, e):
-    """Centroid [x, y] of the CCW polygon (xs, ys), summed over the fan of
-    triangles at its first vertex relative to it; None unless its area is positive.
-
-    The differences from the first vertex are scaled by 2**-e, exactly, for a
-    cell that is a part of a polygon of scale about 2**e: the sums hold cubes of
-    them, which would overflow from about 1e102 and underflow below about 1e-102."""
-    if len(xs) < 3:
-        return None
-    x0, y0 = xs[0], ys[0]
-    down, up = math.ldexp(1.0, -e), math.ldexp(1.0, e)
-    px, py = (xs[1] - x0) * down, (ys[1] - y0) * down
-    area = mx = my = 0.0
-    for x, y in zip(xs[2:], ys[2:]):
-        dx, dy = (x - x0) * down, (y - y0) * down
-        c = px * dy - py * dx          # twice the area of the fan triangle
-        area += c
-        mx += c * (px + dx)
-        my += c * (py + dy)
-        px, py = dx, dy
-    if not area > 0.0:
-        return None
-    return [x0 + mx / (3.0 * area) * up, y0 + my / (3.0 * area) * up]
 
 
 def grunbaum_bound_check(poly):

@@ -360,6 +360,31 @@ def _exits(slack, cosines):
     return t[rows, np.arange(len(cosines)), exits], exits, slack[rows, exits]
 
 
+def _centroid(xs, ys, e):
+    """Centroid [x, y] of the CCW polygon (xs, ys), summed over the fan of
+    triangles at its first vertex relative to it; None unless its area is positive.
+
+    The differences from the first vertex are scaled by 2**-e, exactly, for a
+    cell that is a part of a polygon of scale about 2**e: the sums hold cubes of
+    them, which would overflow from about 1e102 and underflow below about 1e-102."""
+    if len(xs) < 3:
+        return None
+    x0, y0 = xs[0], ys[0]
+    down, up = math.ldexp(1.0, -e), math.ldexp(1.0, e)
+    px, py = (xs[1] - x0) * down, (ys[1] - y0) * down
+    area = mx = my = 0.0
+    for x, y in zip(xs[2:], ys[2:]):
+        dx, dy = (x - x0) * down, (y - y0) * down
+        c = px * dy - py * dx          # twice the area of the fan triangle
+        area += c
+        mx += c * (px + dx)
+        my += c * (py + dy)
+        px, py = dx, dy
+    if not area > 0.0:
+        return None
+    return [x0 + mx / (3.0 * area) * up, y0 + my / (3.0 * area) * up]
+
+
 def _frozen(rows):
     """rows as a read-only array: an ndarray is frozen in place, never copied."""
     a = np.asarray(rows)
@@ -424,20 +449,15 @@ class Polygon2(_ReadOnly):
 
     @property
     def area(self):
+        """Area, summed over the fan of triangles at vertex 0 relative to it."""
         v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        return 0.5 * float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
+        d1, d2 = v[1:-1] - v[0], v[2:] - v[0]
+        return 0.5 * float(np.sum(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
 
     @property
     def centroid(self):
-        """Area centroid (always strictly interior for a convex polygon)."""
-        # on the vertices scaled by a power of two, exactly: (v + w) @ c holds cubes
-        # of coordinates, which overflow from about 1e102
-        e = math.frexp(self.scale)[1]
-        v = np.ldexp(self.vertices, -e)
-        w = np.roll(v, -1, axis=0)
-        c = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-        return np.ldexp((v + w).T @ c / (3.0 * float(np.sum(c))), e)
+        """Area centroid, strictly interior for a convex polygon: _centroid of the vertices."""
+        return np.array(_centroid(*self.vertices.T.tolist(), math.frexp(self.scale)[1]))
 
     def interior_distance(self, point):
         """Smallest slack over the edge halfplanes; positive iff strictly interior, NaN if
@@ -492,7 +512,7 @@ class RadiusProfile(_ReadOnly):
         """Project uniform-grid samples of r onto harmonics |k| <= k_max by FFT."""
         values = np.asarray(values, dtype=float)
         n = len(values)
-        if k_max >= n // 2:
+        if _count(k_max, "k_max", 0) >= n // 2:
             raise GeometryError(f"k_max={k_max} needs more than {2 * k_max} samples")
         spec = np.fft.fft(values) / n
         ks = np.arange(-k_max, k_max + 1)

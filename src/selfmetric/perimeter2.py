@@ -138,12 +138,13 @@ def self_perimeter_smooth(profile, nodes=512):
     """
     if not isinstance(profile, RadiusProfile):
         raise TypeError("self_perimeter_smooth expects a RadiusProfile")
-    nodes = int(nodes)
+    if not isinstance(nodes, (int, np.integer)):
+        raise GeometryError(f"nodes must be an integer, got {nodes!r}")
     if nodes < MIN_NODES:
         raise GeometryError(f"need at least {MIN_NODES} quadrature nodes, got {nodes}")
     theta = uniform_grid(nodes)
     value = float(np.mean(smooth_density(profile, theta)) * 2.0 * np.pi)
-    return Perimeter2Result(value, "directed", "quadrature", node_count=nodes)
+    return Perimeter2Result(value, "directed", "quadrature", node_count=int(nodes))
 
 
 def kgon_self_perimeter(k):

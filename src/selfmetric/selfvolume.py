@@ -252,6 +252,8 @@ def cartesian_product(p, q):
 
 def affine_image(poly, matrix):
     """Image of a polytope under an invertible linear map (facets rebuilt)."""
+    if not isinstance(poly, PolytopeN):
+        raise TypeError("affine_image expects a PolytopeN")
     m = np.asarray(matrix, dtype=float)
     d = poly.dim
     if m.shape != (d, d):

@@ -9,7 +9,9 @@ import pytest
 
 from selfmetric import centers, cli
 from selfmetric.cli import RunConfig, build_parser, run
-from selfmetric.geometry import GeometryError, cube, polygon_as_polytope, regular_polygon
+from common import translated_perimeter_bound
+from selfmetric.geometry import (GeometryError, Polygon2, cube, polygon_as_polytope,
+                                 regular_polygon)
 from selfmetric.selfvolume import cartesian_product, self_volume_recursive
 from selfmetric.shapeio import save_shape
 
@@ -145,7 +147,7 @@ CENTER_PINS = {
               [-0.976335, -0.18361], [-0.974563, -0.898106], [-0.05067, -1.312821],
               [1.099633, -1.115465]], "directed", 11,
              "seed,optimum_x,optimum_y,value,iterations\n"
-             "11,0.25000034543303795,-0.50000034627568202,6.5730075274337967,26\n"
+             "11,0.25000034520367542,-0.50000034631873003,6.5730075274337967,26\n"
              "12,0.25000060574892263,-0.50000037430460953,6.5730075274338429,37\n"
              "13,0.25000045205241561,-0.50000026239466477,6.5730075274337718,33\n"
              "14,0.25000049479715863,-0.50000028416696252,6.5730075274337665,34\n"
@@ -172,6 +174,30 @@ def test_center_restarts_are_pinned_byte_for_byte(tmp_path, capsys, name):
                          restarts=5, out=str(out))) == 0
     assert out.read_bytes() == csv_text.encode()
     assert capsys.readouterr() == (f"wrote {out}\n{best}", "")
+
+
+def test_default_centre_commands_hold_for_a_polygon_far_from_the_origin(tmp_path, capsys):
+    # moved by (1e6, 1e6), the quadrilateral's origin-shoelace centroid lay 14.8 units
+    # outside it: `perimeter` and `center` both exited 1
+    quad = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [0.2, 1.3]])
+    values = []
+    for d in (0.0, 1e6):
+        shape = tmp_path / f"quad{d:g}.json"
+        shape.write_text(json.dumps({"type": "polygon2", "vertices": (quad + d).tolist()}))
+        assert run(RunConfig(command="perimeter", shape=str(shape), variant="both")) == 0
+        perimeters = capsys.readouterr().out.splitlines()[1:]
+        assert run(RunConfig(command="center", shape=str(shape), restarts=3)) == 0
+        minima = capsys.readouterr().out.splitlines()[1:]
+        values.append([[float(row.split(",")[3]) for row in rows]
+                       for rows in (perimeters, minima)])
+    (perimeters, minima), (moved_perimeters, moved_minima) = values
+    bound = translated_perimeter_bound(Polygon2(quad), [1e6, 1e6])
+    assert len(moved_perimeters) == 2 and len(moved_minima) == 3
+    for got, want in zip(moved_perimeters, perimeters):
+        assert abs(got - want) <= bound * want
+    # every restart is certified within GAP_TOL of the minimum it computes
+    for got in moved_minima:
+        assert abs(got - min(minima)) <= (bound + 2.0 * centers.GAP_TOL) * min(minima)
 
 
 def test_kgon_table_values():

@@ -7,19 +7,21 @@ import warnings
 
 import numpy as np
 import pytest
-from common import qhull_polygon, with_vertices
+from common import qhull_polygon, random_polygon, translated_perimeter_bound, with_vertices
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from selfmetric import geometry
-from selfmetric.alexandrov import FourierDensity, FourierDensityError
+from selfmetric.alexandrov import FourierDensity, FourierDensityError, circle_grid
 from selfmetric.centers import optimal_center_2d, optimal_simplex_center
 from selfmetric.geometry import (PROFILE_GRID, BarycentricPoint, GeometryError, NotInteriorError,
                                  Polygon2, PolytopeN, RadiusProfile, central_section,
                                  cube, fourier_eval, icosphere, interval,
                                  polygon_as_polytope, regular_polygon, uniform_grid)
-from selfmetric.perimeter2 import kgon_self_perimeter, smooth_density, triangle_perimeters
+from selfmetric.perimeter2 import (busemann_perimeter_polygon, kgon_self_perimeter,
+                                   self_perimeter_polygon, self_perimeter_smooth, smooth_density,
+                                   triangle_perimeters)
 from selfmetric.selfvolume import (affine_image, cartesian_product, hypercube_self_volume,
                                    self_volume_recursive, simplex_self_volume)
 
@@ -389,6 +391,29 @@ def test_planar_builders_name_a_magnitude_whose_squares_overflow(build, s):
 @pytest.mark.parametrize("s", [1e150, 1e-150])
 def test_centroid_at_extreme_scales(s):
     assert Polygon2(_UNIT_SQUARE * s).centroid == pytest.approx([0.5 * s, 0.5 * s], rel=1e-15)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 40), st.floats(-3.0, 3.0),
+       st.floats(-2.0, 6.0), st.floats(0.0, 2.0 * math.pi))
+def test_a_translation_moves_the_centroid_and_keeps_area_and_default_perimeters(
+        seed, points, log_scale, log_offset, angle):
+    # the centroid and the area sum the fan about vertex 0 relative to it, so they do
+    # not cancel as the polygon moves away from the origin. Measured on 50,000 hulls of
+    # these clouds: the centroid within 0.85 eps (|t| + scale) and the area within
+    # 0.26 eps (|t| + scale) times the boundary length. The origin shoelace put the
+    # centroid of a quadrilateral moved by 1e6 14.8 units outside it
+    poly = random_polygon(np.random.default_rng(seed), points, 10.0 ** log_scale)
+    extent = float(np.ptp(poly.vertices, axis=0).max())
+    t = extent * 10.0 ** log_offset * np.array([math.cos(angle), math.sin(angle)])
+    moved = Polygon2(poly.vertices + t)
+    slack = np.finfo(float).eps * (float(np.linalg.norm(t)) + poly.scale)
+    assert np.abs(moved.centroid - t - poly.centroid).max() <= 4.0 * slack
+    assert abs(moved.area - poly.area) <= 4.0 * slack * float(np.sum(poly.edge_lengths))
+    bound = translated_perimeter_bound(poly, t)
+    for perimeter in (self_perimeter_polygon, busemann_perimeter_polygon):
+        want = perimeter(poly, poly.centroid).value
+        assert abs(perimeter(moved, moved.centroid).value - want) <= bound * want
 
 
 @pytest.mark.filterwarnings("error")
@@ -876,9 +901,14 @@ def test_polytope_leaves_the_callers_vertices_writeable(vertices):
     (lambda: hypercube_self_volume(INF), "n must be an integer >= 1, got inf"),
     (lambda: hypercube_self_volume(2000),
      "n must be at most 1023 (2^n overflows a float), got 2000"),
+    # used to end in a bare IndexError
+    (lambda: RadiusProfile.from_samples(np.ones(16), 2.5),
+     "k_max must be an integer >= 0, got 2.5"),
+    (lambda: RadiusProfile.from_samples(np.ones(16), -1),
+     "k_max must be an integer >= 0, got -1"),
 ], ids=["polygon", "polygon-small", "kgon", "hypercube", "simplex", "simplex-center",
         "icosphere-negative", "icosphere", "cube", "hypercube-nan", "hypercube-inf",
-        "hypercube-overflow"])
+        "hypercube-overflow", "samples-k-max-float", "samples-k-max-negative"])
 def test_counts_are_integers_of_a_least_value(call, message):
     with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
         call()
@@ -910,10 +940,21 @@ def test_counts_are_integers_of_a_least_value(call, message):
      "barycentric weights must be a 1d array of length >= 2"),
     (lambda: central_section(regular_polygon(4), [1.0, 0.0]), TypeError,
      "central_section expects a PolytopeN"),
+    # used to end in an AttributeError
+    (lambda: affine_image(regular_polygon(4), np.eye(2)), TypeError,
+     "affine_image expects a PolytopeN"),
+    # a non-integer node count used to be truncated: 100.7 nodes ran as 100, 12.5 as 12
+    (lambda: self_perimeter_smooth(RadiusProfile([0], [1.0]), nodes=100.7), GeometryError,
+     "nodes must be an integer, got 100.7"),
+    (lambda: self_perimeter_smooth(RadiusProfile([0], [1.0]), nodes=63), GeometryError,
+     "need at least 64 quadrature nodes, got 63"),
+    (lambda: circle_grid(12.5), ValueError, "nodes must be a multiple of 4, at least 8"),
+    (lambda: circle_grid(4), ValueError, "nodes must be a multiple of 4, at least 8"),
 ], ids=["polygon-repeated", "polygon-clockwise", "profile-zero", "samples-k-max",
         "profile-shape", "density-shape", "polytope-flat", "polytope-one-vertex",
         "polytope-nan", "polytope-few", "barycentric-short", "barycentric-2d",
-        "section-of-polygon2"])
+        "section-of-polygon2", "affine-image-of-polygon2", "smooth-nodes-float",
+        "smooth-nodes-few", "circle-grid-float", "circle-grid-few"])
 def test_malformed_values_raise_their_typed_error(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

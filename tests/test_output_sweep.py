@@ -1,4 +1,4 @@
-"""tools/output_sweep.py: the per-number deviation it prints for a differing output."""
+"""tools/output_sweep.py: the per-number deviations it prints for a differing output."""
 
 import importlib.util
 import os
@@ -44,3 +44,15 @@ def test_a_center_value_reads_its_own_relative_move(output_sweep, tmp_path):
                        [f"790000000,0.25,-0.5,{value!r},41"],
                        [f"790000000,0.25,-0.5,{moved!r},41"])
     assert output_sweep._deviation(base, this) == pytest.approx(5e-14, rel=1e-3)
+
+
+def test_a_move_in_a_solver_path_column_reads_in_the_every_number_figure(output_sweep, tmp_path):
+    # the oracle skips optimum_x, optimum_y and iterations, so the result-column
+    # figure reads 0.0 where only the optimum moved
+    x = 0.25000034543303795
+    moved = x * (1.0 + 9.3e-14)
+    base, this = _pair(tmp_path, "seed,optimum_x,optimum_y,value,iterations",
+                       [f"11,{x!r},-0.5,6.6,26"], [f"11,{moved!r},-0.5,6.6,26"])
+    assert output_sweep._deviation(base, this) == 0.0
+    assert output_sweep._deviation(base, this, output_sweep._every_number) == pytest.approx(
+        9.3e-14, rel=1e-3)

@@ -13,7 +13,11 @@ checkout's output checks (golden digests included). For each differing
 CSV or JSON output it also prints the largest relative difference of its
 numbers, read as perfbench/oracle.py reads them, each number against its own
 base value floored at 2^-52 times the base file's largest magnitude (null
-where the other side lacks the file or the counts of numbers differ). It exits 1 on any difference or failed check.
+where the other side lacks the file or the counts of numbers differ), and the
+same figure over every number of the file: the oracle skips the solver-path
+columns (optimum_x, optimum_y, iterations), so a `center` CSV whose only move
+is in its optimum reads 0.0 by the first figure. It exits 1 on any difference
+or failed check.
 """
 
 import argparse
@@ -62,19 +66,32 @@ def _differences(a, b, rel=""):
     return found
 
 
-def _deviation(base_path, this_path):
+def _every_number(doc, out):
+    """Every number of a parsed output, in oracle._numbers's order, solver-path
+    columns included."""
+    if isinstance(doc, (dict, list)):
+        for v in doc.values() if isinstance(doc, dict) else doc:
+            _every_number(v, out)
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        out.append(float(doc))
+    return out
+
+
+def _deviation(base_path, this_path, numbers=None):
     """Largest |x - y| / |y| over the numbers of two outputs, y the base's, with |y|
     floored at 2^-52 times the base's largest magnitude (and at the least normal
     float); None when either is missing or not CSV or JSON, or their counts of
     numbers differ. The floor reads a rounding residue, such as an
     `invariance-check` CSV's rel_deviation of 0 against 3.3e-16, as at most a few
     units; over the largest magnitude itself, a `center` CSV's seed, up to 7.9e8,
-    would hide its other columns' moves."""
+    would hide its other columns' moves. numbers(doc, out) reads a parsed output's
+    numbers, oracle._numbers by default."""
     import oracle
+    numbers = numbers or oracle._numbers
     if not (base_path.endswith((".csv", ".json")) and os.path.isfile(base_path)
             and os.path.isfile(this_path)):
         return None
-    want, got = (oracle._numbers(oracle.read_output(p), []) for p in (base_path, this_path))
+    want, got = (numbers(oracle.read_output(p), []) for p in (base_path, this_path))
     if len(want) != len(got):
         return None
     floor = max(2.0 ** -52 * max(map(abs, want), default=0.0), sys.float_info.min)
@@ -102,10 +119,12 @@ def sweep(base, workloads, seeds, work):
                 jobs.append(f"job counts {len(base_recs)} != {len(this_recs)}")
             failed = [r["id"] for r in this_recs if r["problems"]]
             ok = ok and not (files or jobs or failed)
-            deviations = {f: _deviation(os.path.join(base_dir, f), os.path.join(this_dir, f))
-                          for f in files}
+            pairs = {f: (os.path.join(base_dir, f), os.path.join(this_dir, f)) for f in files}
+            deviations = {f: _deviation(*pair) for f, pair in pairs.items()}
+            every = {f: _deviation(*pair, _every_number) for f, pair in pairs.items()}
             print(json.dumps({"workload": workload, "seed": seed, "jobs": len(this_recs),
                               "files_differing": files, "largest_rel_difference": deviations,
+                              "largest_rel_difference_every_number": every,
                               "exit_or_stderr_differing": jobs,
                               "failing_checks": failed}), flush=True)
     return ok
