@@ -352,9 +352,10 @@ def _ellipsoid_solve(poly, variant, start):
                            CenterResult(best, fbest, centers.MAX_ITER, variant, fbest - lower))
 
 
-def _sequential_solve(poly, variant, start):
-    # the localization-cell loop for one start, one perimeter call per
-    # iteration: the reference the lock-step solver must match bit for bit
+def _centroid_solve(poly, variant, start):
+    # the localization-cell loop with a centroid query alone, one start at a
+    # time: the reference the Newton and ring rows' values must meet within
+    # twice GAP_TOL
     xs, ys = poly.vertices.T.tolist()
     e = math.frexp(poly.scale)[1]
     q = start
@@ -384,6 +385,86 @@ def _sequential_solve(poly, variant, start):
     raise ConvergenceError(f"no certificate in {centers.MAX_ITER} iterations "
                            f"(gap {fbest - lower:.3e})",
                            CenterResult(best, fbest, centers.MAX_ITER, variant, fbest - lower))
+
+
+def _sequential_solve(poly, variant, start):
+    # the lock-step loop for one start, one perimeter call per row: the
+    # reference the lock-step solver must match bit for bit
+    xs, ys = poly.vertices.T.tolist()
+    e = math.frexp(poly.scale)[1]
+    scales = math.ldexp(1.0, -e), math.ldexp(1.0, e)
+    points, closing = [start.tolist()], False
+    top, fbest, lower = None, math.inf, -math.inf
+    seen, fit_at, backoff = [], 0, 1
+    for iterations in range(1, centers.MAX_ITER + 1):
+        cast = []
+        for q in points:
+            try:
+                f, g = polygon_perimeter_subgradient(poly, np.array(q), variant)
+                cast.append((*q, f, *g.tolist()))
+            except NotInteriorError:
+                cast.append(None)
+        rows = [row for row in cast if row is not None]
+        before = fbest
+        for row in rows:
+            if row[2] < fbest:
+                top, fbest = row, row[2]
+        seen = (seen + rows)[-4:]
+        if len(points) == 2 and cast[1] is not None and cast[1][2] < before:
+            backoff = 1
+        elif len(points) == 2:
+            fit_at, backoff = iterations + backoff, 4 * backoff
+        kept, central = None, not closing
+        if central and cast[0] is None:
+            g0, g1 = poly.normals[np.argmax(poly.normals @ points[0] - poly.offsets)].tolist()
+            (qx, qy), central = points[0], False
+            xs, ys = centers._clip(xs, ys, [g0 * (x - qx) + g1 * (y - qy)
+                                            for x, y in zip(xs, ys)], 0.0)
+        for qx, qy, f, g0, g1 in rows:
+            if len(xs) < 3:
+                break
+            dots = [g0 * (x - qx) + g1 * (y - qy) for x, y in zip(xs, ys)]
+            lower = max(lower, f + min(dots))
+            cx, cy = centers._clip(xs, ys, dots, fbest - f)
+            if central:
+                xs, ys, central = cx, cy, False
+            elif len(cx) > 2:
+                kept = kept or (xs, ys)
+                xs, ys = cx, cy
+        if closing and len(xs) > 2:
+            lower = max(lower, *(f + min(g0 * (x - qx) + g1 * (y - qy) for x, y in zip(xs, ys))
+                                 for qx, qy, f, g0, g1 in rows))
+        if fbest - lower <= centers.GAP_TOL * fbest:
+            return CenterResult(np.array(top[:2]), fbest, iterations, variant, fbest - lower)
+        if closing:
+            closing, fit_at = False, math.inf
+        newton = None
+        if iterations >= fit_at and len(seen) >= 3:
+            newton = centers._secant_newton(seen, top, scales)
+            if newton is None:
+                fit_at, backoff = iterations + 1 + backoff, 4 * backoff
+            else:
+                closing = newton[2] > 0.0
+        centroid = centers._centroid(xs, ys, e)
+        if centroid is None and kept is not None:
+            xs, ys = kept
+            centroid = centers._centroid(xs, ys, e)
+        if centroid is None:
+            raise ConvergenceError(f"localization cell collapsed in {iterations} iterations "
+                                   f"(gap {fbest - lower:.3e})",
+                                   CenterResult(np.array(top[:2]), fbest, iterations, variant,
+                                                fbest - lower))
+        if newton is None:
+            points = [centroid]
+        elif closing:
+            nx, ny, r = newton
+            points = [[nx, ny]] + [[nx + r * ux, ny + r * uy] for ux, uy in centers._RING]
+        else:
+            points = [centroid, newton[:2]]
+    raise ConvergenceError(f"no certificate in {centers.MAX_ITER} iterations "
+                           f"(gap {fbest - lower:.3e})",
+                           CenterResult(np.array(top[:2]), fbest, centers.MAX_ITER, variant,
+                                        fbest - lower))
 
 
 def _assert_same_result(got, want):
@@ -436,6 +517,78 @@ def test_lock_step_convergence_error_is_the_first_failing_restart(monkeypatch, v
 
 
 @st.composite
+def polygons_with_one_to_five_starts(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    poly = _ellipse_polygon(rng, draw(st.integers(3, 64)), draw(st.booleans()))
+    poly = Polygon2(10.0 ** draw(st.floats(-3.0, 3.0)) * poly.vertices)
+    starts = rng.dirichlet(np.ones(len(poly)), size=draw(st.integers(0, 4))) @ poly.vertices
+    return poly, [poly.centroid, *starts]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(polygons_with_one_to_five_starts(), st.sampled_from(["directed", "busemann"]))
+def test_values_meet_the_centroid_loop_within_twice_the_gap(drawn, variant):
+    # Newton and ring rows change the path, not the certificate: both loops certify
+    # a gap of GAP_TOL, so their values differ by less than twice it
+    poly, starts = drawn
+    for got, start in zip(optimal_centers_2d(poly, variant, starts), starts):
+        want = _centroid_solve(poly, variant, start)
+        assert abs(got.value - want.value) <= 2.0 * GAP_TOL * want.value
+        assert got.gap <= GAP_TOL * got.value
+        assert got.value == PERIMETERS[variant](poly, got.optimum).value
+
+
+def _cli_starts(poly, seed):
+    # the starts of `center --restarts 5 --seed seed`
+    return [poly.centroid] + [centers._interior_point(poly, np.random.default_rng(seed + i))
+                              for i in range(1, 5)]
+
+
+def _cast_counts(monkeypatch, cases):
+    # the `_ray_casts` calls of one lock-step solve per (polygon, variant, seed)
+    calls, ray_casts = [], centers._ray_casts
+
+    def spy(poly, points, variant):
+        calls.append(len(points))
+        return ray_casts(poly, points, variant)
+
+    monkeypatch.setattr(centers, "_ray_casts", spy)
+    counts = []
+    for poly, variant, seed in cases:
+        calls.clear()
+        optimal_centers_2d(poly, variant, _cli_starts(poly, seed))
+        counts.append(len(calls))
+    return counts
+
+
+def _affine_regular(k):
+    m = np.array([[1.3, 0.4], [-0.2, 0.9]])
+    return Polygon2(regular_polygon(k, phase=0.1 * k).vertices @ m.T + [0.3, -0.2])
+
+
+def test_newton_rows_cut_the_casts_of_smooth_minima(monkeypatch):
+    # affine-regular polygons other than the hexagon have smooth minima; the
+    # centroid loop alone made 412 calls on this set
+    cases = [(_affine_regular(k), variant, 100 + k) for k in (3, 4, 5, 7, 8, 12, 16, 32)
+             for variant in ("directed", "busemann")]
+    assert sum(_cast_counts(monkeypatch, cases)) <= 0.45 * 412
+
+
+def test_crease_minima_cost_no_more_casts_than_the_centroid_loop(monkeypatch):
+    # minima on creases, where the secant model misfits: the regular hexagon's
+    # centre and those of random polygons, a third of them thin; the centroid
+    # loop alone made 29 and 31 calls on the hexagon and 1,242 on the whole set
+    cases = [(regular_polygon(6), variant, 106) for variant in ("directed", "busemann")]
+    for i in range(12):
+        rng = np.random.default_rng(200 + i)
+        poly = _ellipse_polygon(rng, int(rng.integers(3, 40)), i % 3 == 2)
+        cases += [(poly, variant, 300 + i) for variant in ("directed", "busemann")]
+    counts = _cast_counts(monkeypatch, cases)
+    assert counts[0] <= 29 and counts[1] <= 31
+    assert sum(counts) <= 1242
+
+
+@st.composite
 def thin_polygons_with_a_start(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     poly = _ellipse_polygon(rng, draw(st.integers(3, 64)), True)
@@ -464,6 +617,19 @@ def test_clip_and_centroid_of_the_unit_square():
     assert centers._clip(xs, ys, diagonal, 1.0) == ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
     assert centers._centroid([0.0, 1.0], [0.0, 0.0], 1) is None
     assert centers._centroid([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], 1) is None   # no area
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 40), st.floats(-1.0, 1.0))
+def test_cut_is_the_clip_of_the_query_dots_in_one_pass(seed, size, offset):
+    # the solver's fused cut: the least dot and the clipped cell, bit for bit
+    rng = np.random.default_rng(seed)
+    xs, ys = random_polygon(rng, size).vertices.T.tolist()
+    (qx, qy), (g0, g1) = rng.normal(scale=0.5, size=2).tolist(), rng.normal(size=2).tolist()
+    dots = [g0 * (x - qx) + g1 * (y - qy) for x, y in zip(xs, ys)]
+    bound = offset * (max(dots) - min(dots))
+    assert centers._cut(xs, ys, qx, qy, g0, g1, bound) == (min(dots),
+                                                          *centers._clip(xs, ys, dots, bound))
 
 
 @pytest.mark.parametrize("variant", ["directed", "busemann"])

@@ -141,27 +141,28 @@ def test_center_rows_converge(shapes):
 
 
 # `center --restarts 5` on affine-regular polygons, byte for byte as the
-# localization-cell solves printed them from starts drawn in the fan triangles
+# localization-cell solves with Newton and ring rows printed them from starts
+# drawn in the fan triangles
 CENTER_PINS = {
     "hept": ([[1.610146, -0.454651], [1.096441, 0.172014], [-0.054651, 0.292638],
               [-0.976335, -0.18361], [-0.974563, -0.898106], [-0.05067, -1.312821],
               [1.099633, -1.115465]], "directed", 11,
              "seed,optimum_x,optimum_y,value,iterations\n"
-             "11,0.25000034520367542,-0.50000034631873003,6.5730075274337967,26\n"
-             "12,0.25000060574892263,-0.50000037430460953,6.5730075274338429,37\n"
-             "13,0.25000045205241561,-0.50000026239466477,6.5730075274337718,33\n"
-             "14,0.25000049479715863,-0.50000028416696252,6.5730075274337665,34\n"
-             "15,0.25000051679743512,-0.50000038999137675,6.5730075274338136,34\n",
-             "best center (0.250000494797, -0.500000284167) value 6.57300752743\n"),
+             "11,0.25000045662537829,-0.50000030506853466,6.5730075274337612,11\n"
+             "12,0.25000045666954696,-0.5000003050752293,6.5730075274337612,11\n"
+             "13,0.2500004567376154,-0.50000030513950788,6.5730075274337603,11\n"
+             "14,0.25000045664937876,-0.50000030508231408,6.5730075274337603,12\n"
+             "15,0.25000045576524882,-0.50000030385995431,6.5730075274337603,13\n",
+             "best center (0.250000456738, -0.50000030514) value 6.57300752743\n"),
     "pent": ([[-1.037367, 3.383769], [-1.990075, 2.777285], [-1.574533, 1.09662],
               [-0.365006, 0.664395], [-0.03302, 2.077931]], "busemann", 29,
              "seed,optimum_x,optimum_y,value,iterations\n"
-             "29,-1.0000008805072749,1.9999999583599484,6.9098300562498105,23\n"
-             "30,-1.0000009023421477,2.0000000764341093,6.9098300562498016,33\n"
-             "31,-1.0000007502084363,2.000000418917621,6.9098300562498185,34\n"
-             "32,-1.0000008423454974,2.0000002327627562,6.9098300562497954,34\n"
-             "33,-1.0000008118460211,1.9999999933251358,6.9098300562498016,32\n",
-             "best center (-1.00000084235, 2.00000023276) value 6.90983005625\n"),
+             "29,-1.0000008195715282,2.0000001663990408,6.9098300562497945,6\n"
+             "30,-1.0000008283392838,2.0000001539556118,6.9098300562497945,11\n"
+             "31,-1.0000008284574713,2.0000001683967166,6.9098300562497936,13\n"
+             "32,-1.0000008284385897,2.000000168438822,6.9098300562497945,12\n"
+             "33,-1.0000008320759524,2.0000001722788054,6.9098300562497954,13\n",
+             "best center (-1.00000082846, 2.0000001684) value 6.90983005625\n"),
 }
 
 

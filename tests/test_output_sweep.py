@@ -56,3 +56,14 @@ def test_a_move_in_a_solver_path_column_reads_in_the_every_number_figure(output_
     assert output_sweep._deviation(base, this) == 0.0
     assert output_sweep._deviation(base, this, output_sweep._every_number) == pytest.approx(
         9.3e-14, rel=1e-3)
+
+
+def test_center_iterations_sum_the_iterations_column_of_center_csvs(output_sweep, tmp_path):
+    # other CSVs, such as a `perimeter` one, and JSON outputs do not count
+    (tmp_path / "r0-00.csv").write_text("seed,optimum_x,optimum_y,value,iterations\n"
+                                        "11,0.25,-0.5,6.6,26\n12,0.25,-0.5,6.6,37\n")
+    (tmp_path / "probe-00.csv").write_text("seed,optimum_x,optimum_y,value,iterations\n"
+                                           "7,1.0,2.0,6.9,4\n")
+    (tmp_path / "r0-01.csv").write_text("variant,center_x,center_y,value\ndirected,0,0,8\n")
+    (tmp_path / "r0-02.json").write_text('{"iterations": 100}')
+    assert output_sweep._center_iterations(str(tmp_path)) == 67

@@ -16,8 +16,9 @@ base value floored at 2^-52 times the base file's largest magnitude (null
 where the other side lacks the file or the counts of numbers differ), and the
 same figure over every number of the file: the oracle skips the solver-path
 columns (optimum_x, optimum_y, iterations), so a `center` CSV whose only move
-is in its optimum reads 0.0 by the first figure. It exits 1 on any difference
-or failed check.
+is in its optimum reads 0.0 by the first figure. It also prints each side's
+summed `iterations` column over the `center` CSVs of the job list. It exits 1
+on any difference or failed check.
 """
 
 import argparse
@@ -98,6 +99,21 @@ def _deviation(base_path, this_path, numbers=None):
     return max([abs(x - y) / max(abs(y), floor) for x, y in zip(got, want)], default=0.0)
 
 
+CENTER_HEADER = "seed,optimum_x,optimum_y,value,iterations"
+
+
+def _center_iterations(out_dir):
+    """The summed `iterations` column of the `center` CSVs in out_dir."""
+    total = 0
+    for name in sorted(os.listdir(out_dir)):
+        if name.endswith(".csv"):
+            with open(os.path.join(out_dir, name)) as fh:
+                lines = fh.read().splitlines()
+            if lines and lines[0] == CENTER_HEADER:
+                total += sum(int(line.rsplit(",", 1)[1]) for line in lines[1:])
+    return total
+
+
 def sweep(base, workloads, seeds, work):
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))   # this checkout's oracle, for _deviation
     ok = True
@@ -126,7 +142,10 @@ def sweep(base, workloads, seeds, work):
                               "files_differing": files, "largest_rel_difference": deviations,
                               "largest_rel_difference_every_number": every,
                               "exit_or_stderr_differing": jobs,
-                              "failing_checks": failed}), flush=True)
+                              "failing_checks": failed,
+                              "center_iterations": {
+                                  side: _center_iterations(os.path.join(runs[side][0], "out"))
+                                  for side in runs}}), flush=True)
     return ok
 
 
