@@ -17,10 +17,10 @@ Newton point beside the centroid (J. Nocedal and S. J. Wright, Numerical
 Optimization, 2006, ch. 6). Once the Newton step is within the radius over
 which the model rises by at most GAP_TOL / 2 of the value, a ring of three
 points at that radius around the Newton point replaces the centroid: their
-cuts close the cell around it and its bound certifies the gap. Each such row is an exact subgradient, so
-it is a valid cut and bound like any other. On a crease the model misfits,
-so failed fits back off exponentially and a ring that does not certify
-leaves the solve to its centroids.
+cuts close the cell around it and its bound certifies the gap. Each such row
+is an exact subgradient, so it is a valid cut and bound like any other. On a
+crease the model misfits, so failed fits back off exponentially and a ring
+that does not certify leaves the solve to its centroids.
 """
 
 from __future__ import annotations
@@ -115,8 +115,7 @@ def optimal_centers_2d(poly, variant, starts):
     interior query q with value f and subgradient g, x satisfies
     g.(x - q) <= fbest - f, so C is clipped to that half-plane, and
     f + min over the vertices v of C of g.(v - q) bounds the minimum from
-    below; at a query outside the polygon the edge of least slack gives a
-    central cut. A cut through the centroid removes at least 4/9 of C's area
+    below. A cut through the centroid removes at least 4/9 of C's area
     (Grunbaum). A solve stops when its best value is within GAP_TOL
     (relative) of its best lower bound, with the best query and its value.
 
@@ -129,12 +128,14 @@ def optimal_centers_2d(poly, variant, starts):
     centroid: their deep cuts leave a cell about r across, and the bounds of
     that iteration are taken over the cell all of its cuts leave, where the
     Newton point's certifies. Every interior row is an exact subgradient, so
-    each row cuts C and bounds the minimum. A Newton or ring cut that would
-    leave no area is rounding, and is skipped. A minimizer on a crease, where
-    the exit edge of a ray switches, defeats the model: a fit whose residual
-    exceeds a tenth of |y|, or whose Newton point does not improve on the
-    best value, waits 1, 4, 16, ... iterations before the next fit, and a
-    solve whose ring did not certify casts only centroids from then on.
+    each row cuts C and bounds the minimum, in one loop over the rows of
+    every iteration; a row outside the polygon cuts nothing. A Newton or
+    ring cut that would leave no area is rounding, and is skipped. A
+    minimizer on a crease, where the exit edge of a ray switches, defeats
+    the model: a fit whose residual exceeds a tenth of |y|, or whose Newton
+    point does not improve on the best value, waits 1, 4, 16, ... iterations
+    before the next fit, and a solve whose ring did not certify casts only
+    centroids from then on.
 
     Every iteration casts the rows of all open solves in one `_ray_casts`
     call; each solve keeps its own rows, cell, certificate and iteration
@@ -162,40 +163,55 @@ def optimal_centers_2d(poly, variant, starts):
     failed = None    # the ConvergenceError of the first solve whose cell collapsed
     live, points = list(range(len(starts))), [s.rows[0] for s in solves]
     for iterations in range(1, MAX_ITER + 1):
-        values, subgradients, inside, slack = _ray_casts(poly, np.array(points), variant)
-        values, subgradients, inside = values.tolist(), subgradients.tolist(), inside.tolist()
+        values, subgradients, inside = _ray_casts(poly, np.array(points), variant)
+        # each interior row (x, y, f, g0, g1); a row outside the polygon is None and cuts nothing
+        cast = [(x, y, f, g0, g1) if interior else None for (x, y), f, (g0, g1), interior
+                in zip(points, values.tolist(), subgradients.tolist(), inside.tolist())]
         still, k, points = [], 0, []
         for i in live:
             s = solves[i]
-            (xs, ys), fbest, lower, kept = s.cell, s.fbest, s.lower, None
+            (xs, ys), closing, kept = s.cell, s.closing, None
             j, k = k, k + len(s.rows)    # its rows of the cast
-            if k - j == 1:
-                # the start or a centroid alone
-                (qx, qy), f = s.rows[0], values[j]
-                if not inside[j]:
-                    # outside the polygon: a central cut along the most violated edge
-                    g0, g1 = poly.normals[slack[j].argmin()].tolist()
-                    xs, ys = _clip(xs, ys, [g0 * (x - qx) + g1 * (y - qy)
-                                            for x, y in zip(xs, ys)], 0.0)
+            rows = cast[j:k]
+            if None in rows:
+                rows = [row for row in rows if row is not None]
+            # the best value is taken first, so that every cut is as deep as it can be
+            fbest = before = s.fbest
+            for row in rows:
+                if row[2] < fbest:
+                    s.top, fbest = row, row[2]
+            s.fbest = fbest
+            s.seen.extend(rows)
+            if k - j == 2:
+                # a centroid and a Newton point: one that improves on the best value
+                # resets the backoff, and one that does not fails its fit
+                newton = cast[k - 1]
+                if newton is not None and newton[2] < before:
+                    s.backoff = 1
                 else:
-                    g0, g1 = subgradients[j]
-                    row = qx, qy, f, g0, g1
-                    if f < fbest:
-                        s.top, s.fbest = row, f
-                        fbest = f
-                    s.seen.append(row)
-                    least, xs, ys = _cut(xs, ys, qx, qy, g0, g1, fbest - f)
-                    # f + least is the least value the linear bound at q allows on the cell
-                    lower = max(lower, f + least)
-            else:
-                xs, ys, kept, lower = s.cuts(xs, ys, values[j:k], subgradients[j:k], inside[j:k],
-                                             iterations)
-                fbest = s.fbest
+                    s._wait(iterations - 1)    # the fit that gave this Newton point
+            lower, central = s.lower, not closing and cast[j] is not None
+            for qx, qy, f, g0, g1 in rows:
+                if len(xs) < 3:
+                    break    # the centroid cut left no cell: raised below
+                least, cx, cy = _cut(xs, ys, qx, qy, g0, g1, fbest - f)
+                # f + least is the least value the linear bound at q allows on the cell
+                lower = max(lower, f + least)
+                if central:    # the start or a centroid: its cut is always made
+                    xs, ys, central = cx, cy, False
+                elif len(cx) > 2:    # a cut that would leave no area is rounding: skipped
+                    kept = kept or (xs, ys)
+                    xs, ys = cx, cy
+            if closing and len(xs) > 2:
+                # every cut keeps the minimizer, so each bound holds over the cell they leave
+                lower = max(lower, *(f + min([g0 * (x - qx) + g1 * (y - qy)
+                                              for x, y in zip(xs, ys)])
+                                     for qx, qy, f, g0, g1 in rows))
             if fbest - lower <= GAP_TOL * fbest:
                 results[i] = CenterResult(np.array(s.top[:2]), fbest, iterations, variant,
                                           fbest - lower)
                 continue
-            if s.closing:    # the ring did not certify: the minimizer is on a crease
+            if closing:    # the ring did not certify: the minimizer is on a crease
                 s.closing, s.fit_at = False, math.inf
             s.lower = lower
             newton = s.model(scales, iterations) if iterations >= s.fit_at else None
@@ -250,47 +266,6 @@ class _Solve:
         self.cell, self.rows, self.closing = cell, [start], False
         self.top, self.fbest, self.lower = None, math.inf, -math.inf
         self.seen, self.fit_at, self.backoff = deque(maxlen=4), 0, 1
-
-    def cuts(self, xs, ys, values, subgradients, inside, iterations):
-        """(xs, ys, kept, lower) after a centroid-and-Newton or a closing iteration:
-        the cell cut by each interior row, the cell before its first Newton or
-        ring cut (None if none was made) and the lower bound.
-
-        The best value is taken first, so that every cut is as deep as it can
-        be. A closing iteration's bounds are taken over the cell that all of
-        its cuts leave. A Newton point that improves on the best value resets
-        the backoff, and one that does not fails its fit. Rows outside the
-        polygon cut nothing: the edge cut of a centroid there would keep the
-        whole cell."""
-        rows = [(*q, f, *g) for q, f, g, interior in zip(self.rows, values, subgradients, inside)
-                if interior]
-        before = self.fbest
-        for row in rows:
-            if row[2] < self.fbest:
-                self.top, self.fbest = row, row[2]
-        self.seen.extend(rows)
-        if not self.closing:
-            if inside[-1] and values[-1] < before:
-                self.backoff = 1
-            else:
-                self._wait(iterations - 1)    # the fit that gave this Newton point
-        fbest, lower, kept = self.fbest, self.lower, None
-        centroid = not self.closing and inside[0]
-        for qx, qy, f, g0, g1 in rows:
-            if len(xs) < 3:
-                break    # the centroid cut left no cell: raised by the caller
-            least, cx, cy = _cut(xs, ys, qx, qy, g0, g1, fbest - f)
-            lower = max(lower, f + least)
-            if centroid:
-                xs, ys, centroid = cx, cy, False
-            elif len(cx) > 2:    # a cut that would leave no area is rounding: skipped
-                kept = kept or (xs, ys)
-                xs, ys = cx, cy
-        if self.closing and len(xs) > 2:
-            # every cut keeps the minimizer, so each bound holds over the cell they leave
-            lower = max(lower, *(f + min([g0 * (x - qx) + g1 * (y - qy) for x, y in zip(xs, ys)])
-                                 for qx, qy, f, g0, g1 in rows))
-        return xs, ys, kept, lower
 
     def _wait(self, fitted):
         # the fit made at the end of iteration fitted failed: the next waits backoff iterations
@@ -356,8 +331,9 @@ def _secant_newton(seen, top, scales):
 
 def _cut(xs, ys, qx, qy, g0, g1, bound):
     """(least, cx, cy): the least of g.(v - q) over the vertices v of the cell
-    (xs, ys), and the cell cut to g.(x - q) <= bound, the cut `_clip` makes,
-    in one pass over the vertices."""
+    (xs, ys), and the cell cut to g.(x - q) <= bound, in the same order, each
+    crossing put before the vertex that ends its edge, in one pass over the
+    vertices."""
     cx, cy = [], []
     px, py = xs[-1], ys[-1]
     least = g0 * (px - qx) + g1 * (py - qy)
@@ -376,25 +352,6 @@ def _cut(xs, ys, qx, qy, g0, g1, bound):
             cy.append(y)
         px, py, ps = x, y, s
     return least, cx, cy
-
-
-def _clip(xs, ys, dots, bound):
-    """The convex cell (xs, ys) cut to where the affine function taking the values
-    dots at its vertices is at most bound, in the same order, each crossing put
-    before the vertex that ends its edge."""
-    cx, cy = [], []
-    px, py, ps = xs[-1], ys[-1], dots[-1] - bound
-    for x, y, d in zip(xs, ys, dots):
-        s = d - bound
-        if (ps < 0.0 < s) or (s < 0.0 < ps):
-            t = ps / (ps - s)
-            cx.append(px + t * (x - px))
-            cy.append(py + t * (y - py))
-        if s <= 0.0:
-            cx.append(x)
-            cy.append(y)
-        px, py, ps = x, y, s
-    return cx, cy
 
 
 def grunbaum_bound_check(poly):

@@ -69,24 +69,24 @@ def polygon_perimeter_subgradient(poly, center, variant):
     The one-point case of `_ray_casts`; raises NotInteriorError unless the
     center is strictly inside the polygon.
     """
-    values, subgradients, inside, _ = _ray_casts(poly, _point(center, 2)[None], variant)
+    values, subgradients, inside = _ray_casts(poly, _point(center, 2)[None], variant)
     if not inside[0]:
         raise NotInteriorError("center is not strictly inside the polygon")
     return float(values[0]), subgradients[0]
 
 
 def _ray_casts(poly, points, variant):
-    """(values, subgradients, inside, slack) of a polygon's self-perimeter at each row
-    of points (R, 2).
+    """(values, subgradients, inside) of a polygon's self-perimeter at each row of
+    points (R, 2).
 
     The ray radius r_i of edge i leaves through edge j, so r_i = s_j / (n_j.t_i)
     with slack s_j = h_j - n_j.p, and d r_i / dp = -r_i n_j / s_j. Where several
     exit edges tie (a crease of the convex objective) any of them gives a valid
-    subgradient. slack (R, k) holds the edge slacks of each row, and inside (R,)
-    flags the rows strictly inside the polygon, where every slack is positive;
-    the values and subgradients of the other rows are meaningless, and they
-    raise no floating-point warning. Each row gets the IEEE operations of a
-    one-point cast (see geometry._slack), so its bits do not depend on the others.
+    subgradient. inside (R,) flags the rows strictly inside the polygon, where
+    every edge slack is positive; the values and subgradients of the other rows
+    are meaningless, and they raise no floating-point warning. Each row gets the
+    IEEE operations of a one-point cast (see geometry._slack), so its bits do not
+    depend on the others.
     """
     _check_variant(variant)
     k = len(poly)
@@ -107,7 +107,7 @@ def _ray_casts(poly, points, variant):
             w = 2.0 * lengths / chords ** 2
             subgradients = (_weighted_normals(w * fwd / at_exit[:, :k], normals, j_fwd)
                             + _weighted_normals(w * bwd / at_exit[:, k:], normals, j_bwd))
-    return values, subgradients, inside, slack
+    return values, subgradients, inside
 
 
 def _weighted_normals(weights, normals, exits):

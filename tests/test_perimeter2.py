@@ -321,7 +321,7 @@ def polygons_with_points(draw, max_points=64):
 @given(polygons_with_points(), st.sampled_from(["directed", "busemann"]))
 def test_ray_cast_rows_are_the_one_point_casts_bit_for_bit(drawn, variant):
     poly, points = drawn
-    values, grads, inside, _ = _ray_casts(poly, points, variant)
+    values, grads, inside = _ray_casts(poly, points, variant)
     assert values.shape == inside.shape == (len(points),) and grads.shape == points.shape
     assert inside.all()
     for value, grad, point in zip(values, grads, points):
@@ -337,7 +337,7 @@ def test_ray_casts_flag_rows_outside_without_warnings(variant):
                        poly.vertices[2], [-1e300, 1e300], [0.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, grads, inside, _ = _ray_casts(poly, points, variant)
+        values, grads, inside = _ray_casts(poly, points, variant)
     assert inside.tolist() == [True, False, False, True, False, False, False, True]
     for r in np.flatnonzero(inside):
         want_value, want_grad = polygon_perimeter_subgradient(poly, points[r], variant)
