@@ -11,28 +11,37 @@ through its centroid removes at least 4/9 of its area (B. Grunbaum, Pacific
 J. Math. 10, 1960). Every cut also gives a lower bound on the minimum, and
 the solve stops when the best value lies within GAP_TOL of it.
 
-Where the minimizer is smooth, the cuts alone close in linearly, so a solve
-also fits a secant model of the Hessian to its last queries and casts its
-Newton point beside the centroid (J. Nocedal and S. J. Wright, Numerical
-Optimization, 2006, ch. 6). Once the Newton step is within the radius over
-which the model rises by at most GAP_TOL / 2 of the value, a ring of three
-points at that radius around the Newton point replaces the centroid: their
-cuts close the cell around it and its bound certifies the gap. Each such row
-is an exact subgradient, so it is a valid cut and bound like any other. On a
-crease the model misfits, so failed fits back off exponentially and a ring
-that does not certify leaves the solve to its centroids.
+The cuts alone close in linearly, so a solve also casts rows placed by the
+objective's own pieces. Each term is a ratio of parallel lengths, smooth and
+convex while every ray keeps its exit edge, with a closed-form Hessian
+(perimeter2._ray_casts); the exit edge of a ray switches exactly on a line
+through a vertex parallel to an edge, so every crease is a known straight
+line. A Newton step along the smooth manifold through a nonsmooth minimum
+restores fast convergence (R. Mifflin and C. Sagastizabal, "A VU-algorithm
+for convex minimization", Math. Programming 104, 2005); here that manifold
+is the piece itself, a crease line or a crossing of two. So a solve casts
+the Newton point of its best row's piece, and, where the model fails across
+creases, the least of the model on each nearby crease line and the
+crossings of those lines. Once the step is short, a ring of points about its
+end, one in each sector between the lines through it, closes the cell about
+the minimizer and certifies the gap. Every row is an exact subgradient, so
+it is a valid cut and bound like any other.
+
+The solve runs about the polygon's own centroid: the slacks h - nu.p then
+carry no rounding of the polygon's offset from the origin, so the certified
+gap bounds the true one wherever the polygon lies.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (REL_TOL, BarycentricPoint, GeometryError, NotInteriorError, Polygon2,
-                       _centroid, _count, _point)
+                       _centroid, _count, _point, _slack)
 # self_perimeter_polygon and busemann_perimeter_polygon are not called here:
 # they stay as module bindings because perfbench/tracing.py patches them in this module
 from .perimeter2 import (_check_variant, _ray_casts, busemann_perimeter_polygon,  # noqa: F401
@@ -111,38 +120,41 @@ def optimal_centers_2d(poly, variant, starts):
 
     Center-of-gravity method on a localization cell C, a CCW polygon that
     starts as the polygon itself and always holds the minimizer x. The first
-    query is the start point and every later one the centroid of C. At an
-    interior query q with value f and subgradient g, x satisfies
-    g.(x - q) <= fbest - f, so C is clipped to that half-plane, and
-    f + min over the vertices v of C of g.(v - q) bounds the minimum from
-    below. A cut through the centroid removes at least 4/9 of C's area
-    (Grunbaum). A solve stops when its best value is within GAP_TOL
+    query is the start point. At an interior query q with value f and
+    subgradient g, x satisfies g.(x - q) <= fbest - f, so C is clipped to that
+    half-plane, and f + min over the vertices v of C of g.(v - q) bounds the
+    minimum from below. A cut through the centroid removes at least 4/9 of C's
+    area (Grunbaum). A solve stops when its best value is within GAP_TOL
     (relative) of its best lower bound, with the best query and its value.
 
-    Once a solve has three interior queries, it fits a symmetric H to the
-    secants of its last ones about its best query b (`_secant_newton`) and,
-    while H fits and is positive definite, casts the Newton point
-    q_b - H^-1 g_b beside the centroid. Once that step is within the closing
-    radius r = sqrt(GAP_TOL fbest / lambda_max(H)), it casts the Newton point
-    and a ring of three points at radius r around it in place of the
-    centroid: their deep cuts leave a cell about r across, and the bounds of
-    that iteration are taken over the cell all of its cuts leave, where the
-    Newton point's certifies. Every interior row is an exact subgradient, so
-    each row cuts C and bounds the minimum, in one loop over the rows of
-    every iteration; a row outside the polygon cuts nothing. A Newton or
-    ring cut that would leave no area is rounding, and is skipped. A
-    minimizer on a crease, where the exit edge of a ray switches, defeats
-    the model: a fit whose residual exceeds a tenth of |y|, or whose Newton
-    point does not improve on the best value, waits 1, 4, 16, ... iterations
-    before the next fit, and a solve whose ring did not certify casts only
-    centroids from then on.
+    Each iteration's rows come from the best row b, its piece's Hessian H and
+    the crease lines of that piece (_Solve.plan):
+    - the centroid of C, whose cut is always made; it is left out while the
+      last Newton point improved on the best value;
+    - the Newton point q_b - H^-1 g_b of b's piece;
+    - where the model fails (the last Newton point no better than the best
+      value), for the MAX_LINES crease lines of b's piece nearest b that
+      cross C, the least of b's quadratic model on each, and the
+      MAX_CROSSINGS crossings of two of them inside C nearest b;
+    - once b's Newton step (along its line, for a row placed on one; none,
+      for a crossing) is short, a ring about the step's end at the radius
+      sqrt(GAP_TOL f / lambda_max(H)) (half that square for a crease point),
+      one point in each sector between the piece's lines through it, in
+      place of the other rows. Its bounds are taken over the cell all of the
+      iteration's cuts leave, and a ring that does not certify makes the
+      next one about the same region 4 times narrower.
+    Every interior row is an exact subgradient, so each row cuts C and bounds
+    the minimum, in one loop over the rows of every iteration; a row outside
+    the polygon cuts nothing, and a cut other than the centroid's that would
+    leave no area is rounding, and is skipped.
 
-    Every iteration casts the rows of all open solves in one `_ray_casts`
-    call; each solve keeps its own rows, cell, certificate and iteration
-    count, so its result is bit for bit that of solving it alone. A solve
-    fails when a centroid cut leaves its cell no area or MAX_ITER passes;
-    ConvergenceError then carries the best iterate of the first failing
-    solve, the one a solve of each start in turn would raise.
+    The solve runs on the polygon moved by its centroid (Polygon2._moved), and
+    the optimum is moved back. Every iteration casts the rows of all open
+    solves in one `_ray_casts` call; each solve keeps its own rows, cell,
+    certificate and iteration count, so its result is bit for bit that of
+    solving it alone. A solve fails when a centroid cut leaves its cell no
+    area or MAX_ITER passes; ConvergenceError then carries the best iterate of
+    the first failing solve, the one a solve of each start in turn would raise.
 
     Returns a list of CenterResult, one per start, in order.
     """
@@ -152,18 +164,22 @@ def optimal_centers_2d(poly, variant, starts):
     starts = [_point(start, 2) for start in starts]
     if not starts:
         raise GeometryError("need at least one start point")
-    for start in starts:
-        if not poly.interior_distance(start) > 0.0:   # NaN for a NaN/inf start
-            raise NotInteriorError("start point is not strictly inside the polygon")
-    e = math.frexp(poly.scale)[1]
-    scales = math.ldexp(1.0, -e), math.ldexp(1.0, e)
-    cell = tuple(poly.vertices.T.tolist())
-    solves = [_Solve(cell, start.tolist()) for start in starts]
+    with np.errstate(invalid="ignore"):
+        slack = _slack(poly.normals, poly.offsets, np.array(starts))
+    if not (slack.min(axis=1) > 0.0).all():   # NaN for a NaN/inf start
+        raise NotInteriorError("start point is not strictly inside the polygon")
+    shift = poly.centroid
+    frame = poly._moved(shift)
+    creases = _Creases(frame, variant)
+    e = creases.e
+    cell = tuple(frame.vertices.T.tolist())
+    solves = [_Solve(cell, (start - shift).tolist()) for start in starts]
     results = [None] * len(starts)
     failed = None    # the ConvergenceError of the first solve whose cell collapsed
     live, points = list(range(len(starts))), [s.rows[0] for s in solves]
     for iterations in range(1, MAX_ITER + 1):
-        values, subgradients, inside = _ray_casts(poly, np.array(points), variant)
+        values, subgradients, hessians, exits, inside = _ray_casts(frame, np.array(points),
+                                                                   variant)
         # each interior row (x, y, f, g0, g1); a row outside the polygon is None and cuts nothing
         cast = [(x, y, f, g0, g1) if interior else None for (x, y), f, (g0, g1), interior
                 in zip(points, values.tolist(), subgradients.tolist(), inside.tolist())]
@@ -172,25 +188,20 @@ def optimal_centers_2d(poly, variant, starts):
             s = solves[i]
             (xs, ys), closing, kept = s.cell, s.closing, None
             j, k = k, k + len(s.rows)    # its rows of the cast
-            rows = cast[j:k]
-            if None in rows:
-                rows = [row for row in rows if row is not None]
             # the best value is taken first, so that every cut is as deep as it can be
-            fbest = before = s.fbest
-            for row in rows:
-                if row[2] < fbest:
-                    s.top, fbest = row, row[2]
-            s.fbest = fbest
-            s.seen.extend(rows)
-            if k - j == 2:
-                # a centroid and a Newton point: one that improves on the best value
-                # resets the backoff, and one that does not fails its fit
-                newton = cast[k - 1]
-                if newton is not None and newton[2] < before:
-                    s.backoff = 1
-                else:
-                    s._wait(iterations - 1)    # the fit that gave this Newton point
-            lower, central = s.lower, not closing and cast[j] is not None
+            fbest, top = s.fbest, None
+            for r in range(j, k):
+                row = cast[r]
+                if row is not None and row[2] < fbest:
+                    top, fbest = r, row[2]
+            n = s.stepped    # the index of its Newton row; -1 for one outside its cell
+            if top is not None:
+                s.top, s.fbest, s.on = cast[top], fbest, s.marks[top - j]
+                s.hessian, s.exits = hessians[top], exits[top]
+                if not closing:    # a new best row away from a ring: full-width rings again
+                    s.narrow = 1.0
+            rows = [row for row in cast[j:k] if row is not None]
+            lower, central = s.lower, s.central and cast[j] is not None
             for qx, qy, f, g0, g1 in rows:
                 if len(xs) < 3:
                     break    # the centroid cut left no cell: raised below
@@ -203,38 +214,34 @@ def optimal_centers_2d(poly, variant, starts):
                     kept = kept or (xs, ys)
                     xs, ys = cx, cy
             if closing and len(xs) > 2:
-                # every cut keeps the minimizer, so each bound holds over the cell they leave
-                lower = max(lower, *(f + min([g0 * (x - qx) + g1 * (y - qy)
-                                              for x, y in zip(xs, ys)])
-                                     for qx, qy, f, g0, g1 in rows))
+                # every cut keeps the minimizer, so each bound holds over the cell they
+                # leave: the best row's first, then the others while the gap stays open
+                for qx, qy, f, g0, g1 in [s.top, *rows]:
+                    lower = max(lower, f + min([g0 * (x - qx) + g1 * (y - qy)
+                                                for x, y in zip(xs, ys)]))
+                    if fbest - lower <= GAP_TOL * fbest:
+                        break
             if fbest - lower <= GAP_TOL * fbest:
-                results[i] = CenterResult(np.array(s.top[:2]), fbest, iterations, variant,
-                                          fbest - lower)
+                results[i] = CenterResult(np.array(s.top[:2]) + shift, fbest, iterations,
+                                          variant, fbest - lower)
                 continue
-            if closing:    # the ring did not certify: the minimizer is on a crease
-                s.closing, s.fit_at = False, math.inf
+            if closing:    # the ring did not certify: the next one is 4 times narrower
+                s.narrow *= 0.25
             s.lower = lower
-            newton = s.model(scales, iterations) if iterations >= s.fit_at else None
             centroid = _centroid(xs, ys, e)
             if centroid is None and kept is not None:
-                xs, ys = kept    # a Newton or ring cut left a cell of no area
+                xs, ys = kept    # a cut after the centroid's left a cell of no area
                 centroid = _centroid(xs, ys, e)
             if centroid is None:
                 gap = fbest - lower
                 failed = ConvergenceError(
                     f"localization cell collapsed in {iterations} iterations (gap {gap:.3e})",
-                    CenterResult(np.array(s.top[:2]), fbest, iterations, variant, gap))
+                    CenterResult(np.array(s.top[:2]) + shift, fbest, iterations, variant, gap))
                 # raised once every earlier solve has finished, as a solve of each
                 # start in turn would; the later solves cannot change the outcome
                 break
             s.cell = xs, ys
-            if newton is None:
-                s.rows = [centroid]
-            elif s.closing:
-                nx, ny, r = newton
-                s.rows = [[nx, ny], *([nx + r * ux, ny + r * uy] for ux, uy in _RING)]
-            else:
-                s.rows = [centroid, newton[:2]]
+            s.plan(creases, centroid, n is not None and top == j + n)
             points += s.rows
             still.append(i)
         live = still
@@ -245,88 +252,224 @@ def optimal_centers_2d(poly, variant, starts):
     s = solves[live[0]]
     gap = s.fbest - s.lower
     raise ConvergenceError(f"no certificate in {MAX_ITER} iterations (gap {gap:.3e})",
-                           CenterResult(np.array(s.top[:2]), s.fbest, MAX_ITER, variant, gap))
+                           CenterResult(np.array(s.top[:2]) + shift, s.fbest, MAX_ITER, variant,
+                                        gap))
 
 
-# the unit directions of the closing ring, 120 degrees apart
-_RING = ((1.0, 0.0), (-0.5, 0.8660254037844386), (-0.5, -0.8660254037844386))
+# a solve whose model fails casts the least of the model on this many crease lines
+# nearest its best row that cross its cell, and this many crossings of two of them
+# inside the cell, nearest its best row
+MAX_LINES = 4
+MAX_CROSSINGS = 4
+# a ring is cast once the squared Newton step is within CLOSE_STEP f / lambda_max:
+# the model's next step, about the square of this one over the width
+# sqrt(f / lambda_max), then falls within the ring's radius
+# sqrt(GAP_TOL f / lambda_max); a step within that radius itself, as the ring
+# would need without this look-ahead, costs one more iteration per smooth solve
+CLOSE_STEP = math.sqrt(GAP_TOL)
+_NO_LINES = np.empty((0, 2)), np.empty(0)
+
+
+class _Creases:
+    """The crease lines of a polygon's self-perimeter for one variant.
+
+    The ray of edge i (and its reverse, for the Busemann variant) leaves through
+    edge j while n_i.p lies between n_i.v_j and n_i.v_j+1, so the objective is
+    smooth between the lines n_i.x = n_i.v_m through the vertices, parallel to the
+    edges. Column c of _ray_casts' exits is the ray of edge c mod k. e is the
+    exponent of the polygon's scale. The tables are built on first use: a solve
+    whose Newton steps all improve on its best value reads none."""
+
+    def __init__(self, frame, variant):
+        self.frame, self.e = frame, math.frexp(frame.scale)[1]
+        self.columns = 2 * len(frame) if variant == "busemann" else len(frame)
+
+    @functools.cached_property
+    def _tables(self):
+        """(normals, ends, first): per column c its edge's unit normal (c, 2); ends
+        (2, k k) the offsets n_i.v_j and n_i.v_j+1 of the lines through both ends of
+        edge j, at i k + j; first (c,) the start i k of column c's edge."""
+        k, normals = len(self.frame), self.frame.normals
+        lines = normals @ self.frame.vertices.T
+        ends = np.array([lines, np.concatenate([lines[:, 1:], lines[:, :1]], axis=1)])
+        rays = np.arange(self.columns) % k
+        return normals[rays], ends.reshape(2, k * k), rays * k
+
+    def piece(self, exits):
+        """(normals (2 c, 2), offsets (2 c,)) of the crease lines that bound the piece
+        of exit edges exits: those through both ends of each exit edge."""
+        normals, ends, first = self._tables
+        return np.concatenate([normals, normals]), ends[:, first + exits].ravel()
 
 
 class _Solve:
-    """One start's solve: its cell (xs, ys) of Python floats, the rows it casts
-    next and whether they are a closing ring, its best interior row top
-    (x, y, f, g0, g1) and certificate, and its secant model: the last four
-    interior rows, the iteration of its next fit (inf once a ring did not
-    certify) and the wait after a failed one."""
+    """One start's solve, in the centroid frame: its cell (xs, ys) of Python floats;
+    the rows it casts next, with the crease lines each was placed on (marks: None
+    for the start and a centroid, () for a Newton or ring point), whether the
+    first is its central cut, whether they are a ring (closing) and the index of
+    its Newton row (stepped); its best interior row top (x, y, f, g0, g1) with the
+    Hessian and exit edges of its piece and its mark (on); its certificate; the
+    narrowing of its next ring, the best row of its last ring (rung) and whether
+    its last Newton point failed to improve (missed)."""
 
-    __slots__ = ("cell", "rows", "closing", "top", "fbest", "lower", "seen", "fit_at",
-                 "backoff")
+    __slots__ = ("cell", "rows", "marks", "central", "closing", "stepped", "top", "fbest",
+                 "lower", "hessian", "exits", "on", "narrow", "rung", "missed")
 
     def __init__(self, cell, start):
-        self.cell, self.rows, self.closing = cell, [start], False
+        self.cell, self.rows, self.marks, self.central = cell, [start], [None], True
+        self.closing, self.stepped = False, None
         self.top, self.fbest, self.lower = None, math.inf, -math.inf
-        self.seen, self.fit_at, self.backoff = deque(maxlen=4), 0, 1
+        self.hessian = self.exits = self.on = self.rung = None
+        self.narrow, self.missed = 1.0, False
 
-    def _wait(self, fitted):
-        # the fit made at the end of iteration fitted failed: the next waits backoff iterations
-        self.fit_at, self.backoff = fitted + 1 + self.backoff, 4 * self.backoff
+    def plan(self, creases, centroid, improved):
+        """Set the rows of the next iteration, improved telling whether its last Newton
+        point became the best row.
+        - The centroid, unless improved, and the Newton point of the best row's piece.
+        - Where the model fails (not improved, after a model row was best or twice in
+          a row), the crease rows of _creases.
+        - In place of these, once the best row's Newton step (along its line for a row
+          placed on one; none for a crossing) is within the closing step, a ring about
+          the step's end (_ring); not twice in a row about one best row."""
+        missed, self.missed = self.missed, self.stepped is not None and not improved
+        fails = self.missed and (missed or self.on is not None)
+        self.rows, self.marks, self.stepped, self.closing = [centroid], [None], None, False
+        self.central = True
+        if self.top is None:    # the start lies outside the frame by rounding
+            return
+        x, y, f, g0, g1 = self.top
+        # in units of up = 2**e, exactly, so that no product leaves the float range
+        up = math.ldexp(1.0, creases.e)
+        (a, c), (_, d) = self.hessian.tolist()
+        a, c, d, g0, g1 = a * up * up, c * up * up, d * up * up, g0 * up, g1 * up
+        lam = 0.5 * (a + d) + math.hypot(0.5 * (a - d), c)
+        # the squared radius over which the model rises by GAP_TOL f, and the squared
+        # step within which a ring is cast
+        reach = max(GAP_TOL * f / lam, 0.0) if lam > 0.0 else 0.0
+        close = CLOSE_STEP * f / lam if lam > 0.0 else 0.0
+        on, ring, self.rung = self.on or (), self.top is not self.rung, None
+        if ring and len(on) == 2:
+            self._ring(creases, [], [], x, y, math.sqrt(0.5 * reach) * up)
+            return
+        if ring and len(on) == 1:
+            (n0, n1, _), = on
+            curve = n1 * (a * n1 - c * n0) - n0 * (c * n1 - d * n0)
+            step = (g0 * n1 - g1 * n0) / curve if curve > 0.0 else math.inf
+            if step * step <= close:    # the step along t = (-n1, n0)
+                cx, cy = x - step * n1 * up, y + step * n0 * up
+                self._ring(creases, [[cx, cy]], [on], cx, cy, math.sqrt(0.5 * reach) * up)
+                return
+        det = a * d - c * c
+        if det > 0.0:
+            s0, s1 = (c * g1 - d * g0) / det, (c * g0 - a * g1) / det
+            newton = [x + s0 * up, y + s1 * up]
+            if ring and not on and not fails and s0 * s0 + s1 * s1 <= close:
+                self.stepped = 0
+                self._ring(creases, [newton], [()], *newton, math.sqrt(reach) * up)
+                return
+            if not _within(*self.cell, *newton):
+                # every point outside the cell lies above the best value: a failed step
+                self.stepped = -1
+            elif improved:    # the model holds: its step, not the centroid, leads
+                self.rows, self.marks, self.central, self.stepped = [newton], [()], False, 0
+            else:
+                self.rows.append(newton)
+                self.marks.append(())
+                self.stepped = 1
+        if fails or on:
+            self._creases(creases.piece(self.exits) if fails else _NO_LINES,
+                          up, a, c, d, g0, g1)
 
-    def model(self, scales, iterations):
-        """The Newton point (x, y, r) to cast next, r the radius of its closing
-        ring or 0.0, or None; sets closing. Failed fits wait 1, 4, 16, ...
-        iterations before the next, until a Newton point improves on the best
-        value."""
-        if len(self.seen) < 3:
-            return None
-        newton = _secant_newton(self.seen, self.top, scales)
-        if newton is None:
-            self._wait(iterations)
-            return None
-        self.closing = newton[2] > 0.0
-        return newton
+    def _creases(self, lines, up, a, c, d, g0, g1):
+        """Cast the least of the best row's quadratic model on each of the MAX_LINES
+        crease lines nearest it that meet the cell, of lines (normals, offsets) and
+        those it lies on, and the MAX_CROSSINGS crossings of two of those lines
+        inside the cell nearest it. a, c, d, g0, g1 are its Hessian and gradient in
+        units of up."""
+        x, y = self.top[:2]
+        xs, ys = self.cell
+        normals, offsets = lines
+        if self.on:
+            normals = np.vstack([normals, [line[:2] for line in self.on]])
+            offsets = np.concatenate([offsets, [line[2] for line in self.on]])
+        heights = normals @ [xs, ys]
+        gaps = np.abs(offsets - normals @ [x, y])
+        meet = ((heights.min(axis=1) <= offsets) & (offsets <= heights.max(axis=1))).nonzero()[0]
+        # a line comes at most twice, as the lines of antiparallel edges
+        near = meet[np.argsort(gaps[meet], kind="stable")[:2 * MAX_LINES]]
+        kept = []
+        for gap, n0, n1, offset in zip(gaps[near].tolist(), *normals[near].T.tolist(),
+                                       offsets[near].tolist()):
+            # a line met twice, or as the line of an antiparallel edge, counts once
+            if all(abs(n0 * m1 - n1 * m0) > 1e-9 or abs(gap - h) > 1e-9 * up
+                   for h, m0, m1, _ in kept):
+                kept.append((gap, n0, n1, offset))
+                if len(kept) == MAX_LINES:
+                    break
+        lines = [line[1:] for line in kept]
+        for line in lines:
+            # the foot of the best row on the line, then the least of the model along
+            # t = (-n1, n0), in units of up
+            n0, n1, offset = line
+            gap = (offset - (n0 * x + n1 * y)) / up
+            curve = n1 * (a * n1 - c * n0) - n0 * (c * n1 - d * n0)
+            slope = (g1 * n0 - g0 * n1) + gap * (n0 * (c * n0 + d * n1) - n1 * (a * n0 + c * n1))
+            step = -slope / curve if curve > 0.0 else 0.0
+            px, py = x + (gap * n0 - step * n1) * up, y + (gap * n1 + step * n0) * up
+            if _within(xs, ys, px, py):
+                self.rows.append([px, py])
+                self.marks.append((line,))
+        crossings = []
+        for p, (n0, n1, h) in enumerate(lines):
+            for m0, m1, g in lines[p + 1:]:
+                det = n0 * m1 - n1 * m0
+                if abs(det) > 1e-6:
+                    px, py = (h * m1 - g * n1) / det, (n0 * g - m0 * h) / det
+                    if _within(xs, ys, px, py):
+                        crossings.append((math.hypot(px - x, py - y), px, py,
+                                          (lines[p], (m0, m1, g))))
+        crossings.sort(key=lambda item: item[0])
+        for _, px, py, pair in crossings[:MAX_CROSSINGS]:
+            self.rows.append([px, py])
+            self.marks.append(pair)
+
+    def _ring(self, creases, rows, marks, cx, cy, radius):
+        """Set rows, then ring points about (cx, cy) at radius times the narrowing: one
+        in each sector between the crease lines of the best row's piece that pass
+        within half that radius, and for a single line also one each way along it;
+        about a Newton point (marks [()]), three 120 degrees apart."""
+        radius *= self.narrow
+        angles = []
+        if marks != [()]:
+            normals, offsets = creases.piece(self.exits)
+            close = np.abs(offsets - normals @ [cx, cy]) <= 0.5 * radius
+            for t in sorted((np.arctan2(normals[close, 0], -normals[close, 1]) % math.pi)
+                            .tolist()):
+                if not angles or t - angles[-1] > 1e-9:
+                    angles.append(t)
+            # antiparallel edges give one line at angles a rounding, or pi, apart
+            if len(angles) > 1 and angles[0] + math.pi - angles[-1] <= 1e-9:
+                angles.pop()
+        if len(angles) == 1:
+            mids = [angles[0] + 0.5 * math.pi * i for i in range(4)]
+        elif angles:
+            angles += [t + math.pi for t in angles]
+            mids = [0.5 * (t + u) for t, u in zip(angles, angles[1:] + [angles[0] + 2.0 * math.pi])]
+        else:
+            mids = [0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0]
+        self.rows = rows + [[cx + radius * math.cos(t), cy + radius * math.sin(t)] for t in mids]
+        self.marks = marks + [()] * len(mids)
+        self.closing, self.rung, self.central = True, self.top, False
 
 
-def _secant_newton(seen, top, scales):
-    """(x, y, r): the Newton point q_b - H^-1 g_b of the best interior row b = top
-    and the radius r = sqrt(GAP_TOL f_b / lambda_max(H)) of its closing ring when
-    the step is at most r, else r = 0.0; None unless H fits.
-
-    H = [[a, c], [c, d]] is the symmetric matrix fitted by least squares to
-    y_j = H s_j, with s_j = q_j - q_b and y_j = g_j - g_b over the last three
-    rows of seen other than b, by the closed-form normal equations. It fits
-    when the secants span the plane, the residual is at most a tenth of |y|
-    and H is positive definite. For a polygon of scale about 2**e, scales =
-    (2**-e, 2**e) scale s and y, exactly, so that no product overflows or
-    underflows at any polygon scale."""
-    (bx, by, fb, b0, b1), (down, up) = top, scales
-    p = q = t = r0 = r1 = r2 = norm = 0.0
-    for x, y, _, g0, g1 in [row for row in seen if row is not top][-3:]:
-        sx, sy, y0, y1 = (x - bx) * down, (y - by) * down, (g0 - b0) * up, (g1 - b1) * up
-        p += sx * sx
-        q += sx * sy
-        t += sy * sy
-        r0 += sx * y0
-        r1 += sy * y0 + sx * y1
-        r2 += sy * y1
-        norm += y0 * y0 + y1 * y1
-    # the normal equations [[p, q, 0], [q, p + t, q], [0, q, t]] (a, c, d) = (r0, r1, r2):
-    # the first and last give a and d from c, and the middle one then gives c
-    pt, trace = p * t, p + t
-    gram = pt - q * q
-    if not gram > 1e-6 * trace * trace:    # the secants must span the plane
-        return None
-    c = (r1 - q * (r0 / p + r2 / t)) * pt / (trace * gram)
-    a, d = (r0 - q * c) / p, (r2 - q * c) / t
-    # at the least-squares solution the squared residual is |y|^2 - (a r0 + c r1 + d r2)
-    det = a * d - c * c
-    if not (norm - (a * r0 + c * r1 + d * r2) <= 0.01 * norm and a > 0.0 and det > 0.0):
-        return None
-    # in the scaled frame H^-1 g_b = [[d, -c], [-c, a]] g_b / det
-    g0, g1 = b0 * up, b1 * up
-    t0, t1 = (c * g1 - d * g0) / det, (c * g0 - a * g1) / det
-    reach = GAP_TOL * fb / (0.5 * (a + d) + math.hypot(0.5 * (a - d), c))
-    return (bx + t0 * up, by + t1 * up,
-            math.sqrt(reach) * up if t0 * t0 + t1 * t1 <= reach else 0.0)
+def _within(xs, ys, px, py):
+    """Whether (px, py) lies strictly inside the CCW cell (xs, ys)."""
+    x0, y0 = xs[-1], ys[-1]
+    for x1, y1 in zip(xs, ys):
+        if (x1 - x0) * (py - y0) - (y1 - y0) * (px - x0) <= 0.0:
+            return False
+        x0, y0 = x1, y1
+    return True
 
 
 def _cut(xs, ys, qx, qy, g0, g1, bound):

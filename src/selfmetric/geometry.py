@@ -440,6 +440,17 @@ class Polygon2(_ReadOnly):
     def __len__(self):
         return len(self.vertices)
 
+    def _moved(self, shift):
+        """This polygon moved by -shift, built without its checks: the edge frame and
+        exit cosines do not change under a translation, so only the vertices, the
+        offsets and the scale are formed again, the offsets as __init__ forms them."""
+        moved = object.__new__(Polygon2)
+        v = self.vertices - shift
+        moved.__dict__.update(self.__dict__, vertices=_frozen(v),
+                              offsets=_frozen(np.einsum("ij,ij->i", self.normals, v)),
+                              scale=float(np.max(np.linalg.norm(v, axis=1))))
+        return moved
+
     @classmethod
     def from_hull(cls, points):
         """The CCW hull of a (k, 2) point cloud by _hull_scan about the mean, which is
@@ -768,7 +779,13 @@ class PolytopeN(_ReadOnly):
     @functools.cached_property
     def _origin_inside(self):
         # computed on first use, once per polytope: a body's facet rows are read-only
-        return float(np.min(self.facet_offsets)) > REL_TOL * self.scale
+        return self._least_offset > REL_TOL * self.scale
+
+    @functools.cached_property
+    def _least_offset(self):
+        """The least facet offset: the body's inradius about the origin, at most half
+        its width along that facet's normal."""
+        return float(np.min(self.facet_offsets))
 
     def interior_distance(self, point):
         """Smallest slack over the facet halfspaces; NaN for a non-finite point."""
@@ -858,8 +875,9 @@ def central_section(poly, normal):
     orthogonal to normal, returned as a PolytopeN of dimension dim - 1 in an
     orthonormal coordinate frame of the hyperplane (the origin is preserved).
 
-    The section's points are the polytope's vertices on the hyperplane and the
-    crossings of its edges, projected on a _pivoted_basis frame. The builder
+    The section's points are the polytope's vertices on the hyperplane (within
+    REL_TOL times the body's least facet offset of it) and the crossings of its
+    edges, projected on a _pivoted_basis frame. The builder
     depends on the section's dimension: a chord is the segment between the
     extreme projections, a section of a 3-D body is a polygon by angular sort
     about the origin (PolytopeN._polygon, no qhull), and higher sections go
@@ -892,7 +910,10 @@ def central_section(poly, normal):
         return _full_dimensional(PolytopeN._segment, 1.0 / min(r), 1.0 / max(r))
     verts = poly.vertices
     heights = verts @ nu
-    tol = REL_TOL * poly.scale
+    # a vertex this close to the hyperplane lies on it: a band relative to the
+    # body's least offset, not its scale, so that on a thin body it stays a small
+    # part of the width
+    tol = REL_TOL * poly._least_offset
     # +1 above the hyperplane, -1 below, 0 on it; an edge crosses when its
     # two ends lie on opposite sides
     side = np.subtract(heights > tol, heights < -tol, dtype=np.int8)

@@ -69,50 +69,75 @@ def polygon_perimeter_subgradient(poly, center, variant):
     The one-point case of `_ray_casts`; raises NotInteriorError unless the
     center is strictly inside the polygon.
     """
-    values, subgradients, inside = _ray_casts(poly, _point(center, 2)[None], variant)
+    values, subgradients, _, _, inside = _ray_casts(poly, _point(center, 2)[None], variant)
     if not inside[0]:
         raise NotInteriorError("center is not strictly inside the polygon")
     return float(values[0]), subgradients[0]
 
 
+# rows of one _ray_casts pass: the (rows, exit rays, edges) quotient of _exits takes at
+# most this many float64 elements (256 KiB), so that a wide cast of a 64-gon does not
+# hold megabytes (with 512 KiB the centre probe of planar_batch peaked 0.2 MB above the
+# unchunked casts of the secant solver); each row's IEEE operations are its own, so
+# the chunks do not move a bit
+_CAST_ELEMENTS = 1 << 15
+
+
 def _ray_casts(poly, points, variant):
-    """(values, subgradients, inside) of a polygon's self-perimeter at each row of
-    points (R, 2).
+    """(values, subgradients, hessians, exits, inside) of a polygon's self-perimeter
+    at each row of points (R, 2).
 
     The ray radius r_i of edge i leaves through edge j, so r_i = s_j / (n_j.t_i)
     with slack s_j = h_j - n_j.p, and d r_i / dp = -r_i n_j / s_j. Where several
     exit edges tie (a crease of the convex objective) any of them gives a valid
-    subgradient. inside (R,) flags the rows strictly inside the polygon, where
-    every edge slack is positive; the values and subgradients of the other rows
-    are meaningless, and they raise no floating-point warning. Each row gets the
-    IEEE operations of a one-point cast (see geometry._slack), so its bits do not
-    depend on the others.
+    subgradient. exits (R, c) holds each ray's exit edge, the first on a tie: the
+    directed ray of edge i in column i, and for the Busemann variant the reversed
+    one in column k + i. They fix the smooth piece of the objective a row lies on,
+    and hessians (R, 2, 2) is that piece's Hessian there:
+    - directed, term L_i / r_i: sum of 2 L_i n_j n_j^T / (r_i s_j^2);
+    - Busemann, term 2 L_i / (a_i + b_i) with a_i, b_i the radii along t_i and -t_i,
+      leaving through edges j and j' at exit cosines c_ij and c_ij': sum of
+      4 L_i u_i u_i^T / (a_i + b_i)^3 with u_i = n_j / c_ij + n_j' / c_ij'.
+    inside (R,) flags the rows strictly inside the polygon, where every edge slack
+    is positive; the other rows' outputs are meaningless, and they raise no
+    floating-point warning. Each row gets the IEEE operations of a one-point cast
+    (see geometry._slack), so its bits do not depend on the others; casts of more
+    than _CAST_ELEMENTS quotients go in row chunks.
     """
     _check_variant(variant)
     k = len(poly)
     cosines = poly.exit_cosines if variant == "busemann" else poly.exit_cosines[:k]
+    chunk = max(1, _CAST_ELEMENTS // cosines.size)
+    if len(points) > chunk:
+        parts = [_ray_casts(poly, points[i:i + chunk], variant)
+                 for i in range(0, len(points), chunk)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
     lengths, normals = poly.edge_lengths, poly.normals
     with np.errstate(all="ignore"):
         slack = _slack(normals, poly.offsets, points)
         inside = slack.min(axis=1) > 0.0
         radii, exits, at_exit = _exits(slack, cosines)
         fwd, j_fwd = radii[:, :k], exits[:, :k]
+        # the exit normals (R, k, 2): each weighted sum of them is one gemv per row
+        n_fwd = normals[j_fwd]
         if variant == "directed":
             values = (lengths / fwd).sum(axis=1)
-            subgradients = _weighted_normals(lengths / (fwd * at_exit), normals, j_fwd)
+            w = lengths / (fwd * at_exit)
+            subgradients = (w[:, None, :] @ n_fwd)[:, 0]
+            u, w = n_fwd, 2.0 * w / at_exit
         else:
             bwd, j_bwd = radii[:, k:], exits[:, k:]
+            n_bwd = normals[j_bwd]
             chords = fwd + bwd
             values = (2.0 * lengths / chords).sum(axis=1)
             w = 2.0 * lengths / chords ** 2
-            subgradients = (_weighted_normals(w * fwd / at_exit[:, :k], normals, j_fwd)
-                            + _weighted_normals(w * bwd / at_exit[:, k:], normals, j_bwd))
-    return values, subgradients, inside
-
-
-def _weighted_normals(weights, normals, exits):
-    """Row r is weights[r] @ normals[exits[r]], one gemv per row."""
-    return (weights[:, None, :] @ normals[exits])[:, 0]
+            subgradients = (((w * fwd / at_exit[:, :k])[:, None, :] @ n_fwd)[:, 0]
+                            + ((w * bwd / at_exit[:, k:])[:, None, :] @ n_bwd)[:, 0])
+            u = ((fwd / at_exit[:, :k])[..., None] * n_fwd
+                 + (bwd / at_exit[:, k:])[..., None] * n_bwd)
+            w = 2.0 * w / chords
+        hessians = (u * w[..., None]).transpose(0, 2, 1) @ u
+    return values, subgradients, hessians, exits, inside
 
 
 def smooth_density(profile, theta):

@@ -141,27 +141,27 @@ def test_center_rows_converge(shapes):
 
 
 # `center --restarts 5` on affine-regular polygons, byte for byte as the
-# localization-cell solves with Newton and ring rows printed them from starts
-# drawn in the fan triangles
+# localization-cell solves with piece Newton, crease and ring rows about the
+# polygon's centroid printed them from starts drawn in the fan triangles
 CENTER_PINS = {
     "hept": ([[1.610146, -0.454651], [1.096441, 0.172014], [-0.054651, 0.292638],
               [-0.976335, -0.18361], [-0.974563, -0.898106], [-0.05067, -1.312821],
               [1.099633, -1.115465]], "directed", 11,
              "seed,optimum_x,optimum_y,value,iterations\n"
-             "11,0.25000045662537829,-0.50000030506853466,6.5730075274337612,11\n"
-             "12,0.25000045666954696,-0.5000003050752293,6.5730075274337612,11\n"
-             "13,0.2500004567376154,-0.50000030513950788,6.5730075274337603,11\n"
-             "14,0.25000045664937876,-0.50000030508231408,6.5730075274337603,12\n"
-             "15,0.25000045576524882,-0.50000030385995431,6.5730075274337603,13\n",
-             "best center (0.250000456738, -0.50000030514) value 6.57300752743\n"),
+             "11,0.25000045664940307,-0.50000030508237547,6.573007527433762,2\n"
+             "12,0.25000045799509807,-0.50000030584386956,6.5730075274337612,5\n"
+             "13,0.25000045664940312,-0.50000030508237536,6.5730075274337612,5\n"
+             "14,0.25000045665205184,-0.50000030508027005,6.5730075274337612,4\n"
+             "15,0.25000045669168847,-0.50000030488571423,6.573007527433762,4\n",
+             "best center (0.250000457995, -0.500000305844) value 6.57300752743\n"),
     "pent": ([[-1.037367, 3.383769], [-1.990075, 2.777285], [-1.574533, 1.09662],
               [-0.365006, 0.664395], [-0.03302, 2.077931]], "busemann", 29,
              "seed,optimum_x,optimum_y,value,iterations\n"
-             "29,-1.0000008195715282,2.0000001663990408,6.9098300562497945,6\n"
-             "30,-1.0000008283392838,2.0000001539556118,6.9098300562497945,11\n"
-             "31,-1.0000008284574713,2.0000001683967166,6.9098300562497936,13\n"
-             "32,-1.0000008284385897,2.000000168438822,6.9098300562497945,12\n"
-             "33,-1.0000008320759524,2.0000001722788054,6.9098300562497954,13\n",
+             "29,-1.0000008284574036,2.0000001683968085,6.9098300562497936,2\n"
+             "30,-1.0000008284573958,2.0000001683967965,6.9098300562497945,4\n"
+             "31,-1.0000008284574033,2.0000001683968089,6.9098300562497936,4\n"
+             "32,-1.0000008284574033,2.0000001683968085,6.9098300562497936,4\n"
+             "33,-1.0000008284574033,2.0000001683968085,6.9098300562497936,4\n",
              "best center (-1.00000082846, 2.0000001684) value 6.90983005625\n"),
 }
 
@@ -808,7 +808,7 @@ def test_a_center_solve_without_a_certificate_is_one_convergence_error(tmp_path,
     out = capsys.readouterr()
     assert out.out == ""
     assert json.loads(out.err) == {"error": {"type": "convergence", "message":
-                                             "no certificate in 2 iterations (gap 6.201e-01)"}}
+                                             "no certificate in 2 iterations (gap 6.447e-03)"}}
 
 
 def test_a_rejected_climb_step_is_counted(tmp_path, monkeypatch):

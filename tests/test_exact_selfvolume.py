@@ -123,3 +123,32 @@ def test_conjectured_minimum_is_the_zonotope_of_n_plus_1_vectors(n, tmp_path):
                                        "ROADMAP item 3a: reads 16.0000000105")
 def test_float_self_volume_of_a_mapped_cube4_meets_the_exact_one():
     assert abs(_float_self_volume(MAPPED_CUBE4) - 16) <= 1e-13 * 16
+
+
+# half of a thin centrally symmetric polygon (seed 1, aspect 1e6): two of its
+# vertices lay 7.3e-10 from a section line, inside a band of REL_TOL times the
+# scale, and its self-volume read 1.35e-5 relative off the exact one
+THIN_HALF = [[-0.09076155998123935, 0.07325927621019787], [0.7398911831678715, -0.5972014878056394],
+             [0.4038050088675383, -0.3259331834020948], [-0.10826975698632396, 0.08739140327240942],
+             [0.6298693750153447, -0.5083968487233003], [-0.14748063247804571, 0.11903777094736977],
+             [0.7555651391570699, -0.6098534913446173], [0.16680510353204614, -0.13463737214590193]]
+
+
+@pytest.mark.parametrize("aspect", [1e2, 1e4, 1e6])
+def test_thin_polygon_self_volume_meets_the_exact_one(aspect):
+    # 3-8 normal points squeezed by the aspect, turned, and their negatives; the
+    # float rows carry about eps times scale / least offset, and measured within
+    # half of that on 300 draws per aspect
+    rng = np.random.default_rng([1, round(np.log10(aspect))])
+    halves = []
+    for _ in range(20):
+        pts = rng.normal(size=(int(rng.integers(3, 9)), 2)) / [1.0, aspect]
+        turn = rng.uniform(0.0, np.pi)
+        halves.append(pts @ np.array([[np.cos(turn), np.sin(turn)], [-np.sin(turn), np.cos(turn)]]))
+    if aspect == 1e6:
+        halves.append(np.array(THIN_HALF))
+    for half in halves:
+        body = PolytopeN(np.vstack([half, -half]))
+        want = float(self_volume([tuple(map(Fraction, p)) for p in body.vertices.tolist()]))
+        bound = 2.0 * np.finfo(float).eps * body.scale / float(np.min(body.facet_offsets))
+        assert abs(self_volume_recursive(body).value - want) <= bound * want

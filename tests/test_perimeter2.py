@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from common import interior_point, random_ccs_polygon, random_polygon
 from selfmetric.geometry import (BarycentricPoint, GeometryError, NotInteriorError,
                                  Polygon2, RadiusProfile, cube, regular_polygon, uniform_grid)
+from selfmetric import perimeter2
 from selfmetric.perimeter2 import (VARIANTS, _ray_casts, busemann_perimeter_polygon,
                                    kgon_self_perimeter, polygon_perimeter_subgradient,
                                    self_perimeter_polygon, self_perimeter_smooth, smooth_density,
@@ -321,13 +322,18 @@ def polygons_with_points(draw, max_points=64):
 @given(polygons_with_points(), st.sampled_from(["directed", "busemann"]))
 def test_ray_cast_rows_are_the_one_point_casts_bit_for_bit(drawn, variant):
     poly, points = drawn
-    values, grads, inside = _ray_casts(poly, points, variant)
+    values, grads, hessians, exits, inside = _ray_casts(poly, points, variant)
     assert values.shape == inside.shape == (len(points),) and grads.shape == points.shape
+    assert hessians.shape == (len(points), 2, 2)
+    assert exits.shape == (len(points), len(poly) * (2 if variant == "busemann" else 1))
     assert inside.all()
-    for value, grad, point in zip(values, grads, points):
+    for value, grad, hessian, exit_edges, point in zip(values, grads, hessians, exits, points):
         want_value, want_grad = polygon_perimeter_subgradient(poly, point, variant)
         assert float(value).hex() == want_value.hex()
         assert grad.tobytes() == want_grad.tobytes()
+        _, _, want_hessian, want_exits, _ = _ray_casts(poly, point[None], variant)
+        assert hessian.tobytes() == want_hessian[0].tobytes()
+        assert exit_edges.tobytes() == want_exits[0].tobytes()
 
 
 @pytest.mark.parametrize("variant", ["directed", "busemann"])
@@ -337,11 +343,50 @@ def test_ray_casts_flag_rows_outside_without_warnings(variant):
                        poly.vertices[2], [-1e300, 1e300], [0.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, grads, inside = _ray_casts(poly, points, variant)
+        values, grads, _, _, inside = _ray_casts(poly, points, variant)
     assert inside.tolist() == [True, False, False, True, False, False, False, True]
     for r in np.flatnonzero(inside):
         want_value, want_grad = polygon_perimeter_subgradient(poly, points[r], variant)
         assert values[r] == want_value and grads[r].tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 64 * 128, 1 << 40], ids=["row", "three-rows", "one"])
+@pytest.mark.parametrize("variant", ["directed", "busemann"])
+def test_chunked_casts_are_the_unchunked_cast_bit_for_bit(monkeypatch, variant, budget):
+    # a 64-gon's Busemann row divides 2k x k = 8,192 quotients: 100 rows in one pass
+    # would hold 6.5 MB, so casts go in row chunks of at most _CAST_ELEMENTS
+    poly = regular_polygon(64, phase=0.2)
+    points = np.random.default_rng(4).dirichlet(np.ones(64), size=100) @ poly.vertices
+    points[7] = [3.0, 0.0]   # a row outside the polygon
+    monkeypatch.setattr(perimeter2, "_CAST_ELEMENTS", budget)
+    chunked = _ray_casts(poly, points, variant)
+    monkeypatch.setattr(perimeter2, "_CAST_ELEMENTS", 1 << 40)
+    whole = _ray_casts(poly, points, variant)
+    assert [a.tobytes() for a in chunked] == [a.tobytes() for a in whole]
+    assert [a.shape for a in chunked] == [a.shape for a in whole]
+    assert perimeter2._CAST_ELEMENTS >= 2 * 64 * 64
+
+
+@pytest.mark.parametrize("variant", ["directed", "busemann"])
+def test_piece_hessian_is_the_derivative_of_the_subgradient(variant):
+    # central differences of the subgradient, at a step of 1e-5 of the least edge
+    # slack, on points whose rays keep their exit edges across the stencil
+    rng = np.random.default_rng(21)
+    checked = 0
+    for _ in range(60):
+        poly = random_polygon(rng, int(rng.integers(3, 12)))
+        p = interior_point(poly, rng, margin=1e-3)
+        h = 1e-5 * poly.interior_distance(p)
+        stencil = p + h * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        _, grads, hessians, exits, _ = _ray_casts(poly, np.vstack([p, stencil]), variant)
+        if not (exits == exits[0]).all():
+            continue
+        checked += 1
+        differences = np.column_stack([grads[1] - grads[2], grads[3] - grads[4]]) / (2.0 * h)
+        assert np.abs(hessians[0] - hessians[0].T).max() <= 4e-16 * np.abs(hessians[0]).max()
+        assert np.abs(differences - hessians[0]).max() <= 1e-7 * np.abs(hessians[0]).max()
+        assert np.linalg.eigvalsh(hessians[0]).min() > 0.0
+    assert checked >= 50
 
 
 @pytest.mark.parametrize("call", [

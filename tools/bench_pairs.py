@@ -1,6 +1,7 @@
 """Alternating benchmark pairs: two checkouts' perfbench runs, seed by seed.
 
     python3 tools/bench_pairs.py --base PARENT_CHECKOUT [--change CHECKOUT]
+        [--aa SECOND_PARENT_CHECKOUT]
         [--workloads polytope_recursion,smooth_inverse,planar_batch] [--seeds 0-9]
         [--section-us SEED] [--out BENCH.json]
         [--change-text TEXT] [--claim TEXT] [--note TEXT ...]
@@ -11,6 +12,14 @@ as a child process, from its own root; the first side alternates with the
 seed (the base first on even positions of the seed list). Only these child
 processes are measured: the metrics are the ones each run prints. The
 change side defaults to the checkout this script lives in.
+
+--aa adds an A/A control: a second checkout of the base runs as a third side,
+and the order rotates with the position of the seed (base, change, base';
+change, base', base; base', base, change; ...), so that each side goes first,
+second and third equally often. Each metric's cell then also holds an `aa`
+block: the second base against the base, scored as the change is (ratio of
+the medians, pairs won, interquartile distances). Two checkouts of one commit
+differ by what the host does to each, so a claim should stand clear of it.
 
 The JSON written (stdout without --out) holds, per workload and end-to-end
 metric of BENCHMARK.json, each side's per-run values, median and quartiles
@@ -91,34 +100,54 @@ def _quartiles(values):
             "q1": round(float(q1), 6), "q3": round(float(q3), 6)}
 
 
-def _metric_cell(spec, base, change):
+def _metric_cell(spec, base, change, aa=None):
     better = spec["better"]
     b, c = _quartiles(base), _quartiles(change)
     ratio = c["median"] / b["median"] if b["median"] else float("nan")
     worse = ratio - 1.0 if better == "lower" else 1.0 - ratio
     wins = sum((x < y) if better == "lower" else (x > y) for y, x in zip(base, change))
-    return {"better": better, "bound": spec["bound"], "parent": b, "change": c,
+    cell = {"better": better, "bound": spec["bound"], "parent": b, "change": c,
             "change_better_in_pairs": f"{wins}/{len(base)}",
             "ratio_change_over_parent": round(ratio, 4),
             "change_worse_than_parent_by": round(worse, 4),
             "within_bound": bool(worse <= spec["bound"]),
             "parent_interquartile_distance": round(b["q3"] - b["q1"], 6)}
+    if aa is not None:
+        control = _metric_cell(spec, base, aa)
+        cell["aa"] = {"second_parent": control["change"],
+                      "ratio_second_parent_over_parent": control["ratio_change_over_parent"],
+                      "second_parent_better_in_pairs": control["change_better_in_pairs"],
+                      "second_parent_interquartile_distance":
+                          round(control["change"]["q3"] - control["change"]["q1"], 6)}
+    return cell
 
 
-def pairs(base, change, workloads, seeds, bench):
-    """end_to_end cells per workload, plus the env of every run."""
+def _order(k, sides):
+    """The sides in the order they run at position k of the seed list: two sides
+    alternate, three rotate by one place per position."""
+    if len(sides) == 2:
+        return sides if k % 2 == 0 else sides[::-1]
+    return sides[k % len(sides):] + sides[:k % len(sides)]
+
+
+def pairs(base, change, workloads, seeds, bench, aa=None):
+    """end_to_end cells per workload, plus the env of every run; with aa, a second
+    checkout of the base, each cell also scores it against the base."""
     seconds = bench["run_seconds"]
     specs = bench["end_to_end"]
-    out, envs = {}, {"parent": [], "change": []}
+    roots = {"parent": base, "change": change}
+    if aa is not None:
+        roots["aa"] = aa
+    sides = list(roots)
+    out, envs = {}, {side: [] for side in sides}
     for workload in workloads:
-        runs = {"parent": [], "change": []}
+        runs = {side: [] for side in sides}
         first = []
         for k, seed in enumerate(seeds):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            order = _order(k, sides)
             first.append(order[0])
             for side in order:
-                result, env, wall = _run(base if side == "parent" else change,
-                                         workload, seed, seconds)
+                result, env, wall = _run(roots[side], workload, seed, seconds)
                 runs[side].append(result)
                 envs[side].append(env)
                 print(json.dumps({"workload": workload, "seed": seed, "side": side,
@@ -132,8 +161,8 @@ def pairs(base, change, workloads, seeds, bench):
             "attempted_per_run": sorted({r["attempted"] for r in every}),
             "failed_per_run": sorted({r["failed"] for r in every}),
             "metrics": {spec["name"]: _metric_cell(
-                spec, [r["metrics"][spec["name"]]["value"] for r in runs["parent"]],
-                [r["metrics"][spec["name"]]["value"] for r in runs["change"]])
+                spec, *([r["metrics"][spec["name"]]["value"] for r in runs[side]]
+                        for side in sides))
                 for spec in specs},
         }
     return out, envs
@@ -279,6 +308,7 @@ def main(argv=None):
     ap.add_argument("--base", help="the parent checkout's root")
     ap.add_argument("--change", default=ROOT,
                     help="the changed checkout's root (default: this one)")
+    ap.add_argument("--aa", help="a second checkout of the base, run as an A/A control")
     ap.add_argument("--workloads", default="polytope_recursion,smooth_inverse,planar_batch")
     ap.add_argument("--seeds", default="0-9", help="a seed or an inclusive range, e.g. 0-9")
     ap.add_argument("--section-us", type=int, metavar="SEED",
@@ -299,7 +329,8 @@ def main(argv=None):
     with open(os.path.join(change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     seeds = _seeds(args.seeds)
-    end_to_end, envs = pairs(base, change, args.workloads.split(","), seeds, bench)
+    aa = os.path.abspath(args.aa) if args.aa else None
+    end_to_end, envs = pairs(base, change, args.workloads.split(","), seeds, bench, aa)
     env = envs["change"][0]
     record = {
         "change": args.change_text,
@@ -308,17 +339,23 @@ def main(argv=None):
                     "python": env["python"], "numpy": env["numpy"], "scipy": env["scipy"],
                     "blas": env["blas"], "worker_blas_threads": env["blas_threads_workers"]},
         "commits": {"parent": _git_head(base), "src_sha256_method": SRC_SHA256_METHOD,
-                    "parent_src_sha256": sorted({e["src_sha256"] for e in envs["parent"]}),
-                    "change_src_sha256": sorted({e["src_sha256"] for e in envs["change"]})},
+                    **{f"{side}_src_sha256": sorted({e["src_sha256"] for e in envs[side]})
+                       for side in envs}},
         "method": (f"tools/bench_pairs.py: python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {bench['run_seconds']} --trace 0 in each checkout (the parent "
-                   f"--base, the change --change); seeds {args.seeds} per workload, the parent "
-                   "first on even positions of the seed list and the change first on odd ones, "
-                   "one workload after another. Each cell: median and quartiles (numpy linear "
+                   f"--base, the change --change); seeds {args.seeds} per workload, "
+                   + ("the parent first on even positions of the seed list and the change first "
+                      "on odd ones, " if aa is None else
+                      "with a second parent checkout --aa, the three rotating by one place per "
+                      "position of the seed list (parent, change, aa; change, aa, parent; aa, "
+                      "parent, change), ")
+                   + "one workload after another. Each cell: median and quartiles (numpy linear "
                    "percentiles) over the runs of that side; within_bound compares the change's "
                    "median with the parent's against BENCHMARK.json's bound. Job metrics are "
                    "the benchmark's calibrated ones; setup_s is its median of three fresh "
-                   "interpreters."),
+                   "interpreters."
+                   + ("" if aa is None else " A cell's aa block scores the second parent "
+                      "against the parent as the change is scored.")),
         "end_to_end": end_to_end,
     }
     if args.section_us is not None:
