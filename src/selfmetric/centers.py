@@ -34,7 +34,6 @@ gap bounds the true one wherever the polygon lies.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -126,27 +125,7 @@ def optimal_centers_2d(poly, variant, starts):
     minimum from below. A cut through the centroid removes at least 4/9 of C's
     area (Grunbaum). A solve stops when its best value is within GAP_TOL
     (relative) of its best lower bound, with the best query and its value.
-
-    Each iteration's rows come from the best row b, its piece's Hessian H and
-    the crease lines of that piece (_Solve.plan):
-    - the centroid of C, whose cut is always made; it is left out while the
-      last Newton point improved on the best value;
-    - the Newton point q_b - H^-1 g_b of b's piece;
-    - where the model fails (the last Newton point no better than the best
-      value), for the MAX_LINES crease lines of b's piece nearest b that
-      cross C, the least of b's quadratic model on each, and the
-      MAX_CROSSINGS crossings of two of them inside C nearest b;
-    - once b's Newton step (along its line, for a row placed on one; none,
-      for a crossing) is short, a ring about the step's end at the radius
-      sqrt(GAP_TOL f / lambda_max(H)) (half that square for a crease point),
-      one point in each sector between the piece's lines through it, in
-      place of the other rows. Its bounds are taken over the cell all of the
-      iteration's cuts leave, and a ring that does not certify makes the
-      next one about the same region 4 times narrower.
-    Every interior row is an exact subgradient, so each row cuts C and bounds
-    the minimum, in one loop over the rows of every iteration; a row outside
-    the polygon cuts nothing, and a cut other than the centroid's that would
-    leave no area is rounding, and is skipped.
+    _Solve.step takes each iteration of a solve, on the rows _Solve.plan set.
 
     The solve runs on the polygon moved by its centroid (Polygon2._moved), and
     the optimum is moved back. Every iteration casts the rows of all open
@@ -170,90 +149,48 @@ def optimal_centers_2d(poly, variant, starts):
         raise NotInteriorError("start point is not strictly inside the polygon")
     shift = poly.centroid
     frame = poly._moved(shift)
-    creases = _Creases(frame, variant)
-    e = creases.e
+    piece, e = _creases(frame, variant), math.frexp(frame.scale)[1]
     cell = tuple(frame.vertices.T.tolist())
-    solves = [_Solve(cell, (start - shift).tolist()) for start in starts]
+    solves = [_Solve(cell, (start - shift).tolist(), piece, e) for start in starts]
     results = [None] * len(starts)
     failed = None    # the ConvergenceError of the first solve whose cell collapsed
-    live, points = list(range(len(starts))), [s.rows[0] for s in solves]
+
+    def result(s, iterations):
+        return CenterResult(np.array(s.top[:2]) + shift, s.fbest, iterations, variant,
+                            s.fbest - s.lower)
+
+    live = list(range(len(starts)))
     for iterations in range(1, MAX_ITER + 1):
+        points = [row for i in live for row in solves[i].rows]
         values, subgradients, hessians, exits, inside = _ray_casts(frame, np.array(points),
                                                                    variant)
         # each interior row (x, y, f, g0, g1); a row outside the polygon is None and cuts nothing
         cast = [(x, y, f, g0, g1) if interior else None for (x, y), f, (g0, g1), interior
                 in zip(points, values.tolist(), subgradients.tolist(), inside.tolist())]
-        still, k, points = [], 0, []
+        still, k = [], 0
         for i in live:
             s = solves[i]
-            (xs, ys), closing, kept = s.cell, s.closing, None
             j, k = k, k + len(s.rows)    # its rows of the cast
-            # the best value is taken first, so that every cut is as deep as it can be
-            fbest, top = s.fbest, None
-            for r in range(j, k):
-                row = cast[r]
-                if row is not None and row[2] < fbest:
-                    top, fbest = r, row[2]
-            n = s.stepped    # the index of its Newton row; -1 for one outside its cell
-            if top is not None:
-                s.top, s.fbest, s.on = cast[top], fbest, s.marks[top - j]
-                s.hessian, s.exits = hessians[top], exits[top]
-                if not closing:    # a new best row away from a ring: full-width rings again
-                    s.narrow = 1.0
-            rows = [row for row in cast[j:k] if row is not None]
-            lower, central = s.lower, s.central and cast[j] is not None
-            for qx, qy, f, g0, g1 in rows:
-                if len(xs) < 3:
-                    break    # the centroid cut left no cell: raised below
-                least, cx, cy = _cut(xs, ys, qx, qy, g0, g1, fbest - f)
-                # f + least is the least value the linear bound at q allows on the cell
-                lower = max(lower, f + least)
-                if central:    # the start or a centroid: its cut is always made
-                    xs, ys, central = cx, cy, False
-                elif len(cx) > 2:    # a cut that would leave no area is rounding: skipped
-                    kept = kept or (xs, ys)
-                    xs, ys = cx, cy
-            if closing and len(xs) > 2:
-                # every cut keeps the minimizer, so each bound holds over the cell they
-                # leave: the best row's first, then the others while the gap stays open
-                for qx, qy, f, g0, g1 in [s.top, *rows]:
-                    lower = max(lower, f + min([g0 * (x - qx) + g1 * (y - qy)
-                                                for x, y in zip(xs, ys)]))
-                    if fbest - lower <= GAP_TOL * fbest:
-                        break
-            if fbest - lower <= GAP_TOL * fbest:
-                results[i] = CenterResult(np.array(s.top[:2]) + shift, fbest, iterations,
-                                          variant, fbest - lower)
-                continue
-            if closing:    # the ring did not certify: the next one is 4 times narrower
-                s.narrow *= 0.25
-            s.lower = lower
-            centroid = _centroid(xs, ys, e)
-            if centroid is None and kept is not None:
-                xs, ys = kept    # a cut after the centroid's left a cell of no area
-                centroid = _centroid(xs, ys, e)
-            if centroid is None:
-                gap = fbest - lower
-                failed = ConvergenceError(
-                    f"localization cell collapsed in {iterations} iterations (gap {gap:.3e})",
-                    CenterResult(np.array(s.top[:2]) + shift, fbest, iterations, variant, gap))
+            outcome = s.step(cast[j:k], hessians[j:k], exits[j:k])
+            if outcome is None:
+                still.append(i)
+            elif outcome == "certified":
+                results[i] = result(s, iterations)
+            else:
+                failed = ConvergenceError(f"localization cell collapsed in {iterations} "
+                                          f"iterations (gap {s.fbest - s.lower:.3e})",
+                                          result(s, iterations))
                 # raised once every earlier solve has finished, as a solve of each
                 # start in turn would; the later solves cannot change the outcome
                 break
-            s.cell = xs, ys
-            s.plan(creases, centroid, n is not None and top == j + n)
-            points += s.rows
-            still.append(i)
         live = still
         if not live:
             if failed is not None:
                 raise failed
             return results
     s = solves[live[0]]
-    gap = s.fbest - s.lower
-    raise ConvergenceError(f"no certificate in {MAX_ITER} iterations (gap {gap:.3e})",
-                           CenterResult(np.array(s.top[:2]) + shift, s.fbest, MAX_ITER, variant,
-                                        gap))
+    raise ConvergenceError(f"no certificate in {MAX_ITER} iterations "
+                           f"(gap {s.fbest - s.lower:.3e})", result(s, MAX_ITER))
 
 
 # a solve whose model fails casts the least of the model on this many crease lines
@@ -267,70 +204,126 @@ MAX_CROSSINGS = 4
 # sqrt(GAP_TOL f / lambda_max); a step within that radius itself, as the ring
 # would need without this look-ahead, costs one more iteration per smooth solve
 CLOSE_STEP = math.sqrt(GAP_TOL)
-_NO_LINES = np.empty((0, 2)), np.empty(0)
 
 
-class _Creases:
-    """The crease lines of a polygon's self-perimeter for one variant.
+def _creases(frame, variant):
+    """The crease lines of a polygon's self-perimeter for one variant, as a lookup
+    piece(exits) -> (normals (2 c, 2), offsets (2 c,)) of the lines that bound the
+    piece of exit edges exits: those through both ends of each exit edge.
 
     The ray of edge i (and its reverse, for the Busemann variant) leaves through
     edge j while n_i.p lies between n_i.v_j and n_i.v_j+1, so the objective is
     smooth between the lines n_i.x = n_i.v_m through the vertices, parallel to the
-    edges. Column c of _ray_casts' exits is the ray of edge c mod k. e is the
-    exponent of the polygon's scale. The tables are built on first use: a solve
-    whose Newton steps all improve on its best value reads none."""
+    edges. Column c of _ray_casts' exits is the ray of edge c mod k; the end table
+    (2, k k) holds the offsets n_i.v_j and n_i.v_j+1 at i k + j."""
+    k, normals = len(frame), frame.normals
+    lines = normals @ frame.vertices.T
+    ends = np.array([lines, np.concatenate([lines[:, 1:], lines[:, :1]], axis=1)]).reshape(2, k * k)
+    rays = np.arange(2 * k if variant == "busemann" else k) % k
+    normals, first = np.concatenate([normals[rays], normals[rays]]), rays * k
 
-    def __init__(self, frame, variant):
-        self.frame, self.e = frame, math.frexp(frame.scale)[1]
-        self.columns = 2 * len(frame) if variant == "busemann" else len(frame)
+    def piece(exits):
+        return normals, ends[:, first + exits].ravel()
 
-    @functools.cached_property
-    def _tables(self):
-        """(normals, ends, first): per column c its edge's unit normal (c, 2); ends
-        (2, k k) the offsets n_i.v_j and n_i.v_j+1 of the lines through both ends of
-        edge j, at i k + j; first (c,) the start i k of column c's edge."""
-        k, normals = len(self.frame), self.frame.normals
-        lines = normals @ self.frame.vertices.T
-        ends = np.array([lines, np.concatenate([lines[:, 1:], lines[:, :1]], axis=1)])
-        rays = np.arange(self.columns) % k
-        return normals[rays], ends.reshape(2, k * k), rays * k
-
-    def piece(self, exits):
-        """(normals (2 c, 2), offsets (2 c,)) of the crease lines that bound the piece
-        of exit edges exits: those through both ends of each exit edge."""
-        normals, ends, first = self._tables
-        return np.concatenate([normals, normals]), ends[:, first + exits].ravel()
+    return piece
 
 
 class _Solve:
-    """One start's solve, in the centroid frame: its cell (xs, ys) of Python floats;
-    the rows it casts next, with the crease lines each was placed on (marks: None
-    for the start and a centroid, () for a Newton or ring point), whether the
-    first is its central cut, whether they are a ring (closing) and the index of
-    its Newton row (stepped); its best interior row top (x, y, f, g0, g1) with the
-    Hessian and exit edges of its piece and its mark (on); its certificate; the
-    narrowing of its next ring, the best row of its last ring (rung) and whether
-    its last Newton point failed to improve (missed)."""
+    """One start's solve, in the centroid frame of a polygon with crease lookup piece
+    (_creases) and scale exponent e: its cell (xs, ys) of Python floats; the rows
+    it casts next, with the crease lines each was placed on (marks: None for the
+    start and a centroid, () for a Newton or ring point), whether the first is its
+    central cut, whether they are a ring (closing) and the index of its Newton row
+    (stepped; -1 for one outside the cell); its best interior row top (x, y, f, g0,
+    g1) with the Hessian and exit edges of its piece and its mark (on); its
+    certificate; the narrowing of its next ring, the best row of its last ring
+    (rung) and whether its last Newton point failed to improve (missed)."""
 
     __slots__ = ("cell", "rows", "marks", "central", "closing", "stepped", "top", "fbest",
-                 "lower", "hessian", "exits", "on", "narrow", "rung", "missed")
+                 "lower", "hessian", "exits", "on", "narrow", "rung", "missed", "piece", "e")
 
-    def __init__(self, cell, start):
+    def __init__(self, cell, start, piece, e):
         self.cell, self.rows, self.marks, self.central = cell, [start], [None], True
         self.closing, self.stepped = False, None
         self.top, self.fbest, self.lower = None, math.inf, -math.inf
         self.hessian = self.exits = self.on = self.rung = None
-        self.narrow, self.missed = 1.0, False
+        self.narrow, self.missed, self.piece, self.e = 1.0, False, piece, e
 
-    def plan(self, creases, centroid, improved):
-        """Set the rows of the next iteration, improved telling whether its last Newton
-        point became the best row.
-        - The centroid, unless improved, and the Newton point of the best row's piece.
-        - Where the model fails (not improved, after a model row was best or twice in
-          a row), the crease rows of _creases.
-        - In place of these, once the best row's Newton step (along its line for a row
-          placed on one; none for a crossing) is within the closing step, a ring about
-          the step's end (_ring); not twice in a row about one best row."""
+    def step(self, cast, hessians, exits):
+        """One iteration on the cast of its rows: per row (x, y, f, g0, g1), or None
+        outside the polygon, and its piece's Hessian and exit edges. Every interior
+        row is an exact subgradient, so each cuts the cell and bounds the minimum; a
+        cut other than the centroid's that would leave no area is rounding, and is
+        skipped. Returns "certified" (fbest - lower within GAP_TOL fbest), "collapsed"
+        (no cell left) or None, with the next rows planned, while the solve is open."""
+        (xs, ys), closing, kept = self.cell, self.closing, None
+        # the best value is taken first, so that every cut is as deep as it can be
+        fbest, top = self.fbest, None
+        for r, row in enumerate(cast):
+            if row is not None and row[2] < fbest:
+                top, fbest = r, row[2]
+        if top is not None:
+            self.top, self.fbest, self.on = cast[top], fbest, self.marks[top]
+            self.hessian, self.exits = hessians[top], exits[top]
+            if not closing:    # a new best row away from a ring: full-width rings again
+                self.narrow = 1.0
+        rows = [row for row in cast if row is not None]
+        lower, central = self.lower, self.central and cast[0] is not None
+        for qx, qy, f, g0, g1 in rows:
+            if len(xs) < 3:
+                break    # the centroid cut left no cell: collapsed below
+            least, cx, cy = _cut(xs, ys, qx, qy, g0, g1, fbest - f)
+            # f + least is the least value the linear bound at q allows on the cell
+            lower = max(lower, f + least)
+            if central:    # the start or a centroid: its cut is always made
+                xs, ys, central = cx, cy, False
+            elif len(cx) > 2:    # a cut that would leave no area is rounding: skipped
+                kept = kept or (xs, ys)
+                xs, ys = cx, cy
+        if closing and len(xs) > 2:
+            # every cut keeps the minimizer, so each bound holds over the cell they
+            # leave: the best row's first, then the others while the gap stays open
+            for qx, qy, f, g0, g1 in [self.top, *rows]:
+                lower = max(lower, f + min([g0 * (x - qx) + g1 * (y - qy)
+                                            for x, y in zip(xs, ys)]))
+                if fbest - lower <= GAP_TOL * fbest:
+                    break
+        self.lower = lower
+        if fbest - lower <= GAP_TOL * fbest:
+            return "certified"
+        if closing:    # the ring did not certify: the next one is 4 times narrower
+            self.narrow *= 0.25
+        centroid = _centroid(xs, ys, self.e)
+        if centroid is None and kept is not None:
+            xs, ys = kept    # a cut after the centroid's left a cell of no area
+            centroid = _centroid(xs, ys, self.e)
+        if centroid is None:
+            return "collapsed"
+        self.cell = xs, ys
+        self.plan(centroid, self.stepped is not None and top == self.stepped)
+        return None
+
+    def plan(self, centroid, improved):
+        """Set the rows of the next iteration from the best row b, its piece's Hessian
+        H and the crease lines of that piece, improved telling whether the last
+        Newton point became the best row:
+        - the centroid of the cell, whose cut is always made; it is left out while
+          the last Newton point improved on the best value;
+        - the Newton point q_b - H^-1 g_b of b's piece;
+        - where the model fails (the last Newton point no better than the best
+          value, with a model row best or twice in a row), the least of b's
+          quadratic model on each of the MAX_LINES crease lines of b's piece
+          nearest b that cross the cell, and the MAX_CROSSINGS crossings of two of
+          them inside the cell nearest b (_crease_rows; the lines b lies on count
+          too, and are cast where the model holds);
+        - once b's Newton step (along its line, for a row placed on one; none, for
+          a crossing) is within sqrt(CLOSE_STEP f / lambda_max(H)), a ring about
+          the step's end at the radius sqrt(GAP_TOL f / lambda_max(H)) (half that
+          square for a crease point), one point in each sector between the
+          piece's lines through it (_ring), in place of the other rows; not twice
+          in a row about one best row. Its bounds are taken over the cell all of
+          the iteration's cuts leave, and a ring that does not certify makes the
+          next one about the same region 4 times narrower."""
         missed, self.missed = self.missed, self.stepped is not None and not improved
         fails = self.missed and (missed or self.on is not None)
         self.rows, self.marks, self.stepped, self.closing = [centroid], [None], None, False
@@ -339,7 +332,7 @@ class _Solve:
             return
         x, y, f, g0, g1 = self.top
         # in units of up = 2**e, exactly, so that no product leaves the float range
-        up = math.ldexp(1.0, creases.e)
+        up = math.ldexp(1.0, self.e)
         (a, c), (_, d) = self.hessian.tolist()
         a, c, d, g0, g1 = a * up * up, c * up * up, d * up * up, g0 * up, g1 * up
         lam = 0.5 * (a + d) + math.hypot(0.5 * (a - d), c)
@@ -349,7 +342,7 @@ class _Solve:
         close = CLOSE_STEP * f / lam if lam > 0.0 else 0.0
         on, ring, self.rung = self.on or (), self.top is not self.rung, None
         if ring and len(on) == 2:
-            self._ring(creases, [], [], x, y, math.sqrt(0.5 * reach) * up)
+            self._ring([], [], x, y, math.sqrt(0.5 * reach) * up)
             return
         if ring and len(on) == 1:
             (n0, n1, _), = on
@@ -357,7 +350,7 @@ class _Solve:
             step = (g0 * n1 - g1 * n0) / curve if curve > 0.0 else math.inf
             if step * step <= close:    # the step along t = (-n1, n0)
                 cx, cy = x - step * n1 * up, y + step * n0 * up
-                self._ring(creases, [[cx, cy]], [on], cx, cy, math.sqrt(0.5 * reach) * up)
+                self._ring([[cx, cy]], [on], cx, cy, math.sqrt(0.5 * reach) * up)
                 return
         det = a * d - c * c
         if det > 0.0:
@@ -365,7 +358,7 @@ class _Solve:
             newton = [x + s0 * up, y + s1 * up]
             if ring and not on and not fails and s0 * s0 + s1 * s1 <= close:
                 self.stepped = 0
-                self._ring(creases, [newton], [()], *newton, math.sqrt(reach) * up)
+                self._ring([newton], [()], *newton, math.sqrt(reach) * up)
                 return
             if not _within(*self.cell, *newton):
                 # every point outside the cell lies above the best value: a failed step
@@ -377,18 +370,16 @@ class _Solve:
                 self.marks.append(())
                 self.stepped = 1
         if fails or on:
-            self._creases(creases.piece(self.exits) if fails else _NO_LINES,
-                          up, a, c, d, g0, g1)
+            self._crease_rows(fails, up, a, c, d, g0, g1)
 
-    def _creases(self, lines, up, a, c, d, g0, g1):
+    def _crease_rows(self, fails, up, a, c, d, g0, g1):
         """Cast the least of the best row's quadratic model on each of the MAX_LINES
-        crease lines nearest it that meet the cell, of lines (normals, offsets) and
-        those it lies on, and the MAX_CROSSINGS crossings of two of those lines
-        inside the cell nearest it. a, c, d, g0, g1 are its Hessian and gradient in
-        units of up."""
+        crease lines nearest it that meet the cell, of those it lies on and, if the
+        model fails, its piece's, and the MAX_CROSSINGS nearest crossings of two of
+        them inside the cell; a, c, d, g0, g1: its Hessian and gradient in units of up."""
         x, y = self.top[:2]
         xs, ys = self.cell
-        normals, offsets = lines
+        normals, offsets = self.piece(self.exits) if fails else (np.empty((0, 2)), np.empty(0))
         if self.on:
             normals = np.vstack([normals, [line[:2] for line in self.on]])
             offsets = np.concatenate([offsets, [line[2] for line in self.on]])
@@ -433,7 +424,7 @@ class _Solve:
             self.rows.append([px, py])
             self.marks.append(pair)
 
-    def _ring(self, creases, rows, marks, cx, cy, radius):
+    def _ring(self, rows, marks, cx, cy, radius):
         """Set rows, then ring points about (cx, cy) at radius times the narrowing: one
         in each sector between the crease lines of the best row's piece that pass
         within half that radius, and for a single line also one each way along it;
@@ -441,7 +432,7 @@ class _Solve:
         radius *= self.narrow
         angles = []
         if marks != [()]:
-            normals, offsets = creases.piece(self.exits)
+            normals, offsets = self.piece(self.exits)
             close = np.abs(offsets - normals @ [cx, cy]) <= 0.5 * radius
             for t in sorted((np.arctan2(normals[close, 0], -normals[close, 1]) % math.pi)
                             .tolist()):
@@ -511,11 +502,14 @@ def optimal_simplex_center(n):
     """Closed-form optimal center of the n-simplex: the centroid.
 
     The minimal self-volume is (n+1)^n / n! (equality point of the simplex
-    lower bound); returned as a CenterResult with barycentric optimum.
+    lower bound), correctly rounded, for n up to 712; returned as a CenterResult
+    with barycentric optimum.
     """
     n = _count(n, "n", 1)
+    if n > 712:
+        raise GeometryError(f"n must be at most 712 ((n+1)^n / n! overflows a float), got {n}")
     weights = np.full(n + 1, 1.0 / (n + 1))
-    value = float((n + 1) ** n) / math.factorial(n)
+    value = (n + 1) ** n / math.factorial(n)
     return CenterResult(BarycentricPoint(weights), value, 0, "simplex-closed-form", 0.0)
 
 

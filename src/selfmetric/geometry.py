@@ -678,8 +678,8 @@ class PolytopeN(_ReadOnly):
     facet_normals (m, d), facet_offsets and facet_measures are row-aligned
     arrays; facets lists the rows as Facets. A body is read-only (_ReadOnly): every
     builder binds all its attributes through _bind, as read-only arrays (never
-    the caller's), so neither the origin test, cached on first use, nor the polar
-    rows of _polygon's polygons can go stale.
+    the caller's), so neither the least facet offset, cached on first use, nor
+    the polar rows of _polygon's polygons can go stale.
     """
 
     def __init__(self, vertices):
@@ -774,11 +774,6 @@ class PolytopeN(_ReadOnly):
 
     def origin_interior(self):
         """Whether every facet lies beyond REL_TOL * scale from the origin."""
-        return self._origin_inside
-
-    @functools.cached_property
-    def _origin_inside(self):
-        # computed on first use, once per polytope: a body's facet rows are read-only
         return self._least_offset > REL_TOL * self.scale
 
     @functools.cached_property
